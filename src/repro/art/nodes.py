@@ -117,6 +117,10 @@ class InnerNode(Node):
         """Yield ``(partial_key_byte, child)`` in ascending byte order."""
         raise NotImplementedError
 
+    def child_nodes(self) -> List[Child]:
+        """The children in ascending byte order, as a new list."""
+        raise NotImplementedError
+
     def only_child(self) -> Tuple[int, Child]:
         """Return the single remaining ``(byte, child)`` pair."""
         items = list(self.children_items())
@@ -200,6 +204,9 @@ class _SortedArrayNode(InnerNode):
 
     def children_items(self) -> Iterator[Tuple[int, Child]]:
         return iter(list(zip(self.keys, self.children)))
+
+    def child_nodes(self) -> List[Child]:
+        return self.children[:]
 
 
 class Node4(_SortedArrayNode):
@@ -311,6 +318,10 @@ class Node48(InnerNode):
                 assert child is not None
                 yield byte, child
 
+    def child_nodes(self) -> List[Child]:
+        children = self.children
+        return [children[slot] for slot in self.child_index if slot != EMPTY_SLOT]
+
     def grow(self) -> "Node256":
         bigger = Node256()
         self._copy_header_to(bigger)
@@ -373,6 +384,9 @@ class Node256(InnerNode):
             child = self.children[byte]
             if child is not None:
                 yield byte, child
+
+    def child_nodes(self) -> List[Child]:
+        return [child for child in self.children if child is not None]
 
     def grow(self) -> "InnerNode":
         raise SimulationError("N256 is the largest inner node")

@@ -25,7 +25,7 @@ DCART accelerator model are built entirely on these records.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.art.keys import common_prefix_length
 from repro.art.layout import NodeAllocator
@@ -601,23 +601,24 @@ class AdaptiveRadixTree:
 
     def items(self) -> Iterator[Tuple[bytes, object]]:
         """Yield all ``(key, value)`` pairs in ascending key order."""
-        yield from self._iter_subtree(self.root)
+        for leaf in self.leaves():
+            yield leaf.key, leaf.value
 
     def keys(self) -> Iterator[bytes]:
         for key, _ in self.items():
             yield key
 
-    def _iter_subtree(self, node: Optional[Child]) -> Iterator[Tuple[bytes, object]]:
-        if node is None:
-            return
-        stack = [node]
+    def leaves(self) -> List[Leaf]:
+        """Every leaf in ascending key order, from one walk of the tree."""
+        out: List[Leaf] = []
+        stack: List[Child] = [] if self.root is None else [self.root]
         while stack:
-            current = stack.pop()
-            if isinstance(current, Leaf):
-                yield current.key, current.value
+            node = stack.pop()
+            if isinstance(node, Leaf):
+                out.append(node)
             else:
-                children = [child for _, child in current.children_items()]
-                stack.extend(reversed(children))
+                stack.extend(reversed(node.child_nodes()))
+        return out
 
     def range_scan(
         self, low: bytes, high: bytes
@@ -694,18 +695,14 @@ class AdaptiveRadixTree:
         return walk(self.root)
 
     def node_counts(self) -> dict:
-        """Count live nodes by kind (``{"N4": ..., "Leaf": ...}``)."""
+        """Count live nodes by kind (``{"N4": ..., "Leaf": ...}``).
+
+        Counted over the address registry, which holds exactly the live
+        nodes: every allocation registers a node, every free drops it.
+        """
         counts = {"N4": 0, "N16": 0, "N48": 0, "N256": 0, "Leaf": 0}
-
-        def walk(node: Optional[Child]) -> None:
-            if node is None:
-                return
+        for node in self._by_address.values():
             counts[node.kind] += 1
-            if isinstance(node, InnerNode):
-                for _, child in node.children_items():
-                    walk(child)
-
-        walk(self.root)
         return counts
 
     def memory_footprint(self) -> int:

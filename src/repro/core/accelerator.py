@@ -41,7 +41,6 @@ from repro.core.prefixing import PrefixExtractor
 from repro.core.shortcut_table import ShortcutTable
 from repro.core.sou import BucketOutcome, ShortcutOperatingUnit
 from repro.core.tree_buffer import LruTreeBuffer, ValueAwareTreeBuffer
-from repro.durability.manager import accelerator_state as durability_accel_state
 from repro.engines.base import Engine, RunResult, TimeBreakdown
 from repro.model.costs import DEFAULT_FPGA_COSTS
 from repro.model.platform import FPGA_PLATFORM, Platform
@@ -281,8 +280,7 @@ class AcceleratorSession:
         # The batch is fully applied: checkpoint if one is due.
         if durability is not None:
             ckpt_seconds = durability.maybe_checkpoint(
-                batch_index, self.tree,
-                accel_state=durability_accel_state(self.shortcuts, self.tables),
+                batch_index, self.tree, self.shortcuts, self.tables
             )
             batch_durability_cycles += int(ckpt_seconds * costs.clock_hz)
             self.durability_cycles_total += batch_durability_cycles

@@ -51,6 +51,9 @@ REC_CKPT_HEADER = 10
 REC_CKPT_ITEM = 11
 REC_CKPT_ACCEL = 12
 
+_HEADER = struct.Struct("<BIqQ")  # kind, format, batch_index, n_keys
+_ITEM_HEADER = struct.Struct("<BH")  # kind, key_len
+
 #: Crash points :func:`write_checkpoint` can be armed with.
 CRASH_PAYLOAD = "ckpt-payload"
 CRASH_MANIFEST = "ckpt-manifest"
@@ -86,32 +89,30 @@ class CheckpointInfo:
         return os.path.join(self.directory, self.manifest["payload"])
 
 
-def _encode_item(key: bytes, value: object) -> bytes:
-    return (
-        bytes([REC_CKPT_ITEM])
-        + struct.pack("<H", len(key))
-        + key
-        + encode_value(value)
-    )
-
-
 def build_payload(
     tree: AdaptiveRadixTree,
     batch_index: int,
     accel_state: Optional[Dict] = None,
 ) -> bytes:
-    """Serialise the tree + accelerator state into the framed payload."""
-    chunks = [
-        frame(
-            bytes([REC_CKPT_HEADER])
-            + struct.pack("<IqQ", CHECKPOINT_FORMAT, batch_index, len(tree))
+    """Serialise the tree + accelerator state into the framed payload.
+
+    One walk over the leaves frames each item straight into one buffer.
+    """
+    header = _HEADER.pack(REC_CKPT_HEADER, CHECKPOINT_FORMAT, batch_index, len(tree))
+    out = bytearray(frame(header))
+    pack_frame = _FRAME.pack
+    pack_header = _ITEM_HEADER.pack
+    crc32 = zlib.crc32
+    for leaf in tree.leaves():
+        key = leaf.key
+        payload = (
+            pack_header(REC_CKPT_ITEM, len(key)) + key + encode_value(leaf.value)
         )
-    ]
-    for key, value in tree.items():
-        chunks.append(frame(_encode_item(key, value)))
+        out += pack_frame(len(payload), crc32(payload))
+        out += payload
     accel_json = json.dumps(accel_state or {}, sort_keys=True).encode("utf-8")
-    chunks.append(frame(bytes([REC_CKPT_ACCEL]) + accel_json))
-    return b"".join(chunks)
+    out += frame(bytes([REC_CKPT_ACCEL]) + accel_json)
+    return bytes(out)
 
 
 def parse_payload(data: bytes) -> Tuple[int, List[Tuple[bytes, object]], Dict]:
@@ -136,23 +137,33 @@ def parse_payload(data: bytes) -> Tuple[int, List[Tuple[bytes, object]], Dict]:
         payload = data[start : start + length]
         if zlib.crc32(payload) != crc:
             raise SimulationError("checkpoint record CRC mismatch")
+        if not payload:
+            raise SimulationError(f"empty checkpoint record at byte {offset}")
         kind = payload[0]
-        if kind == REC_CKPT_HEADER:
-            version, batch_index, declared_keys = struct.unpack_from(
-                "<IqQ", payload, 1
-            )
-            if version != CHECKPOINT_FORMAT:
-                raise SimulationError(f"unknown checkpoint format {version}")
-        elif kind == REC_CKPT_ITEM:
-            (key_len,) = struct.unpack_from("<H", payload, 1)
-            key = payload[3 : 3 + key_len]
-            value, _ = decode_value(payload, 3 + key_len)
-            items.append((key, value))
-        elif kind == REC_CKPT_ACCEL:
-            accel_state = json.loads(payload[1:].decode("utf-8"))
-            saw_accel = True
-        else:
-            raise SimulationError(f"unknown checkpoint record kind {kind}")
+        try:
+            if kind == REC_CKPT_HEADER:
+                _, version, batch_index, declared_keys = _HEADER.unpack(payload)
+                if version != CHECKPOINT_FORMAT:
+                    raise SimulationError(f"unknown checkpoint format {version}")
+            elif kind == REC_CKPT_ITEM:
+                _, key_len = _ITEM_HEADER.unpack_from(payload)
+                key = payload[_ITEM_HEADER.size : _ITEM_HEADER.size + key_len]
+                value, end = decode_value(payload, _ITEM_HEADER.size + key_len)
+                if end != len(payload):
+                    raise SimulationError(
+                        f"checkpoint item is {len(payload)} bytes, "
+                        f"its fields {end}"
+                    )
+                items.append((key, value))
+            elif kind == REC_CKPT_ACCEL:
+                accel_state = json.loads(payload[1:].decode("utf-8"))
+                saw_accel = True
+            else:
+                raise SimulationError(f"unknown checkpoint record kind {kind}")
+        except (struct.error, IndexError, ValueError) as exc:
+            raise SimulationError(
+                f"malformed checkpoint record at byte {offset}: {exc}"
+            ) from exc
         offset = start + length
     if batch_index is None:
         raise SimulationError("checkpoint payload has no header record")
@@ -243,8 +254,9 @@ def write_checkpoint(
 def list_checkpoints(directory: str) -> List[CheckpointInfo]:
     """Discover checkpoints, newest first, by their manifest files.
 
-    A manifest that does not parse as JSON (torn write) is surfaced with
-    an empty ``manifest`` dict so recovery can count it as skipped.
+    A manifest that does not parse as a JSON object (torn write, stray
+    file) is surfaced with an empty ``manifest`` dict so recovery can
+    count it as skipped.
     """
     found: List[CheckpointInfo] = []
     if not os.path.isdir(directory):
@@ -259,9 +271,10 @@ def list_checkpoints(directory: str) -> List[CheckpointInfo]:
         info = CheckpointInfo(directory=directory, seq=seq)
         try:
             with open(os.path.join(directory, name), "rb") as handle:
-                info.manifest = json.loads(handle.read().decode("utf-8"))
+                manifest = json.loads(handle.read().decode("utf-8"))
         except (OSError, ValueError, UnicodeDecodeError):
-            info.manifest = {}
+            manifest = {}
+        info.manifest = manifest if isinstance(manifest, dict) else {}
         found.append(info)
     return sorted(found, key=lambda info: info.seq, reverse=True)
 

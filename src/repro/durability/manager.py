@@ -6,12 +6,14 @@ Wiring (see :class:`~repro.core.accelerator.DcartAccelerator`):
   and writes the **base checkpoint** (batch ``-1``) capturing the
   bulk-loaded tree, so recovery always has the load state to build on.
 * :meth:`log_batch` — before SOU dispatch: appends
-  ``BEGIN / op* / COMMIT`` for the batch's mutating ops.  The COMMIT is
-  the batch's fsync point; only after it returns may the SOUs mutate
-  the tree.  Crashing anywhere inside leaves an uncommitted (possibly
-  torn) group that recovery discards — write-ahead in the strict sense.
+  ``BEGIN / op* / COMMIT`` for the batch's mutating ops, written as one
+  group at COMMIT.  The COMMIT is the batch's fsync point; only after
+  it returns may the SOUs mutate the tree.  Crashing anywhere inside
+  leaves an uncommitted (possibly torn) group that recovery discards —
+  write-ahead in the strict sense.
 * :meth:`maybe_checkpoint` — after the batch is applied: every
-  ``checkpoint_every`` batches, snapshots tree + accelerator state.
+  ``checkpoint_every`` batches, snapshots tree + accelerator state
+  (the state is read only on those batches).
 * :meth:`snapshot` / billing — every byte and fsync is billed through
   :class:`~repro.model.costs.DurabilityCosts`; the accelerator converts
   the returned seconds to cycles and adds them to the batch, so
@@ -139,8 +141,7 @@ class DurabilityManager:
         if armed == CRASH_WAL_MID_APPEND:
             # Append a prefix of the group, then die mid-record.
             keep_ops = self._armed_detail % max(1, len(mutating))
-            for op in mutating[:keep_ops]:
-                wal.log_op(op)
+            wal.log_ops(mutating[:keep_ops])
             torn = op_record(mutating[keep_ops])
             kept = wal.append_torn(torn, keep_bytes=4 + self._armed_detail % 7)
             self._disarm()
@@ -150,8 +151,7 @@ class DurabilityManager:
                 {"point": CRASH_WAL_MID_APPEND, "batch": batch_index,
                  "ops_appended": keep_ops, "torn_record_bytes": kept},
             )
-        for op in mutating:
-            wal.log_op(op)
+        wal.log_ops(mutating)
         if armed == CRASH_WAL_PRE_COMMIT:
             self._disarm()
             wal.abandon_batch()
@@ -179,9 +179,15 @@ class DurabilityManager:
         self,
         batch_index: int,
         tree: AdaptiveRadixTree,
-        accel_state: Optional[Dict] = None,
+        shortcuts=None,
+        tables=None,
     ) -> float:
-        """Checkpoint if due (or if a checkpoint crash point is armed)."""
+        """Checkpoint if due (or if a checkpoint crash point is armed).
+
+        The accelerator state is snapshotted from ``shortcuts`` and
+        ``tables`` only when a checkpoint is written.  An armed crash
+        counts as a write: the torn payload's length depends on it.
+        """
         armed = self._armed_point in (ckpt.CRASH_PAYLOAD, ckpt.CRASH_MANIFEST)
         due = (batch_index + 1) % self.checkpoint_every == 0
         if not due and not armed:
@@ -189,7 +195,9 @@ class DurabilityManager:
         crash = self._armed_point if armed else None
         if armed:
             self._disarm()
-        return self._checkpoint(tree, batch_index, accel_state or {}, crash=crash)
+        return self._checkpoint(
+            tree, batch_index, accelerator_state(shortcuts, tables), crash=crash
+        )
 
     def _checkpoint(
         self,

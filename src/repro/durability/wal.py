@@ -25,10 +25,13 @@ or whose CRC mismatches ends the scan — everything before it is intact
 (appends never rewrite earlier bytes), everything from it on is the torn
 tail.
 
-Every append is billed through
+Every record is billed through
 :class:`~repro.model.costs.DurabilityCosts`; a COMMIT is an fsync point
 (the batch's durability barrier), modelled — and optionally executed
-with a real ``os.fsync`` — by :meth:`WriteAheadLog.sync`.
+with a real ``os.fsync`` — by :meth:`WriteAheadLog.sync`.  The writer
+holds a batch's frames in memory and writes the whole group with one
+call at COMMIT; :func:`encode_batch_frames` produces the same bytes for
+the cluster's replication link.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.log import get_logger
@@ -51,6 +54,9 @@ WAL_VERSION = 1
 FILE_HEADER = WAL_MAGIC + struct.pack("<HH", WAL_VERSION, 0)
 
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
+_BEGIN = struct.Struct("<BI")  # kind, batch_index
+_OP_HEADER = struct.Struct("<BBQH")  # kind, op code, op_id, key_len
+_COMMIT = struct.Struct("<BII")  # kind, batch_index, n_ops
 
 REC_BEGIN = 1
 REC_OP = 2
@@ -66,18 +72,30 @@ _CODE_TO_OP = {code: kind for kind, code in _OP_TO_CODE.items()}
 
 _V_NONE, _V_FALSE, _V_TRUE, _V_INT, _V_FLOAT, _V_BYTES, _V_STR = range(7)
 
+_NONE_BYTES = bytes([_V_NONE])
+_FALSE_BYTES = bytes([_V_FALSE])
+_TRUE_BYTES = bytes([_V_TRUE])
+_INT_HEADER = struct.Struct("<BH")  # int tag, u16 length of the big-endian bytes
+
+
+def _encode_int(value: int) -> bytes:
+    """The tagged wire form of an ``int`` value."""
+    raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
+    return _INT_HEADER.pack(_V_INT, len(raw)) + raw
+
 
 def encode_value(value: object) -> bytes:
     """Encode one op payload value into the tagged wire form."""
+    if type(value) is int:  # the common payload; bools take their own tags
+        return _encode_int(value)
     if value is None:
-        return bytes([_V_NONE])
+        return _NONE_BYTES
     if value is False:
-        return bytes([_V_FALSE])
+        return _FALSE_BYTES
     if value is True:
-        return bytes([_V_TRUE])
+        return _TRUE_BYTES
     if isinstance(value, int):
-        raw = value.to_bytes((value.bit_length() + 8) // 8 or 1, "big", signed=True)
-        return bytes([_V_INT]) + struct.pack("<H", len(raw)) + raw
+        return _encode_int(value)
     if isinstance(value, float):
         return bytes([_V_FLOAT]) + struct.pack("<d", value)
     if isinstance(value, (bytes, bytearray)):
@@ -92,7 +110,11 @@ def encode_value(value: object) -> bytes:
 
 
 def decode_value(buf: bytes, offset: int) -> Tuple[object, int]:
-    """Decode one tagged value; returns ``(value, next_offset)``."""
+    """Decode one tagged value; returns ``(value, next_offset)``.
+
+    A value cut short by the end of ``buf`` decodes short; callers check
+    ``next_offset`` against the record length.
+    """
     tag = buf[offset]
     offset += 1
     if tag == _V_NONE:
@@ -170,39 +192,50 @@ def frame(payload: bytes) -> bytes:
 def encode_record(record: WalRecord) -> bytes:
     """Serialise one record payload (unframed)."""
     if isinstance(record, BeginRecord):
-        return bytes([REC_BEGIN]) + struct.pack("<I", record.batch)
+        return _BEGIN.pack(REC_BEGIN, record.batch)
     if isinstance(record, OpRecord):
         return (
-            bytes([REC_OP, _OP_TO_CODE[record.op_kind]])
-            + struct.pack("<QH", record.op_id, len(record.key))
+            _OP_HEADER.pack(
+                REC_OP, _OP_TO_CODE[record.op_kind], record.op_id, len(record.key)
+            )
             + record.key
             + encode_value(record.value)
         )
     if isinstance(record, CommitRecord):
-        return bytes([REC_COMMIT]) + struct.pack("<II", record.batch, record.n_ops)
+        return _COMMIT.pack(REC_COMMIT, record.batch, record.n_ops)
     raise SimulationError(f"unknown WAL record {record!r}")
 
 
 def decode_record(payload: bytes) -> WalRecord:
-    """Parse one framed record's payload back into its dataclass."""
+    """Parse one framed record's payload back into its dataclass.
+
+    Raises :class:`SimulationError` on any payload that is not exactly
+    one well-formed record, whatever its CRC says.
+    """
     if not payload:
         raise SimulationError("empty WAL record payload")
     kind = payload[0]
-    if kind == REC_BEGIN:
-        (batch,) = struct.unpack_from("<I", payload, 1)
-        return BeginRecord(batch)
-    if kind == REC_OP:
-        code = payload[1]
-        if code not in _CODE_TO_OP:
-            raise SimulationError(f"unknown WAL op code {code}")
-        op_id, key_len = struct.unpack_from("<QH", payload, 2)
-        offset = 2 + 10
-        key = payload[offset : offset + key_len]
-        value, _ = decode_value(payload, offset + key_len)
-        return OpRecord(_CODE_TO_OP[code], op_id, key, value)
-    if kind == REC_COMMIT:
-        batch, n_ops = struct.unpack_from("<II", payload, 1)
-        return CommitRecord(batch, n_ops)
+    try:
+        if kind == REC_BEGIN:
+            _, batch = _BEGIN.unpack(payload)
+            return BeginRecord(batch)
+        if kind == REC_OP:
+            _, code, op_id, key_len = _OP_HEADER.unpack_from(payload)
+            if code not in _CODE_TO_OP:
+                raise SimulationError(f"unknown WAL op code {code}")
+            offset = _OP_HEADER.size
+            key = payload[offset : offset + key_len]
+            value, end = decode_value(payload, offset + key_len)
+            if end != len(payload):
+                raise SimulationError(
+                    f"WAL op record is {len(payload)} bytes, its fields {end}"
+                )
+            return OpRecord(_CODE_TO_OP[code], op_id, key, value)
+        if kind == REC_COMMIT:
+            _, batch, n_ops = _COMMIT.unpack(payload)
+            return CommitRecord(batch, n_ops)
+    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+        raise SimulationError(f"malformed WAL record (kind {kind}): {exc}") from exc
     raise SimulationError(f"unknown WAL record kind {kind}")
 
 
@@ -218,20 +251,51 @@ def is_loggable(op: Operation) -> bool:
     return op.kind in _OP_TO_CODE
 
 
+def frame_ops(
+    out: bytearray, sizes: List[int], operations: Iterable[Operation]
+) -> None:
+    """Append one framed OP record per op to ``out``, its size to ``sizes``.
+
+    The group encoder both the writer and :func:`encode_batch_frames`
+    use; each frame is byte-identical to ``frame(encode_record(
+    op_record(op)))``.  Raises :class:`SimulationError` for a
+    non-mutating op or an unencodable value; the frames of the ops
+    before it are already in ``out``.
+    """
+    pack_frame = _FRAME.pack
+    pack_header = _OP_HEADER.pack
+    crc32 = zlib.crc32
+    codes = _OP_TO_CODE
+    for op in operations:
+        code = codes.get(op.kind)
+        if code is None:
+            raise SimulationError(f"op kind {op.kind} is not WAL-loggable")
+        key = op.key
+        payload = (
+            pack_header(REC_OP, code, op.op_id, len(key))
+            + key
+            + encode_value(op.value)
+        )
+        size = len(payload)
+        out += pack_frame(size, crc32(payload))
+        out += payload
+        sizes.append(_FRAME.size + size)
+
+
 def encode_batch_frames(batch_index: int, operations: List[Operation]) -> bytes:
     """One batch's complete framed record group, as raw log bytes.
 
     ``BEGIN / op* / COMMIT`` with every record length+CRC framed —
-    byte-identical to what :class:`WriteAheadLog` would append for the
-    batch.  The cluster replication link ships exactly these bytes, so
-    a replica's catch-up replay decodes the same wire format recovery
+    byte-identical to what :class:`WriteAheadLog` writes for the batch.
+    The cluster replication link ships exactly these bytes, so a
+    replica's catch-up replay decodes the same wire format recovery
     does.  Non-mutating ops are skipped, as in :meth:`log_op` usage.
     """
     loggable = [op for op in operations if is_loggable(op)]
-    parts = [frame(encode_record(BeginRecord(batch_index)))]
-    parts.extend(frame(encode_record(op_record(op))) for op in loggable)
-    parts.append(frame(encode_record(CommitRecord(batch_index, len(loggable)))))
-    return b"".join(parts)
+    out = bytearray(frame(_BEGIN.pack(REC_BEGIN, batch_index)))
+    frame_ops(out, [], loggable)
+    out += frame(_COMMIT.pack(REC_COMMIT, batch_index, len(loggable)))
+    return bytes(out)
 
 
 def decode_frames(data: bytes, offset: int = 0) -> List[WalRecord]:
@@ -273,11 +337,19 @@ def decode_frames(data: bytes, offset: int = 0) -> List[WalRecord]:
 class WriteAheadLog:
     """Append-only log writer with fsync-point cost accounting.
 
-    The writer flushes the OS buffer on every append so the chaos
-    harness's crash points see exactly the bytes written before the
-    kill; *durability* points (what a real device guarantees after power
-    loss) are only the explicit :meth:`sync` calls, billed through the
-    cost model and optionally executed with ``os.fsync``.
+    One write per batch: between :meth:`begin_batch` and
+    :meth:`commit_batch` the writer holds the batch's frames in memory,
+    and COMMIT writes BEGIN, the ops and COMMIT with one ``write`` and
+    one flush.  A record appended outside a batch is written at once.
+    The crash-path calls — :meth:`append_torn`, :meth:`abandon_batch`,
+    :meth:`close` — write the held frames first and flush, so the chaos
+    harness's crash points see exactly the bytes an append-and-flush
+    per record would have left.  The counters (``bytes_written``,
+    ``records_written``, ``modelled_seconds``) follow the file: a frame
+    is billed, in record order, when it is written.  *Durability*
+    points (what a real device guarantees after power loss) are only
+    the explicit :meth:`sync` calls, billed through the cost model and
+    optionally executed with ``os.fsync``.
     """
 
     def __init__(
@@ -299,17 +371,19 @@ class WriteAheadLog:
         self.fsyncs = 0
         self.modelled_seconds = 0.0
         self._open_batch: Optional[int] = None
+        #: Frames of the open batch not yet written, and their sizes.
+        self._held = bytearray()
+        self._held_sizes: List[int] = []
 
     # -- raw appends ---------------------------------------------------
 
     def append(self, record: WalRecord) -> int:
-        """Frame and append one record; returns bytes written."""
+        """Frame and append one record; returns its framed size."""
         raw = frame(encode_record(record))
-        self._file.write(raw)
-        self._file.flush()
-        self.bytes_written += len(raw)
-        self.records_written += 1
-        self.modelled_seconds += self.costs.wal_seconds(len(raw))
+        self._held += raw
+        self._held_sizes.append(len(raw))
+        if self._open_batch is None:
+            self._write_held()
         return len(raw)
 
     def append_torn(self, record: WalRecord, keep_bytes: int) -> int:
@@ -319,6 +393,7 @@ class WriteAheadLog:
         ``keep_bytes`` bytes reach the platter, the rest never do.  The
         scanner must detect the tail via length/CRC and skip it.
         """
+        self._write_held()
         raw = frame(encode_record(record))
         keep = max(1, min(keep_bytes, len(raw) - 1))
         self._file.write(raw[:keep])
@@ -326,9 +401,27 @@ class WriteAheadLog:
         self.bytes_written += keep
         return keep
 
-    def sync(self) -> None:
-        """Cross an fsync point (durability barrier)."""
+    def _write_held(self) -> None:
+        """Write the held frames with one call and flush.
+
+        Each frame is billed separately, in record order, so the float
+        sum is the one a per-record append would have made.
+        """
+        if self._held_sizes:
+            self._file.write(self._held)
+            seconds = self.modelled_seconds
+            for size in self._held_sizes:
+                seconds += self.costs.wal_seconds(size)
+            self.modelled_seconds = seconds
+            self.bytes_written += len(self._held)
+            self.records_written += len(self._held_sizes)
+            self._held = bytearray()
+            self._held_sizes = []
         self._file.flush()
+
+    def sync(self) -> None:
+        """Write the held frames and cross an fsync point (durability barrier)."""
+        self._write_held()
         if self.real_fsync:
             os.fsync(self._file.fileno())
         self.fsyncs += 1
@@ -345,9 +438,13 @@ class WriteAheadLog:
         self.append(BeginRecord(batch_index))
 
     def log_op(self, op: Operation) -> None:
+        self.log_ops((op,))
+
+    def log_ops(self, operations: Iterable[Operation]) -> None:
+        """Add one OP record per (mutating) op to the open batch."""
         if self._open_batch is None:
             raise SimulationError("log_op outside a WAL batch")
-        self.append(op_record(op))
+        frame_ops(self._held, self._held_sizes, operations)
 
     def commit_batch(self, n_ops: int) -> None:
         """Append COMMIT and cross the batch's fsync point."""
@@ -358,11 +455,17 @@ class WriteAheadLog:
         self._open_batch = None
 
     def abandon_batch(self) -> None:
-        """Forget the open batch without committing (crash paths)."""
+        """Forget the open batch without committing (crash paths).
+
+        The frames already appended reach the file, as they would have
+        with a write per record; recovery discards the group.
+        """
+        self._write_held()
         self._open_batch = None
 
     def close(self) -> None:
         if not self._file.closed:
+            self._write_held()
             self._file.close()
 
     def __enter__(self) -> "WriteAheadLog":
@@ -464,7 +567,7 @@ def scan_wal(path: str) -> WalScan:
             break
         try:
             record = decode_record(payload)
-        except (SimulationError, struct.error, IndexError) as exc:
+        except SimulationError as exc:
             scan.torn = True
             scan.torn_offset = offset
             scan.torn_reason = f"undecodable record: {exc}"

@@ -7,9 +7,12 @@ structural invariant holds (``tree.validate()``: canonical node types,
 sorted partial keys, consistent compressed prefixes, exact size).
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.art import AdaptiveRadixTree, encode_str, encode_u64
+from repro.art.bulk import bulk_load
+from repro.art.nodes import Leaf
+from repro.durability.checkpoint import restore_tree
 from repro.errors import DuplicateKeyError, KeyNotFoundError
 
 # Fixed-width keys are prefix-free by construction.
@@ -159,3 +162,45 @@ def test_allocation_accounting_balances(keys):
     # Every allocated node must eventually be freed when the tree empties.
     assert tree.stats.node_allocations == tree.stats.node_frees
     assert tree.allocator.live_bytes == 0
+
+
+def walk_counts(tree):
+    """Node census by a recursive walk from the root (the reference)."""
+    counts = {"N4": 0, "N16": 0, "N48": 0, "N256": 0, "Leaf": 0}
+
+    def walk(node):
+        counts[node.kind] += 1
+        if not isinstance(node, Leaf):
+            for _, child in node.children_items():
+                walk(child)
+
+    if tree.root is not None:
+        walk(tree.root)
+    return counts
+
+
+@given(
+    n_loaded=st.integers(min_value=0, max_value=300),
+    churn=st.lists(st.tuples(st.booleans(), small_keys), max_size=120),
+)
+@example(n_loaded=300, churn=[])
+@settings(max_examples=40, deadline=None)
+def test_node_counts_match_a_tree_walk(n_loaded, churn):
+    # Consecutive u64 keys share one parent up to 256 children: loading
+    # and draining them walks every node kind through grow and shrink.
+    tree = bulk_load([(encode_u64(i), i) for i in range(n_loaded)])
+    assert tree.node_counts() == walk_counts(tree)
+    for insert, key in churn:
+        if insert:
+            tree.upsert(key, 0)
+        else:
+            try:
+                tree.delete(key)
+            except KeyNotFoundError:
+                pass
+        assert tree.node_counts() == walk_counts(tree)
+    restored = restore_tree(list(tree.items()))
+    assert restored.node_counts() == walk_counts(restored)
+    for key in sorted(tree.keys(), reverse=True):
+        tree.delete(key)
+        assert tree.node_counts() == walk_counts(tree)

@@ -17,6 +17,7 @@ from repro.durability.checkpoint import (
     restore_tree,
     write_checkpoint,
 )
+from repro.durability.wal import frame
 from repro.errors import SimulatedCrash, SimulationError
 
 
@@ -64,6 +65,8 @@ class TestRoundTrip:
         mangled[len(mangled) // 2] ^= 0x40
         with pytest.raises(SimulationError):
             parse_payload(bytes(mangled))  # CRC
+        with pytest.raises(SimulationError, match="empty checkpoint record"):
+            parse_payload(frame(b"") + payload)  # CRC-valid, zero length
 
 
 class TestCorruptionDetection:

@@ -7,7 +7,7 @@ import pytest
 from repro.art.tree import AdaptiveRadixTree
 from repro.durability import DurabilityManager, recover
 from repro.durability.checkpoint import list_checkpoints
-from repro.durability.recover import wal_path
+from repro.durability.recover import select_checkpoint, wal_path
 from repro.errors import KeyNotFoundError, RecoveryError, SimulatedCrash
 from repro.workloads.ops import OpKind, Operation
 
@@ -124,3 +124,19 @@ class TestRecover:
         assert result.tree.search(key(100)) == "a"
         with pytest.raises(KeyNotFoundError):
             result.tree.search(key(999))
+
+    def test_manifest_that_is_not_an_object_is_skipped(self, tmp_path):
+        directory = str(tmp_path)
+        live = durable_run(directory, BATCHES, checkpoint_every=2)
+        good = list_checkpoints(directory)[0]
+        # Valid JSON, but not a manifest object.
+        with open(os.path.join(directory, "ckpt-00000005.json"), "w") as handle:
+            handle.write("7")
+        skipped = []
+        info, *_ = select_checkpoint(directory, skipped)
+        assert info.seq == good.seq
+        assert skipped == ["seq 5: checkpoint seq 5: unreadable manifest"]
+        result = recover(directory)
+        assert result.ok
+        assert result.checkpoint_batch == good.batch_index
+        assert dict(result.tree.items()) == dict(live.items())
