@@ -16,15 +16,6 @@ maps to a live node) rather than silently aliased.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
-
-import numpy as np
-
-if TYPE_CHECKING:
-    from repro.art.nodes import Child, Node
-    from repro.art.stats import TraversalRecord
-    from repro.art.tree import AdaptiveRadixTree
-
 ALIGNMENT = 16
 
 
@@ -58,829 +49,3 @@ class NodeAllocator:
     def high_water_mark(self) -> int:
         """Total address-space bytes consumed so far."""
         return self._next - self.base_address
-
-
-# ---------------------------------------------------------------------------
-# Struct-of-arrays node pool (the dcart-vec engine's tree representation)
-# ---------------------------------------------------------------------------
-
-#: Row type codes.  Leaf is 0 so ``node_type <= NODE_N16`` tests narrow
-#: inner nodes and ``node_type == NODE_LEAF`` tests leaves with one
-#: comparison each; a freed row is NODE_DEAD and never reachable from a
-#: live parent.
-NODE_DEAD = -1
-NODE_LEAF = 0
-NODE_N4 = 1
-NODE_N16 = 2
-NODE_N48 = 3
-NODE_N256 = 4
-
-_TYPE_CODE = {"Leaf": NODE_LEAF, "N4": NODE_N4, "N16": NODE_N16,
-              "N48": NODE_N48, "N256": NODE_N256}
-
-#: Column width of the sorted-array child block (Node16's capacity).
-NARROW_CAP = 16
-
-
-class KeyInterner:
-    """Interns ``bytes`` keys into dense ids with a padded byte matrix.
-
-    The level-wise traversal kernel compares key bytes as array slices,
-    so every key a batch touches is interned once and materialised as a
-    row of a ``uint8`` matrix (zero-padded to the widest key seen) with
-    a parallel length vector.  Ids are assigned in first-seen order and
-    never change, so they are safe to store in pool rows (leaf keys) and
-    reuse across buckets.
-    """
-
-    def __init__(self) -> None:
-        self._ids: Dict[bytes, int] = {}
-        self._keys: List[bytes] = []
-        self._max_len = 1
-        self._synced = 0
-        self.matrix = np.zeros((0, 1), dtype=np.uint8)
-        self.lens = np.zeros(0, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def intern(self, key: bytes) -> int:
-        """Return the id for ``key``, assigning one on first sight."""
-        kid = self._ids.get(key)
-        if kid is None:
-            kid = len(self._keys)
-            self._ids[key] = kid
-            self._keys.append(key)
-            if len(key) > self._max_len:
-                self._max_len = len(key)
-        return kid
-
-    def sync(self) -> None:
-        """Bring ``matrix``/``lens`` up to date with interned keys."""
-        n = len(self._keys)
-        if n == self._synced and self.matrix.shape[1] >= self._max_len:
-            return
-        width = self._max_len
-        start = self._synced
-        if self.matrix.shape[1] < width or self.matrix.shape[0] < n:
-            rows = max(64, 2 * n)
-            matrix = np.zeros((rows, width), dtype=np.uint8)
-            lens = np.zeros(rows, dtype=np.int64)
-            if self.matrix.shape[1] == width:
-                matrix[:start] = self.matrix[:start]
-                lens[:start] = self.lens[:start]
-            else:
-                start = 0  # width grew: re-encode everything
-            self.matrix = matrix
-            self.lens = lens
-        matrix = self.matrix
-        lens = self.lens
-        for i in range(start, n):
-            key = self._keys[i]
-            matrix[i, : len(key)] = np.frombuffer(key, dtype=np.uint8)
-            lens[i] = len(key)
-        self._synced = n
-
-
-class LayoutError(ValueError):
-    """A NodePool row diverged from the object tree it mirrors."""
-
-
-class NodePool:
-    """Struct-of-arrays mirror of an :class:`AdaptiveRadixTree`.
-
-    One row per live node, in contiguous parallel arrays — the layout
-    the paper's HBM-resident tree would have, and the one a batched
-    (numpy) traversal kernel can walk without touching a Python object
-    per level:
-
-    * ``node_type``    int8   — NODE_LEAF / NODE_N4 / ... / NODE_DEAD
-    * ``node_id``      int64  — the object tree's node id
-    * ``address``      int64  — synthetic HBM address
-    * ``size_bytes``   int32  — billed node size
-    * ``plen``         int64  — prefix length (inner) / key length (leaf)
-    * ``pref_off``     int64  — offset of the prefix bytes in ``blob``
-    * ``leaf_kid``     int64  — interned key id (leaf rows; -1 inner)
-    * ``leaf_value``   object — leaf value slot
-    * ``narrow_keys``  int16[_, 16] — sorted partial keys (N4/N16; -1 pad)
-    * ``narrow_child`` int32[_, 16] — child *row* per narrow slot
-    * ``wide_slot``    int32  — row's slot in ``wide_child`` (N48/N256)
-    * ``wide_child``   int32[_, 256] — child row per byte (-1 absent)
-
-    Children are stored as row indices (not addresses): a node's row is
-    stable for its lifetime, so parents never need fixing when a child
-    is refreshed in place.  ``addr_to_row`` maps the 16-byte-aligned
-    synthetic address space back to rows for shortcut-style lookups.
-
-    Maintenance is incremental: :meth:`refresh_after` reconciles the
-    arrays with one mutating operation's :class:`TraversalRecord`, and
-    :meth:`rebuild` re-derives everything from the object tree (used at
-    construction and whenever ``tree.version`` moved outside the pool's
-    own bookkeeping — recovery replay, cluster migration, tests).
-    """
-
-    def __init__(self, tree: "AdaptiveRadixTree",
-                 interner: Optional[KeyInterner] = None) -> None:
-        self.tree = tree
-        self.keys = interner if interner is not None else KeyInterner()
-        self._addr_base = tree.allocator.base_address
-        self._synced_version = -1  # forces rebuild on first sync()
-        self._synced_next = tree.allocator.base_address
-        self.root_row = -1
-        self._init_arrays(1024)
-
-    # -- storage ------------------------------------------------------
-
-    def _init_arrays(self, cap: int) -> None:
-        self._cap = cap
-        self.node_type = np.full(cap, NODE_DEAD, dtype=np.int8)
-        self.node_id = np.full(cap, -1, dtype=np.int64)
-        self.address = np.full(cap, -1, dtype=np.int64)
-        self.size_bytes = np.zeros(cap, dtype=np.int32)
-        self.plen = np.zeros(cap, dtype=np.int64)
-        self.pref_off = np.zeros(cap, dtype=np.int64)
-        self.leaf_kid = np.full(cap, -1, dtype=np.int64)
-        self.leaf_value = np.empty(cap, dtype=object)
-        self.narrow_keys = np.full((cap, NARROW_CAP), -1, dtype=np.int16)
-        self.narrow_child = np.full((cap, NARROW_CAP), -1, dtype=np.int32)
-        self.wide_slot = np.full(cap, -1, dtype=np.int32)
-        self.wide_child = np.full((64, 256), -1, dtype=np.int32)
-        self._wide_n = 0
-        self._free_wide: List[int] = []
-        self._n_rows = 0
-        self._free_rows: List[int] = []
-        self.blob = np.zeros(4096, dtype=np.uint8)
-        self._blob_used = 1  # offset 0 is reserved for empty prefixes
-        self.addr_to_row = np.full(1024, -1, dtype=np.int32)
-
-    def _grow_rows(self) -> None:
-        old = self._cap
-        cap = old * 2
-        for name in ("node_type", "node_id", "address", "size_bytes",
-                     "plen", "pref_off", "leaf_kid", "wide_slot"):
-            arr = getattr(self, name)
-            fill = NODE_DEAD if name == "node_type" else (
-                0 if name in ("size_bytes", "plen", "pref_off") else -1
-            )
-            bigger = np.full(cap, fill, dtype=arr.dtype)
-            bigger[:old] = arr
-            setattr(self, name, bigger)
-        values = np.empty(cap, dtype=object)
-        values[:old] = self.leaf_value
-        self.leaf_value = values
-        nk = np.full((cap, NARROW_CAP), -1, dtype=np.int16)
-        nk[:old] = self.narrow_keys
-        self.narrow_keys = nk
-        nc = np.full((cap, NARROW_CAP), -1, dtype=np.int32)
-        nc[:old] = self.narrow_child
-        self.narrow_child = nc
-        self._cap = cap
-
-    def _new_row(self) -> int:
-        if self._free_rows:
-            return self._free_rows.pop()
-        row = self._n_rows
-        if row >= self._cap:
-            self._grow_rows()
-        self._n_rows = row + 1
-        return row
-
-    def _wide_slot_for(self, row: int) -> int:
-        slot = int(self.wide_slot[row])
-        if slot >= 0:
-            return slot
-        if self._free_wide:
-            slot = self._free_wide.pop()
-        else:
-            slot = self._wide_n
-            if slot >= self.wide_child.shape[0]:
-                bigger = np.full(
-                    (self.wide_child.shape[0] * 2, 256), -1, dtype=np.int32
-                )
-                bigger[: self.wide_child.shape[0]] = self.wide_child
-                self.wide_child = bigger
-            self._wide_n = slot + 1
-        self.wide_slot[row] = slot
-        return slot
-
-    def _addr_index(self, address: int) -> int:
-        return (address - self._addr_base) >> 4
-
-    def _set_addr_row(self, address: int, row: int) -> None:
-        idx = self._addr_index(address)
-        table = self.addr_to_row
-        if idx >= len(table):
-            size = len(table)
-            while size <= idx:
-                size *= 2
-            bigger = np.full(size, -1, dtype=np.int32)
-            bigger[: len(table)] = table
-            self.addr_to_row = table = bigger
-        table[idx] = row
-
-    def row_of(self, address: int) -> int:
-        """Row holding ``address``, or -1 when it is not mapped."""
-        idx = self._addr_index(address)
-        if 0 <= idx < len(self.addr_to_row):
-            return int(self.addr_to_row[idx])
-        return -1
-
-    # -- filling ------------------------------------------------------
-
-    def _set_prefix(self, row: int, prefix: bytes) -> None:
-        plen = len(prefix)
-        self.plen[row] = plen
-        if plen == 0:
-            self.pref_off[row] = 0
-            return
-        off = self._blob_used
-        end = off + plen
-        blob = self.blob
-        if end > len(blob):
-            size = len(blob)
-            while size < end:
-                size *= 2
-            bigger = np.zeros(size, dtype=np.uint8)
-            bigger[: len(blob)] = blob
-            self.blob = blob = bigger
-        blob[off:end] = np.frombuffer(prefix, dtype=np.uint8)
-        self.pref_off[row] = off
-        self._blob_used = end
-
-    def _fill_row(self, node: "Node", row: int) -> None:
-        """(Re)write ``row`` from the live ``node`` object."""
-        code = _TYPE_CODE[node.kind]
-        self.node_type[row] = code
-        self.node_id[row] = node.node_id
-        self.address[row] = node.address
-        self.size_bytes[row] = node.size_bytes
-        addr_row = self.addr_to_row
-        base = self._addr_base
-        if code == NODE_LEAF:
-            self.plen[row] = len(node.key)
-            self.pref_off[row] = 0
-            self.leaf_kid[row] = self.keys.intern(node.key)
-            self.leaf_value[row] = node.value
-            return
-        self._set_prefix(row, node.prefix)
-        self.leaf_kid[row] = -1
-        self.leaf_value[row] = None
-        if code <= NODE_N16:
-            nk = self.narrow_keys[row]
-            nc = self.narrow_child[row]
-            nk[:] = -1
-            nc[:] = -1
-            for i, byte in enumerate(node.keys):
-                nk[i] = byte
-                nc[i] = addr_row[(node.children[i].address - base) >> 4]
-        else:
-            slot = self._wide_slot_for(row)
-            wide = self.wide_child[slot]
-            wide[:] = -1
-            for byte, child in node.children_items():
-                wide[byte] = addr_row[(child.address - base) >> 4]
-
-    def _free_addr(self, address: int) -> None:
-        row = self.row_of(address)
-        if row < 0:
-            return
-        self.node_type[row] = NODE_DEAD
-        slot = int(self.wide_slot[row])
-        if slot >= 0:
-            self._free_wide.append(slot)
-            self.wide_slot[row] = -1
-        self.leaf_value[row] = None
-        self.addr_to_row[self._addr_index(address)] = -1
-        self._free_rows.append(row)
-
-    # -- construction / reconciliation --------------------------------
-
-    def sync(self) -> bool:
-        """Rebuild if the tree mutated outside :meth:`refresh_after`.
-
-        Returns ``True`` when a rebuild happened.  Call once per bucket:
-        the version check is two attribute reads, so steady state costs
-        nothing, while recovery replay, cluster key migration, or any
-        direct tree surgery trigger one full re-derivation.
-        """
-        if self._synced_version == self.tree.version:
-            return False
-        self.rebuild()
-        return True
-
-    def rebuild(self) -> None:
-        """Re-derive every array from the object tree.
-
-        Bulk path: one DFS collects the nodes (rows are assigned in
-        visit order, so ``row == position``), one Python loop builds
-        plain-list columns, and numpy converts each column in a single
-        C-level pass.  Row-at-a-time filling through :meth:`_fill_row`
-        costs ~10x more in small numpy writes — that path is kept for
-        the incremental :meth:`refresh_after` only.
-        """
-        tree = self.tree
-        root = tree.root
-        interner = self.keys
-        intern = interner.intern
-        order: List["Node"] = []
-        row_by_addr: Dict[int, int] = {}
-        if root is not None:
-            stack: List["Node"] = [root]
-            pop = stack.pop
-            append = order.append
-            while stack:
-                node = pop()
-                row_by_addr[node.address] = len(order)
-                append(node)
-                if node.kind != "Leaf":
-                    stack.extend(
-                        child for _, child in node.children_items()
-                    )
-        n = len(order)
-        cap = 1024
-        while cap < n:
-            cap *= 2
-        self._init_arrays(cap)
-        self.keys = interner
-        hwm_idx = self._addr_index(tree.allocator._next)
-        if hwm_idx >= len(self.addr_to_row):
-            size = len(self.addr_to_row)
-            while size <= hwm_idx:
-                size *= 2
-            self.addr_to_row = np.full(size, -1, dtype=np.int32)
-        if root is None:
-            self.root_row = -1
-            self._synced_next = tree.allocator._next
-            self._synced_version = tree.version
-            return
-
-        types: List[int] = []
-        nids: List[int] = []
-        addrs: List[int] = []
-        sizes: List[int] = []
-        plens: List[int] = []
-        poffs: List[int] = []
-        kids: List[int] = []
-        vals: List[Any] = []
-        nrw_r: List[int] = []
-        nrw_s: List[int] = []
-        nrw_k: List[int] = []
-        nrw_c: List[int] = []
-        wide_rows: List[int] = []
-        wd_s: List[int] = []
-        wd_b: List[int] = []
-        wd_c: List[int] = []
-        pre = bytearray(b"\x00")  # offset 0 reserved for empty prefixes
-        tcode = _TYPE_CODE
-        for i, node in enumerate(order):
-            code = tcode[node.kind]
-            types.append(code)
-            nids.append(node.node_id)
-            addrs.append(node.address)
-            sizes.append(node.size_bytes)
-            if code == NODE_LEAF:
-                key = node.key
-                plens.append(len(key))
-                poffs.append(0)
-                kids.append(intern(key))
-                vals.append(node.value)
-                continue
-            prefix = node.prefix
-            plen = len(prefix)
-            plens.append(plen)
-            if plen:
-                poffs.append(len(pre))
-                pre.extend(prefix)
-            else:
-                poffs.append(0)
-            kids.append(-1)
-            vals.append(None)
-            if code <= NODE_N16:
-                for j, byte in enumerate(node.keys):
-                    nrw_r.append(i)
-                    nrw_s.append(j)
-                    nrw_k.append(byte)
-                    nrw_c.append(row_by_addr[node.children[j].address])
-            else:
-                slot = len(wide_rows)
-                wide_rows.append(i)
-                for byte, child in node.children_items():
-                    wd_s.append(slot)
-                    wd_b.append(byte)
-                    wd_c.append(row_by_addr[child.address])
-
-        self._n_rows = n
-        self.node_type[:n] = types
-        self.node_id[:n] = nids
-        addr_arr = np.array(addrs, dtype=np.int64)
-        self.address[:n] = addr_arr
-        self.size_bytes[:n] = sizes
-        self.plen[:n] = plens
-        self.pref_off[:n] = poffs
-        self.leaf_kid[:n] = kids
-        self.leaf_value[:n] = vals
-        idx = (addr_arr - self._addr_base) >> 4
-        table = self.addr_to_row
-        top = int(idx.max()) if n else -1
-        if top >= len(table):
-            size = len(table)
-            while size <= top:
-                size *= 2
-            bigger = np.full(size, -1, dtype=np.int32)
-            bigger[: len(table)] = table
-            self.addr_to_row = table = bigger
-        table[idx] = np.arange(n, dtype=np.int32)
-        if nrw_r:
-            self.narrow_keys[nrw_r, nrw_s] = nrw_k
-            self.narrow_child[nrw_r, nrw_s] = nrw_c
-        nw = len(wide_rows)
-        if nw:
-            if nw > self.wide_child.shape[0]:
-                size = self.wide_child.shape[0]
-                while size < nw:
-                    size *= 2
-                self.wide_child = np.full((size, 256), -1, dtype=np.int32)
-            self.wide_slot[wide_rows] = np.arange(nw, dtype=np.int32)
-            self._wide_n = nw
-            self.wide_child[wd_s, wd_b] = wd_c
-        blob_used = len(pre)
-        if blob_used > len(self.blob):
-            size = len(self.blob)
-            while size < blob_used:
-                size *= 2
-            self.blob = np.zeros(size, dtype=np.uint8)
-        self.blob[:blob_used] = np.frombuffer(pre, dtype=np.uint8)
-        self._blob_used = blob_used
-        self.root_row = 0
-        self._synced_next = tree.allocator._next
-        self._synced_version = tree.version
-
-    def refresh_after(
-        self, record: "TraversalRecord", dirty: Dict[int, Any]
-    ) -> None:
-        """Reconcile the arrays with one structural mutation.
-
-        ``record`` is the mutating operation's traversal trace (its
-        ``structure_modified`` must be true).  Every address whose row
-        *content or liveness* changed is marked in ``dirty`` — the map a
-        batched consumer checks precomputed paths against.  The value is
-        ``True`` for a wholesale change (death, prefix move, type
-        change) or a set of child bytes whose mapping moved (add_child,
-        leaf removal, child replacement): a precomputed path through the
-        node is invalidated only if it consumed one of those bytes.
-        Addresses that were merely walked through are not marked, so one
-        insert does not invalidate every other precomputed path in the
-        bucket.
-
-        The reconciliation covers every mutation the tree performs:
-        empty-root insert, plain ``add_child``, grow, leaf split, prefix
-        split, root-leaf delete, plain leaf removal, path merge, and
-        shrink — each case is exercised by tests/art/test_layout_pool.py.
-        """
-        tree = self.tree
-        node_at = tree._by_address.get
-        old_root_addr = (
-            int(self.address[self.root_row]) if self.root_row >= 0 else None
-        )
-        # 1. New nodes live above the old allocator watermark.  Dead
-        #    extents in the scanned range have no registered start
-        #    address, so stepping ALIGNMENT at a time skips them.  New
-        #    addresses are never dirtied: the allocator never reuses an
-        #    address, so no path precomputed before this mutation can
-        #    reference one.
-        new_nodes: List[Tuple["Node", int]] = []
-        addr = self._synced_next
-        end = tree.allocator._next
-        while addr < end:
-            node = node_at(addr)
-            if node is None:
-                addr += ALIGNMENT
-                continue
-            row = self._new_row()
-            self._set_addr_row(node.address, row)
-            new_nodes.append((node, row))
-            addr += -(-node.size_bytes // ALIGNMENT) * ALIGNMENT
-        self._synced_next = end
-        target_addr = record.target_address
-        # Plain ``add_child`` short-circuit: the only new node is the
-        # leaf and the target kept its type, so nothing died, no prefix
-        # moved, the root stayed put — exactly one child mapping changed,
-        # at the key byte where the walk stopped.  This is the vast
-        # majority of structural mutations under insert-heavy load, so
-        # it skips the dead-scan and prefix sweep below entirely.
-        if (
-            record.outcome == "inserted"
-            and not record.node_type_changed
-            and len(new_nodes) == 1
-            and new_nodes[0][0].kind == "Leaf"
-            and target_addr is not None
-            and target_addr != new_nodes[0][0].address
-        ):
-            t_node = node_at(target_addr)
-            if t_node is not None:
-                # Each prior touch consumed its prefix plus one branch
-                # byte (used_bytes - 8); the target consumed only its
-                # prefix (used_bytes - 9).
-                touches = record.touches
-                depth = 0
-                for t in touches[:-1]:
-                    depth += t.used_bytes - 8
-                byte = record.key[depth + touches[-1].used_bytes - 9]
-                if t_node.find_child(byte) is new_nodes[0][0]:
-                    self._fill_row(new_nodes[0][0], new_nodes[0][1])
-                    row = self.row_of(target_addr)
-                    slot = int(self.wide_slot[row])
-                    if slot >= 0:
-                        self.wide_child[slot, byte] = new_nodes[0][1]
-                    else:
-                        # Sorted-array insert: shift the tail one slot
-                        # right and drop the new pair in, instead of
-                        # re-filling the whole row (which would look up
-                        # every unchanged child's row again).
-                        s = t_node._slot_of(byte)
-                        cnt = len(t_node.keys)
-                        nk = self.narrow_keys[row]
-                        nc = self.narrow_child[row]
-                        nk[s + 1 : cnt] = nk[s : cnt - 1].copy()
-                        nc[s + 1 : cnt] = nc[s : cnt - 1].copy()
-                        nk[s] = byte
-                        nc[s] = new_nodes[0][1]
-                    prev = dirty.get(target_addr)
-                    if prev is None:
-                        dirty[target_addr] = {byte}
-                    elif prev is not True:
-                        prev.add(byte)
-                    self._synced_version = tree.version
-                    return
-        # 2. Touched rows: free the dead, collect the still-alive.
-        alive: List["Node"] = []
-        seen: Set[int] = set()
-        for touch in record.touches:
-            t_addr = touch.address
-            if t_addr in seen:
-                continue
-            seen.add(t_addr)
-            node = node_at(t_addr)
-            if node is None:
-                self._free_addr(t_addr)
-                dirty[t_addr] = True
-            else:
-                alive.append(node)
-        # 3. Fill new rows (their children's rows all exist by now).
-        new_addrs: Set[int] = set()
-        for node, row in new_nodes:
-            self._fill_row(node, row)
-            new_addrs.add(node.address)
-        target_addr = record.target_address
-        target_is_new = target_addr in new_addrs
-        # 4. Alive touched inner nodes: refresh the prefix if it moved
-        #    (a prefix split shortens the surviving child's prefix).
-        #    Only a *changed* prefix dirties the address — and a prefix
-        #    change invalidates every path through the node regardless
-        #    of which child byte it consumed.
-        blob = self.blob
-        for node in alive:
-            n_addr = node.address
-            if n_addr == target_addr or n_addr in new_addrs:
-                continue
-            if node.kind == "Leaf":
-                continue
-            row = self.row_of(n_addr)
-            prefix = node.prefix
-            off = int(self.pref_off[row])
-            cur_len = int(self.plen[row])
-            if cur_len == len(prefix) and (
-                cur_len == 0
-                or blob[off : off + cur_len].tobytes() == prefix
-            ):
-                continue
-            self._set_prefix(row, prefix)
-            blob = self.blob
-            dirty[n_addr] = True
-        # 5. The target itself changed (gained/lost a child) unless it
-        #    is new (already filled) or dead (already freed).  Only the
-        #    child bytes whose mapping moved are dirtied: an add_child
-        #    at a fan-out node must not invalidate every precomputed
-        #    path that merely passed through it on a different byte.
-        if target_addr is not None and not target_is_new:
-            t_node = node_at(target_addr)
-            if t_node is not None:
-                self._refresh_changed(t_node, dirty)
-        # 6. The parent's child pointer moved when the target was
-        #    replaced (grow/split/shrink/merge) or a leaf was removed.
-        #    A plain add_child leaves the parent untouched, so skipping
-        #    it avoids re-filling wide parents on every insert.
-        parent_addr = record.parent_address
-        if record.node_type_changed or record.outcome == "deleted" \
-                or target_is_new:
-            if parent_addr is not None and parent_addr not in new_addrs:
-                p_node = node_at(parent_addr)
-                if p_node is not None:
-                    self._refresh_changed(p_node, dirty)
-        # 7. Path merge: the folded N4's surviving child absorbed its
-        #    prefix without being touched.  Refresh the prefixes of the
-        #    (ex-)parent's children — or the root when the merged node
-        #    was the root.
-        if record.outcome == "deleted" and record.node_type_changed:
-            if parent_addr is not None:
-                p_node = node_at(parent_addr)
-                if p_node is not None and p_node.kind != "Leaf":
-                    for _, child in p_node.children_items():
-                        if child.kind == "Leaf":
-                            continue
-                        row = self.row_of(child.address)
-                        if row >= 0:
-                            self._set_prefix(row, child.prefix)
-                            dirty[child.address] = True
-            else:
-                root = tree.root
-                if root is not None and root.kind != "Leaf":
-                    self._set_prefix(self.row_of(root.address), root.prefix)
-                    dirty[root.address] = True
-        root = tree.root
-        self.root_row = self.row_of(root.address) if root is not None else -1
-        # A replaced root may survive as a child (leaf split / prefix
-        # split at the root): paths computed when it *was* the root must
-        # not stay valid, so the old root address is always dirtied on a
-        # root change even though its row content did not move.
-        if old_root_addr is not None and (
-            root is None or root.address != old_root_addr
-        ):
-            dirty[old_root_addr] = True
-        self._synced_version = tree.version
-
-    def _child_vec(self, row: int) -> np.ndarray:
-        """The row's child map as a dense ``byte -> child row`` vector."""
-        v = np.full(256, -1, dtype=np.int32)
-        slot = int(self.wide_slot[row])
-        if slot >= 0:
-            v[:] = self.wide_child[slot]
-        else:
-            nk = self.narrow_keys[row]
-            mask = nk >= 0
-            v[nk[mask]] = self.narrow_child[row][mask]
-        return v
-
-    def _refresh_changed(self, node: "Node", dirty: Dict[int, Any]) -> None:
-        """Refill ``node``'s row, dirtying only what semantically moved.
-
-        A path precomputed through an inner node stays valid as long as
-        the node's prefix and the child mapping *at the byte the path
-        consumed* are unchanged, so the refill diffs the dense child
-        map before/after and dirties just the changed bytes.  A prefix
-        or type-code change (or a leaf) falls back to full dirt.
-        """
-        addr = node.address
-        row = self.row_of(addr)
-        if node.kind == "Leaf":
-            self._fill_row(node, row)
-            dirty[addr] = True
-            return
-        old_code = int(self.node_type[row])
-        old_plen = int(self.plen[row])
-        before = self._child_vec(row)
-        self._fill_row(node, row)
-        if (
-            int(self.node_type[row]) != old_code
-            or int(self.plen[row]) != old_plen
-        ):
-            dirty[addr] = True
-            return
-        changed = np.nonzero(before != self._child_vec(row))[0]
-        if changed.size == 0:
-            return
-        prev = dirty.get(addr)
-        if prev is True:
-            return
-        if prev is None:
-            dirty[addr] = set(changed.tolist())
-        else:
-            prev.update(changed.tolist())
-
-    # -- conversion / verification ------------------------------------
-
-    def to_tree(self) -> "AdaptiveRadixTree":
-        """Materialise a fresh object tree from the arrays.
-
-        The reconstruction preserves structure, node ids, addresses,
-        prefixes, keys and values, so ``validate()`` passes and
-        ``items()`` matches the source tree.  The new tree gets its own
-        allocator snapshot (watermark copied) and address map.
-        """
-        from repro.art.nodes import Leaf, Node4, Node16, Node48, Node256
-        from repro.art.tree import AdaptiveRadixTree
-
-        classes = {NODE_N4: Node4, NODE_N16: Node16,
-                   NODE_N48: Node48, NODE_N256: Node256}
-        out = AdaptiveRadixTree()
-        out.allocator._next = self.tree.allocator._next
-        out.allocator.base_address = self._addr_base
-        if self.root_row < 0:
-            return out
-        built: Dict[int, "Child"] = {}
-        n_leaves = 0
-        max_id = -1
-
-        def build(row: int) -> "Child":
-            nonlocal n_leaves, max_id
-            if row in built:
-                return built[row]
-            code = int(self.node_type[row])
-            if code == NODE_DEAD:
-                raise LayoutError(f"row {row} reachable but dead")
-            if code == NODE_LEAF:
-                kid = int(self.leaf_kid[row])
-                node: "Child" = Leaf(
-                    self.keys._keys[kid], self.leaf_value[row]
-                )
-                n_leaves += 1
-            else:
-                node = classes[code]()
-                off = int(self.pref_off[row])
-                plen = int(self.plen[row])
-                node.prefix = self.blob[off : off + plen].tobytes()
-                if code <= NODE_N16:
-                    for i in range(NARROW_CAP):
-                        byte = int(self.narrow_keys[row, i])
-                        if byte < 0:
-                            break
-                        node.add_child(
-                            byte, build(int(self.narrow_child[row, i]))
-                        )
-                else:
-                    wide = self.wide_child[int(self.wide_slot[row])]
-                    for byte in range(256):
-                        child_row = int(wide[byte])
-                        if child_row >= 0:
-                            node.add_child(byte, build(child_row))
-            node.node_id = int(self.node_id[row])
-            node.address = int(self.address[row])
-            max_id = max(max_id, node.node_id)
-            out._by_address[node.address] = node
-            built[row] = node
-            return node
-
-        out.root = build(self.root_row)
-        out._size = n_leaves
-        out._next_node_id = max_id + 1
-        return out
-
-    def verify_against(self, tree: "AdaptiveRadixTree") -> None:
-        """Compare every row with the object tree; raise on divergence."""
-        root = tree.root
-        if root is None:
-            if self.root_row != -1:
-                raise LayoutError("pool has a root row for an empty tree")
-            return
-        if self.root_row != self.row_of(root.address):
-            raise LayoutError("root row does not match the tree root")
-        stack: List["Child"] = [root]
-        while stack:
-            node = stack.pop()
-            row = self.row_of(node.address)
-            if row < 0:
-                raise LayoutError(f"no row for live node {node!r}")
-            if int(self.node_type[row]) != _TYPE_CODE[node.kind]:
-                raise LayoutError(f"type mismatch at {node!r}")
-            if int(self.node_id[row]) != node.node_id:
-                raise LayoutError(f"node_id mismatch at {node!r}")
-            if int(self.size_bytes[row]) != node.size_bytes:
-                raise LayoutError(f"size mismatch at {node!r}")
-            if node.kind == "Leaf":
-                if int(self.plen[row]) != len(node.key):
-                    raise LayoutError(f"key length mismatch at {node!r}")
-                kid = int(self.leaf_kid[row])
-                if self.keys._keys[kid] != node.key:
-                    raise LayoutError(f"key mismatch at {node!r}")
-                if self.leaf_value[row] != node.value:
-                    raise LayoutError(f"value mismatch at {node!r}")
-                continue
-            off = int(self.pref_off[row])
-            plen = int(self.plen[row])
-            if self.blob[off : off + plen].tobytes() != node.prefix:
-                raise LayoutError(f"prefix mismatch at {node!r}")
-            items = list(node.children_items())
-            rows = []
-            if int(self.node_type[row]) <= NODE_N16:
-                for i in range(NARROW_CAP):
-                    byte = int(self.narrow_keys[row, i])
-                    if byte < 0:
-                        break
-                    rows.append((byte, int(self.narrow_child[row, i])))
-            else:
-                slot = int(self.wide_slot[row])
-                if slot < 0:
-                    raise LayoutError(f"wide node without slot: {node!r}")
-                wide = self.wide_child[slot]
-                for byte in range(256):
-                    child_row = int(wide[byte])
-                    if child_row >= 0:
-                        rows.append((byte, child_row))
-            if len(items) != len(rows):
-                raise LayoutError(f"child count mismatch at {node!r}")
-            for (byte, child), (r_byte, child_row) in zip(items, rows):
-                if byte != r_byte:
-                    raise LayoutError(f"child byte mismatch at {node!r}")
-                if child_row != self.row_of(child.address):
-                    raise LayoutError(f"child row mismatch at {node!r}")
-                stack.append(child)

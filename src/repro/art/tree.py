@@ -51,12 +51,6 @@ class AdaptiveRadixTree:
         self.allocator = allocator if allocator is not None else NodeAllocator()
         self._size = 0
         self._next_node_id = 0
-        #: Structural version: bumped on every node allocation / free, so
-        #: array mirrors of the tree (art.layout.NodePool) can detect any
-        #: mutation that happened outside their incremental-refresh path
-        #: (cluster migration, recovery replay, direct test mutation) and
-        #: rebuild instead of serving stale rows.
-        self.version = 0
         self._recorder: Optional[TraversalRecord] = None
         # Maps synthetic address -> node, so shortcut-addressed fetches
         # (DCART's Index_Shortcut stage) resolve the way an HBM read would.
@@ -72,14 +66,12 @@ class AdaptiveRadixTree:
         node.address = self.allocator.allocate(node.size_bytes)
         self._by_address[node.address] = node
         self.stats.node_allocations += 1
-        self.version += 1
         return node
 
     def _unregister(self, node: Node) -> None:
         self.allocator.free(node.size_bytes)
         self._by_address.pop(node.address, None)
         self.stats.node_frees += 1
-        self.version += 1
 
     def node_at(self, address: int) -> Optional[Node]:
         """Resolve a synthetic address to its live node (or ``None``)."""

@@ -103,9 +103,7 @@ FIGURES = {
     "ablation": experiments.ablation,
 }
 
-ENGINE_NAMES = (
-    "ART", "Heart", "SMART", "CuART", "DCART-C", "DCART", "dcart-vec"
-)
+ENGINE_NAMES = ("ART", "Heart", "SMART", "CuART", "DCART-C", "DCART")
 
 
 def _build_parser() -> argparse.ArgumentParser:

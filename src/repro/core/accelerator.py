@@ -154,36 +154,18 @@ class AcceleratorSession:
         if self.durability is not None:
             attach_seconds = self.durability.attach(tree)
             self.durability_cycles_total += int(attach_seconds * self.costs.clock_hz)
-        if config.vectorized:
-            from repro.core.vec import VecContext, VectorizedOperatingUnit
-
-            vec_ctx = VecContext(tree)
-            self.sous = [
-                VectorizedOperatingUnit(
-                    sou_id=i,
-                    tree=tree,
-                    shortcuts=self.shortcuts,
-                    tree_buffer=self.tree_buffer,
-                    costs=self.costs,
-                    shared_depth_bytes=self.extractor.byte_offset,
-                    injector=self.injector,
-                    vec_ctx=vec_ctx,
-                )
-                for i in range(config.n_sous)
-            ]
-        else:
-            self.sous = [
-                ShortcutOperatingUnit(
-                    sou_id=i,
-                    tree=tree,
-                    shortcuts=self.shortcuts,
-                    tree_buffer=self.tree_buffer,
-                    costs=self.costs,
-                    shared_depth_bytes=self.extractor.byte_offset,
-                    injector=self.injector,
-                )
-                for i in range(config.n_sous)
-            ]
+        self.sous = [
+            ShortcutOperatingUnit(
+                sou_id=i,
+                tree=tree,
+                shortcuts=self.shortcuts,
+                tree_buffer=self.tree_buffer,
+                costs=self.costs,
+                shared_depth_bytes=self.extractor.byte_offset,
+                injector=self.injector,
+            )
+            for i in range(config.n_sous)
+        ]
         # Cross-batch accumulators (read by the drivers at finalise time).
         self.contentions = 0
         self.global_sync_ops = 0

@@ -49,10 +49,6 @@ class DCARTConfig:
     enable_combining: bool = True
     enable_overlap: bool = True
     value_aware_tree_buffer: bool = True
-    # Simulation-engine switch (not a hardware knob): process buckets
-    # through the vectorized level-wise SOU (core/vec.py) instead of the
-    # scalar per-op loop.  Bit-identical results, much faster host time.
-    vectorized: bool = False
 
     def __post_init__(self):
         if self.n_sous <= 0:

@@ -627,10 +627,6 @@ class ShortcutOperatingUnit:
         counter("sou.traversals", self.traversals_total)
         counter("sou.stale_shortcut_repairs", self.stale_shortcuts_total)
         counter("sou.busy_cycles", self.busy_cycles)
-        self._report_occupancy(registry)
-
-    def _report_occupancy(self, registry: "MetricsRegistry") -> None:
-        """Per-level batch occupancy — only the vectorized SOU has any."""
 
     def _corrupted_retry(self, outcome: BucketOutcome) -> int:
         """Bill the bounded retry-with-backoff on a corrupted entry."""

@@ -290,10 +290,17 @@ def load_checkpoint(
     """
     if not info.manifest:
         raise SimulationError(f"checkpoint seq {info.seq}: unreadable manifest")
-    for required in ("payload", "sha256", "batch_index", "n_keys"):
+    for required, kind in (
+        ("payload", str), ("sha256", str), ("batch_index", int), ("n_keys", int)
+    ):
         if required not in info.manifest:
             raise SimulationError(
                 f"checkpoint seq {info.seq}: manifest missing {required!r}"
+            )
+        if not isinstance(info.manifest[required], kind):
+            raise SimulationError(
+                f"checkpoint seq {info.seq}: manifest {required!r} "
+                f"is not {kind.__name__}"
             )
     try:
         with open(info.payload_path, "rb") as handle:

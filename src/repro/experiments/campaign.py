@@ -40,7 +40,6 @@ ENGINE_PLATFORM_KIND: Dict[str, str] = {
     "DCART-C": "cpu",
     "CuART": "gpu",
     "DCART": "fpga",
-    "dcart-vec": "fpga",
 }
 
 
@@ -144,16 +143,12 @@ def run_campaign_cell(cell: CampaignCell) -> Dict[str, object]:
         engine = default_engines(cell.n_keys, include=[cell.engine])[0]
         result = engine.run(workload)
     else:
-        import dataclasses
-
         from repro.art.validate import validate_tree
         from repro.core.accelerator import DcartAccelerator
         from repro.faults import FaultInjector
         from repro.harness import resilience
 
         config = resilience.chaos_config(cell.n_keys)
-        if cell.engine == "dcart-vec":
-            config = dataclasses.replace(config, vectorized=True)
         schedule = _fault_schedule(cell, config)
         injector = FaultInjector(
             schedule.validate_sous(config.n_sous).validate_shards(0)

@@ -35,7 +35,7 @@ KNOWN_ENGINES: Tuple[str, ...] = tuple(ENGINE_ORDER) + tuple(
 
 #: Engines that accept fault schedules (the chaos harness drives the
 #: accelerator model; the CPU/GPU baselines have no SOUs to kill).
-FAULT_CAPABLE_ENGINES: Tuple[str, ...] = ("DCART", "dcart-vec")
+FAULT_CAPABLE_ENGINES: Tuple[str, ...] = ("DCART",)
 
 #: The no-fault signature every campaign has by default.
 NO_FAULT = "none"

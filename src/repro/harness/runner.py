@@ -39,10 +39,7 @@ _GRANULE = 16 * 64
 #: The paper's comparison set, in presentation order.
 ENGINE_ORDER = ("ART", "Heart", "SMART", "CuART", "DCART-C", "DCART")
 #: Extensions available by explicit ``include=`` (not part of Fig. 9).
-#: ``dcart-vec`` is the vectorized DCART simulation engine — identical
-#: results, reported under the same "DCART" label, much faster host
-#: wall-clock (core/vec.py).
-EXTENSION_ENGINES = ("OLC", "dcart-vec")
+EXTENSION_ENGINES = ("OLC",)
 
 
 def _scaled_capacity(
@@ -73,23 +70,12 @@ def scaled_dcart_config(
     """DCART config with Table I buffer sizes scaled to the key-set size."""
     if base is None:
         base = DCARTConfig()
-    return DCARTConfig(
-        n_sous=base.n_sous,
-        n_buckets=base.n_buckets,
-        scan_buffer_bytes=base.scan_buffer_bytes,
-        bucket_buffer_bytes=base.bucket_buffer_bytes,
+    return replace(
+        base,
         shortcut_buffer_bytes=_scaled_capacity(
             base.shortcut_buffer_bytes, n_keys, 4 * 1024
         ),
         tree_buffer_bytes=_scaled_capacity(base.tree_buffer_bytes, n_keys, 8 * 1024),
-        batch_size=base.batch_size,
-        prefix_byte_offset=base.prefix_byte_offset,
-        costs=base.costs,
-        enable_shortcuts=base.enable_shortcuts,
-        enable_combining=base.enable_combining,
-        enable_overlap=base.enable_overlap,
-        value_aware_tree_buffer=base.value_aware_tree_buffer,
-        vectorized=base.vectorized,
     )
 
 
@@ -109,11 +95,6 @@ def default_engines(n_keys: int, include: Optional[Iterable[str]] = None) -> Lis
         "DCART-C": DcartCEngine(costs=cpu),
         "DCART": DcartAccelerator(config=scaled_dcart_config(n_keys)),
         "OLC": OlcEngine(costs=cpu),
-        "dcart-vec": DcartAccelerator(
-            config=scaled_dcart_config(
-                n_keys, base=DCARTConfig(vectorized=True)
-            )
-        ),
     }
     wanted = list(include) if include is not None else list(ENGINE_ORDER)
     unknown = set(wanted) - set(roster)

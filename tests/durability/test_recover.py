@@ -1,5 +1,6 @@
 """Recovery tests: checkpoint fallback, committed-tail replay, idempotence."""
 
+import json
 import os
 
 import pytest
@@ -125,17 +126,27 @@ class TestRecover:
         with pytest.raises(KeyNotFoundError):
             result.tree.search(key(999))
 
-    def test_manifest_that_is_not_an_object_is_skipped(self, tmp_path):
+    @pytest.mark.parametrize("manifest, reason", [
+        (7, "unreadable manifest"),
+        ({"payload": 5}, "manifest 'payload' is not str"),
+        ({"sha256": 5}, "manifest 'sha256' is not str"),
+    ], ids=["not-an-object", "payload-not-str", "sha256-not-str"])
+    def test_manifest_that_is_not_an_object_is_skipped(
+        self, tmp_path, manifest, reason
+    ):
         directory = str(tmp_path)
         live = durable_run(directory, BATCHES, checkpoint_every=2)
         good = list_checkpoints(directory)[0]
-        # Valid JSON, but not a manifest object.
+        # Valid JSON, but not a manifest object, or an object with one
+        # field of the wrong type.
+        if isinstance(manifest, dict):
+            manifest = {**good.manifest, **manifest}
         with open(os.path.join(directory, "ckpt-00000005.json"), "w") as handle:
-            handle.write("7")
+            json.dump(manifest, handle)
         skipped = []
         info, *_ = select_checkpoint(directory, skipped)
         assert info.seq == good.seq
-        assert skipped == ["seq 5: checkpoint seq 5: unreadable manifest"]
+        assert skipped == [f"seq 5: checkpoint seq 5: {reason}"]
         result = recover(directory)
         assert result.ok
         assert result.checkpoint_batch == good.batch_index

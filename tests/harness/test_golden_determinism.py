@@ -72,30 +72,6 @@ class TestGoldenDeterminism:
         # iteration-order or id()-dependent behaviour).
         assert golden_runs() == golden_runs()
 
-    def test_vec_engine_matches_scalar_golden(self):
-        # The vectorized engine is held to the *scalar* engine's golden
-        # image: same workload, same config plus the vectorized flag,
-        # compared field-by-field against the "DCART" entry — the file
-        # is never regenerated for the vec engine, so any divergence is
-        # a vec bug by definition.
-        with open(GOLDEN) as handle:
-            golden = json.load(handle)
-        workload = make_workload(
-            "RS", n_keys=N_KEYS, n_ops=N_OPS, seed=SEED, op_skew=0.99
-        )
-        config = replace(
-            scaled_dcart_config(N_KEYS),
-            batch_size=BATCH_SIZE,
-            vectorized=True,
-        )
-        run = result_to_full_dict(DcartAccelerator(config=config).run(workload))
-        expected = golden["DCART"]
-        for field in expected:
-            assert run[field] == expected[field], (
-                f"dcart-vec.{field} diverged from the scalar golden"
-            )
-        assert run == expected
-
 
 def _regenerate():
     runs = golden_runs()
