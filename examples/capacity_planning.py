@@ -8,12 +8,10 @@ paper's 50 M-key trees; this example derives that kind of number from
 first principles for a scaled workload: trace the node accesses an
 operation stream makes, compute the reuse-distance profile, and read
 the miss-ratio curve — then cross-check against the actual value-aware
-buffer at a few capacities, and emit a Markdown report of a full
-engine comparison.
+buffer at a few capacities, and print a full engine comparison.
 """
 
 from repro import DCARTConfig, DcartAccelerator, make_workload
-from repro.analysis import markdown_report
 from repro.art import record_traversal
 from repro.engines.base import apply_operation
 from repro.harness.formatting import format_table
@@ -78,15 +76,24 @@ def main() -> None:
         title="Value-aware Tree_buffer, measured",
     ))
 
-    # A full comparison, rendered as Markdown for a report/PR.
-    matrix = run_matrix(
-        default_engines(N_KEYS, include=["ART", "SMART", "CuART", "DCART"]),
-        [workload],
-    )
-    print("\n" + markdown_report(
-        matrix,
+    # A full comparison of the engines on the same workload.
+    engines = ["ART", "SMART", "CuART", "DCART"]
+    matrix = run_matrix(default_engines(N_KEYS, include=engines), [workload])
+    per_engine = matrix[workload.name]
+    rows = [
+        [
+            name,
+            per_engine[name].elapsed_seconds * 1e3,
+            per_engine[name].throughput_mops,
+            per_engine[name].energy_joules,
+            per_engine[name].p99_latency_us,
+        ]
+        for name in engines
+    ]
+    print()
+    print(format_table(
+        ["engine", "ms", "Mops/s", "energy_J", "p99_us"], rows,
         title=f"IPGEO @ {N_KEYS} keys / {N_OPS} ops",
-        engine_order=["ART", "SMART", "CuART", "DCART"],
     ))
 
 

@@ -1,22 +1,7 @@
-"""Post-processing of experiment results.
+"""Static analysis of the repository itself.
 
-* :mod:`report`  — turn a results matrix into a Markdown report
-  (per-workload tables + the band summary the paper quotes);
-* :mod:`regress` — compare two saved matrices and flag metric drift,
-  the guard rail for cost-model recalibration.
+:mod:`repro.analysis.reprolint` is the AST-based determinism and
+invariant analyzer behind ``python -m repro lint``
+(docs/STATIC_ANALYSIS.md).  Experiment grids are reported by
+:mod:`repro.experiments.report`.
 """
-
-from repro.analysis.charts import bar_chart, speedup_chart
-from repro.analysis.export import csv_to_rows, experiment_to_csv
-from repro.analysis.regress import RegressionFinding, compare_matrices
-from repro.analysis.report import markdown_report
-
-__all__ = [
-    "RegressionFinding",
-    "bar_chart",
-    "compare_matrices",
-    "csv_to_rows",
-    "experiment_to_csv",
-    "markdown_report",
-    "speedup_chart",
-]

@@ -1,7 +1,8 @@
-"""PAR01 — shared-state mutation in parallel-sweep worker code.
+"""PAR01 — shared-state mutation in parallel grid-worker code.
 
 ``harness/parallel.py`` promises bit-identical output for every
-``--jobs N``: each :class:`SweepCell` is a frozen value and the worker
+``--jobs N``: each grid cell is a frozen
+:class:`~repro.experiments.campaign.CampaignCell` value and the worker
 derives *everything* from it.  That only holds while worker functions
 are pure — any write to module-level or closure state is invisible to
 sibling processes, differs between ``--jobs 1`` (shared interpreter)
@@ -60,7 +61,7 @@ class Par01WorkerSharedState(Rule):
     module-level name.
 
     **Contract**: the frozen-cell contract — every worker derives its
-    entire state from its :class:`SweepCell` argument, so scheduling
+    entire state from its frozen cell argument, so scheduling
     order, process count, and fork timing cannot influence results and
     ``--jobs N`` stays bit-identical to ``--jobs 1``.
 

@@ -17,9 +17,10 @@ Commands:
 * ``recover`` — rebuild the tree from a durability directory (latest
   valid checkpoint + committed WAL tail) and validate it; or, with
   ``--campaign N``, run the seeded crash–recover–validate loop.
-* ``sweep`` — run an (engine × workload × seed) grid, fanned over
-  ``--jobs N`` worker processes with deterministic, ordered output
-  (``--jobs 1`` and ``--jobs N`` are bit-identical).
+* ``sweep`` — run an (engine × workload × seed) grid as an unsaved
+  campaign (in-memory store) over ``--jobs N`` worker processes and
+  print its campaign report (``--jobs 1`` and ``--jobs N`` are
+  bit-identical).
 * ``serve`` — open-loop serving simulation: seeded arrivals at a
   fraction of closed-loop capacity, admission control, size-or-deadline
   batching, and a latency-vs-offered-load sweep with SLO/knee/RTO
@@ -45,7 +46,9 @@ Commands:
 
 Every subcommand exits non-zero when its validation oracle fails: a
 broken tree after ``run``/``checkpoint``, a non-graceful or invalid
-chaos outcome (any row of a sweep), a recovery that diverges.
+chaos outcome (any row of a sweep), a recovery that diverges.  Bad
+input (a ``ConfigError`` or ``WorkloadError``) exits 2 with one line on
+stderr.
 
 ``--log-level`` (before the subcommand) turns on fault/event logging;
 the library stays silent by default.
@@ -79,6 +82,7 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.errors import ConfigError, WorkloadError
 from repro.harness import experiments
 from repro.harness.runner import default_engines
 from repro.harness.serialize import result_to_dict, save_matrix
@@ -221,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes (1 = in-process)")
     sweep.add_argument("--json", nargs="?", const="-", default=None,
                        metavar="PATH",
-                       help="emit full per-cell results as JSON")
+                       help="emit the campaign-report/v1 document as JSON")
     sweep.add_argument("--metrics", default=None, metavar="PATH",
                        help="collect a per-cell MetricsRegistry and write "
                             "all of them as JSON to PATH ('-' for stdout)")
@@ -453,12 +457,12 @@ def _cmd_figures(args) -> int:
         print(result.render())
         print()
         if args.save:
-            from repro.analysis.export import experiment_to_csv
-
             os.makedirs(args.save, exist_ok=True)
             with open(os.path.join(args.save, f"{name}.txt"), "w") as handle:
                 handle.write(result.render() + "\n")
-            experiment_to_csv(result, os.path.join(args.save, f"{name}.csv"))
+            experiments.experiment_to_csv(
+                result, os.path.join(args.save, f"{name}.csv")
+            )
             if result.raw:
                 save_matrix(result.raw, os.path.join(args.save, f"{name}.json"))
     return 0
@@ -510,7 +514,7 @@ def _cmd_run(args) -> int:
 def _cmd_chaos(args) -> int:
     import json
 
-    from repro.errors import ConfigError, FaultError
+    from repro.errors import FaultError
     from repro.faults import (
         BufferStorm,
         FaultSchedule,
@@ -608,7 +612,6 @@ def _cmd_checkpoint(args) -> int:
     from repro.art.validate import validate_tree
     from repro.core.accelerator import DcartAccelerator
     from repro.durability import DurabilityManager
-    from repro.errors import ConfigError
     from repro.harness import resilience
 
     n_keys = args.keys if args.keys is not None else resilience.DEFAULT_KEYS
@@ -720,36 +723,53 @@ def _cmd_workload(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.harness.parallel import expand_grid, run_cells, summarise
+    import functools
 
-    cells = expand_grid(
-        engines=args.engines,
-        workloads=args.workloads,
-        seeds=args.seeds,
+    from repro.experiments import campaign as campaign_mod
+    from repro.experiments import report as report_mod
+    from repro.experiments.spec import CampaignSpec
+    from repro.experiments.store import ResultStore
+
+    # A sweep is an unsaved campaign: same cells, worker and report, in
+    # an in-memory store under git SHA "unstamped" (deterministic output).
+    spec = CampaignSpec(
+        name="sweep",
+        engines=tuple(args.engines),
+        workloads=tuple(args.workloads),
+        seeds=tuple(args.seeds),
         n_keys=args.keys,
         n_ops=args.ops,
         write_ratio=args.write_ratio,
         op_skew=args.op_skew,
-        collect_metrics=args.metrics is not None,
     )
-    results = run_cells(cells, jobs=args.jobs)
+    worker = campaign_mod.run_campaign_cell
     if args.metrics is not None:
-        _emit_json(
-            [
-                {"cell": doc["cell"], "metrics": doc.get("metrics")}
-                for doc in results
-            ],
-            args.metrics,
+        worker = functools.partial(worker, collect_metrics=True)
+    with ResultStore(":memory:") as store:
+        summary = campaign_mod.run_campaign(
+            spec, store, git_sha="unstamped", jobs=args.jobs, worker=worker
         )
+        if args.metrics is not None:
+            stored = store.get_cells(
+                summary["spec_hash"], summary["git_sha"], summary["mode"]
+            )
+            docs = [
+                stored[cell.key()]["payload"]
+                for cell in campaign_mod.expand_spec(spec)
+            ]
+            _emit_json(
+                [
+                    {"cell": doc["cell"], "metrics": doc.get("metrics")}
+                    for doc in docs
+                ],
+                args.metrics,
+            )
+        report = report_mod.build_report(spec, store, git_sha="unstamped")
     if args.json is not None:
-        _emit_json({"jobs": args.jobs, "results": results}, args.json)
+        _emit_json(report, args.json)
     else:
-        header = ("engine", "workload", "seed", "Mops/s", "ms", "hit-rate")
-        rows = [header] + summarise(results)
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        for row in rows:
-            print("  ".join(col.ljust(w) for col, w in zip(row, widths)))
-    return 0
+        print(report_mod.render_markdown(report), end="")
+    return 1 if summary["failed"] else 0
 
 
 #: Default offered-load fractions for ``repro serve --load-sweep``.
@@ -759,7 +779,6 @@ SERVE_DEFAULT_LOADS = (0.25, 0.5, 0.75, 1.0, 1.5)
 def _cmd_serve(args) -> int:
     import tempfile
 
-    from repro.errors import ConfigError
     from repro.faults import FaultSchedule
     from repro.faults.schedule import CrashFault
     from repro.harness import resilience
@@ -897,7 +916,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_cluster(args) -> int:
     from repro.cluster import ClusterConfig, ClusterCoordinator
-    from repro.errors import ConfigError, FaultError
+    from repro.errors import FaultError
     from repro.faults import FaultSchedule, ReplicationLinkSlowdown
     from repro.harness import resilience
 
@@ -1046,7 +1065,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.errors import ConfigError
     from repro.harness import benchmarking
 
     engines = args.engines or list(benchmarking.DEFAULT_BENCH_ENGINES)
@@ -1087,7 +1105,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from repro.errors import ConfigError
     from repro.experiments import campaign as campaign_mod
     from repro.experiments import report as report_mod
     from repro.experiments.spec import load_spec
@@ -1188,6 +1205,24 @@ def _cmd_lint(args) -> int:
     )
 
 
+_COMMANDS = {
+    "figures": _cmd_figures,
+    "run": _cmd_run,
+    "workload": _cmd_workload,
+    "chaos": _cmd_chaos,
+    "checkpoint": _cmd_checkpoint,
+    "recover": _cmd_recover,
+    "sweep": _cmd_sweep,
+    "serve": _cmd_serve,
+    "cluster": _cmd_cluster,
+    "trace": _cmd_trace,
+    "stats": _cmd_stats,
+    "bench": _cmd_bench,
+    "campaign": _cmd_campaign,
+    "lint": _cmd_lint,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.log_level is not None:
@@ -1198,35 +1233,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as exc:
             print(f"repro: {exc}", file=sys.stderr)
             return 2
-    if args.command == "figures":
-        return _cmd_figures(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "workload":
-        return _cmd_workload(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "checkpoint":
-        return _cmd_checkpoint(args)
-    if args.command == "recover":
-        return _cmd_recover(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    return 2  # pragma: no cover - argparse enforces the choices
+    # Bad input that no command-specific handler caught (a zero key
+    # count, an out-of-range ratio, a corrupt workload file) is still
+    # bad input: one line on stderr and exit 2, never a traceback.
+    try:
+        return _COMMANDS[args.command](args)
+    except (ConfigError, WorkloadError) as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

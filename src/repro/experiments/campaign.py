@@ -2,8 +2,8 @@
 
 The runner leans on :mod:`repro.harness.parallel` for everything that is
 hard about running grids — process fan-out, the crashed-worker
-retry-once path, structured per-cell error documents — and adds the two
-things a *campaign* needs over a sweep:
+retry-once path, structured per-cell error documents — and adds what a
+*campaign* needs on top:
 
 * **resume** — before running, the store is asked which cells are
   already OK under ``(spec hash, git SHA, mode)``; those are skipped
@@ -11,11 +11,13 @@ things a *campaign* needs over a sweep:
   via the runner's ``on_result`` hook, so killing a campaign loses at
   most the cells still in flight;
 * **dimensions** — cells carry a fault-schedule signature and the
-  spec's platform-power model, which a plain sweep cell does not.
+  spec's platform-power model.
 
 The cell worker is module-level (picklable) and derives everything from
-the frozen cell value, preserving the sweep runner's determinism
+the frozen cell value, preserving the grid runner's determinism
 contract: a campaign's stored grid is bit-identical for any ``--jobs``.
+``repro sweep`` is an unsaved campaign: it runs its grid through
+:func:`run_campaign` into an in-memory store.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import ConfigError
 from repro.experiments.spec import NO_FAULT, CampaignSpec, parse_fault
 from repro.experiments.store import ResultStore
-from repro.harness.parallel import run_cells
+from repro.harness.parallel import cell_failed, run_cells
 from repro.model.costs import DEFAULT_POWER, PowerModel
 
 #: Which platform kind each engine's energy is billed on (the power
@@ -45,12 +47,7 @@ ENGINE_PLATFORM_KIND: Dict[str, str] = {
 
 @dataclass(frozen=True)
 class CampaignCell:
-    """One campaign grid cell: the complete recipe for its run.
-
-    Field names shadow :class:`repro.harness.parallel.SweepCell` so the
-    sweep runner's retry/error machinery (which reads ``engine``,
-    ``workload``, ``seed``, …) works on campaign cells unchanged.
-    """
+    """One campaign grid cell: the complete recipe for its run."""
 
     engine: str
     workload: str
@@ -116,16 +113,24 @@ def _fault_schedule(cell: CampaignCell, config):
     raise ConfigError(f"unhandled fault kind {kind!r}")  # pragma: no cover
 
 
-def run_campaign_cell(cell: CampaignCell) -> Dict[str, object]:
+def run_campaign_cell(
+    cell: CampaignCell, *, collect_metrics: bool = False
+) -> Dict[str, object]:
     """Execute one campaign cell and return its result document.
 
-    Module-level (picklable) with deferred imports, like the sweep
-    runner's worker.  The document is the summary-level result dict plus
+    Module-level (picklable) with deferred imports so worker start-up
+    stays cheap.  The document is the summary-level result dict plus
     the cell identity, fault outcome (tree validity, degradation inputs)
     and the applied platform power — everything the report needs, small
     enough to archive thousands of.
+
+    ``collect_metrics`` attaches a telemetry registry to the run and
+    returns its contents under ``doc["metrics"]``.  It is deterministic
+    for any ``jobs`` count: the registry is filled from the run's own
+    counters, never from scheduling state.
     """
     from repro.harness.serialize import result_to_dict
+    from repro.obs import Telemetry
     from repro.workloads import make_workload
 
     workload = make_workload(
@@ -141,6 +146,8 @@ def run_campaign_cell(cell: CampaignCell) -> Dict[str, object]:
         from repro.harness.runner import default_engines
 
         engine = default_engines(cell.n_keys, include=[cell.engine])[0]
+        if collect_metrics:
+            engine.telemetry = Telemetry()
         result = engine.run(workload)
     else:
         from repro.art.validate import validate_tree
@@ -153,12 +160,16 @@ def run_campaign_cell(cell: CampaignCell) -> Dict[str, object]:
         injector = FaultInjector(
             schedule.validate_sous(config.n_sous).validate_shards(0)
         )
-        accelerator = DcartAccelerator(config=config, injector=injector)
-        tree = accelerator.build_tree(workload)
-        result = accelerator.run(workload, tree=tree)
+        engine = DcartAccelerator(config=config, injector=injector)
+        if collect_metrics:
+            engine.telemetry = Telemetry()
+        tree = engine.build_tree(workload)
+        result = engine.run(workload, tree=tree)
         tree_valid = validate_tree(tree).ok
 
     doc = result_to_dict(result)
+    if collect_metrics:
+        doc["metrics"] = engine.telemetry.registry.as_dict()
     power = cell.power_model()
     kind = ENGINE_PLATFORM_KIND[cell.engine]
     default_watts = DEFAULT_POWER.watts_for(kind)
@@ -214,7 +225,7 @@ def run_campaign(
     missing = [cell for cell in cells if cell.key() not in done]
 
     def persist(cell: CampaignCell, doc: Dict[str, object]) -> None:
-        status = "error" if "error" in doc else "ok"
+        status = "error" if cell_failed(doc) else "ok"
         store.put_cell(
             spec_hash,
             git_sha,
@@ -230,7 +241,7 @@ def run_campaign(
         )
 
     results = run_cells(missing, jobs=jobs, worker=worker, on_result=persist)
-    failed = sum(1 for doc in results if "error" in doc)
+    failed = sum(1 for doc in results if cell_failed(doc))
     return {
         "spec_hash": spec_hash,
         "git_sha": git_sha,

@@ -51,6 +51,8 @@ def parse_fault(signature: str) -> Tuple[str, Optional[float]]:
     * ``"hbm-throttle:F"`` — HBM bandwidth × F over the second half of
       the run (0 < F < 1).
     """
+    if not isinstance(signature, str):
+        raise ConfigError(f"fault signature must be a string: {signature!r}")
     if signature == NO_FAULT:
         return (NO_FAULT, None)
     kind, sep, arg = signature.partition(":")
@@ -107,9 +109,9 @@ class CampaignSpec:
     baseline_engine: str = field(default="")
 
     def __post_init__(self) -> None:
-        if not self.name or not self.name.replace("-", "").replace(
-            "_", ""
-        ).isalnum():
+        if not isinstance(self.name, str) or not self.name.replace(
+            "-", ""
+        ).replace("_", "").isalnum():
             raise ConfigError(
                 f"campaign name must be a non-empty [-_a-zA-Z0-9] slug: "
                 f"{self.name!r}"
@@ -254,11 +256,15 @@ def spec_from_dict(doc: Mapping[str, object]) -> CampaignSpec:
                 raise ConfigError(
                     f"unknown power key(s): {', '.join(extra)}"
                 )
-            kwargs["power"] = (
-                float(power.get("cpu_watts", DEFAULT_POWER.cpu_watts)),
-                float(power.get("gpu_watts", DEFAULT_POWER.gpu_watts)),
-                float(power.get("fpga_watts", DEFAULT_POWER.fpga_watts)),
-            )
+            try:
+                kwargs["power"] = tuple(
+                    float(power.get(key, getattr(DEFAULT_POWER, key)))
+                    for key in ("cpu_watts", "gpu_watts", "fpga_watts")
+                )
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"power watts must be numbers: {dict(power)!r}"
+                ) from None
         else:
             raise ConfigError(
                 "power must be a table of cpu_watts/gpu_watts/fpga_watts"

@@ -2,7 +2,7 @@
 
 * :mod:`runner`      — build the engine roster (with working-set-scaled
   cache capacities) and run engine × workload grids;
-* :mod:`comparison`  — speedups, energy savings, ratio tables;
+* :mod:`comparison`  — speedups, energy savings, bands;
 * :mod:`formatting`  — fixed-width text rendering for bench output;
 * :mod:`experiments` — one entry point per paper figure/table.
 """
@@ -15,11 +15,7 @@ from repro.harness.runner import (
     scaled_dcart_config,
     scaled_gpu_costs,
 )
-from repro.harness.comparison import (
-    energy_savings,
-    ratio_table,
-    speedups,
-)
+from repro.harness.comparison import energy_savings, speedups
 from repro.harness.formatting import format_table
 
 __all__ = [
@@ -27,7 +23,6 @@ __all__ = [
     "default_engines",
     "energy_savings",
     "format_table",
-    "ratio_table",
     "run_matrix",
     "scaled_cpu_costs",
     "scaled_dcart_config",

@@ -1,4 +1,4 @@
-"""Cross-engine ratio computation (speedups, savings, match ratios)."""
+"""Cross-engine ratio computation (speedups, energy savings, bands)."""
 
 from __future__ import annotations
 
@@ -41,29 +41,6 @@ def energy_savings(
         for name, result in per_engine.items()
         if name != reference
     }
-
-
-def ratio_table(
-    per_engine: Dict[str, RunResult],
-    metric: str,
-    reference: str = "DCART",
-) -> Dict[str, float]:
-    """``reference``'s share of each engine's counter (Figs. 7 and 8).
-
-    ``ratio_table(r, "partial_key_matches")["ART"] == 0.04`` reads "DCART
-    performs 4 % of ART's partial-key matches", matching how the paper
-    words its Fig. 7/8 claims.
-    """
-    if reference not in per_engine:
-        raise SimulationError(f"no result for reference engine {reference!r}")
-    base = getattr(per_engine[reference], metric)
-    out = {}
-    for name, result in per_engine.items():
-        if name == reference:
-            continue
-        value = getattr(result, metric)
-        out[name] = (base / value) if value else float("inf")
-    return out
 
 
 def band(values: Iterable[float]) -> Tuple[float, float]:

@@ -13,13 +13,16 @@ larger ``n_keys``/``n_ops`` to push fidelity.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.accelerator import DcartAccelerator
 from repro.core.config import DCARTConfig
 from repro.engines.base import RunResult
+from repro.errors import SimulationError
 from repro.harness.comparison import band, energy_savings, speedups
 from repro.harness.formatting import format_table
 from repro.harness.runner import (
@@ -61,6 +64,39 @@ class ExperimentResult:
         if self.notes:
             table += f"\n{self.notes}"
         return table
+
+
+def experiment_to_csv(
+    result: ExperimentResult, destination: Union[str, IO, None] = None
+) -> str:
+    """Write an ExperimentResult as RFC-4180 CSV; returns the CSV text.
+
+    ``destination`` may be a path, a writable file object, or ``None``
+    (string only).  ``# experiment:`` and ``# notes:`` comment lines
+    carry the title, so the figures can be re-plotted with any external
+    tool (the repository itself stays free of plotting dependencies).
+    """
+    if not result.headers:
+        raise SimulationError("experiment has no headers to export")
+    buffer = io.StringIO()
+    buffer.write(f"# experiment: {result.experiment}\n")
+    if result.notes:
+        buffer.write(f"# notes: {result.notes}\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(result.headers)
+    for row in result.rows:
+        if len(row) != len(result.headers):
+            raise SimulationError(
+                f"row width {len(row)} != header width {len(result.headers)}"
+            )
+        writer.writerow(row)
+    text = buffer.getvalue()
+    if isinstance(destination, str):
+        with open(destination, "w") as handle:
+            handle.write(text)
+    elif destination is not None:
+        destination.write(text)
+    return text
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,22 +1,24 @@
-"""Parallel sweep runner: fan (engine, workload, seed) cells over processes.
+"""Parallel grid runner: fan frozen cells over processes.
 
 Experiment grids are embarrassingly parallel — each cell builds its own
 workload and tree from its own seed — so the runner uses a
-``ProcessPoolExecutor`` with one task per cell.  Determinism is kept by
-construction:
+``ProcessPoolExecutor`` with one task per cell.  The campaign platform
+(:mod:`repro.experiments.campaign`) is its caller: it supplies the
+cells (:class:`~repro.experiments.campaign.CampaignCell`) and the
+worker.  Determinism is kept by construction:
 
-* **per-cell seeding** — a cell is a frozen :class:`SweepCell` value and
-  the worker derives *everything* (workload, tree, engine) from it; no
+* **per-cell seeding** — a cell is a frozen dataclass value and the
+  worker derives *everything* (workload, tree, engine) from it; no
   state crosses cells and nothing depends on scheduling order;
-* **ordered collection** — results come back via ``Executor.map``, which
-  yields in submission order regardless of completion order.
+* **ordered collection** — futures are collected in submission order
+  regardless of completion order.
 
-Consequently ``run_cells(cells, jobs=N)`` returns bit-identical output
-for every ``N`` (including the in-process ``jobs=1`` path), which the
-test suite asserts through the lossless
+Consequently ``run_cells(cells, jobs=N, worker=w)`` returns
+bit-identical output for every ``N`` (including the in-process
+``jobs=1`` path), which the test suite asserts through the lossless
 :func:`~repro.harness.serialize.result_to_full_dict` encoding.
 
-A crashed or raising worker does not abort the sweep: the cell is
+A crashed or raising worker does not abort the grid: the cell is
 retried exactly once with the same seed (in a fresh single-worker pool,
 since a hard crash poisons the shared one), and a second failure
 produces a structured per-cell error document in the cell's slot rather
@@ -25,128 +27,25 @@ than an exception — 99 healthy cells survive the one that dies.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
-
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+
+from repro.errors import ConfigError
 
 LOG = logging.getLogger(__name__)
 
-from repro.errors import ConfigError
-from repro.harness.serialize import result_to_full_dict
-from repro.workloads import WORKLOAD_NAMES
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One grid cell: a single engine on a single seeded workload.
-
-    The cell is the complete recipe for its run — workers reconstruct
-    the workload and engine from these fields alone, which is what makes
-    the sweep order- and scheduling-independent.
-    """
-
-    engine: str
-    workload: str
-    seed: int
-    n_keys: int = 10_000
-    n_ops: int = 100_000
-    write_ratio: Optional[float] = None
-    op_skew: Optional[float] = None
-    #: Attach a telemetry registry to the run and return its contents
-    #: under ``doc["metrics"]``.  Deterministic for any ``jobs`` count:
-    #: the registry is filled from the run's own counters, never from
-    #: scheduling state.
-    collect_metrics: bool = False
-
-    def label(self) -> str:
-        return f"{self.engine}/{self.workload}/seed={self.seed}"
-
-
-def expand_grid(
-    engines: Sequence[str],
-    workloads: Sequence[str],
-    seeds: Sequence[int],
-    n_keys: int = 10_000,
-    n_ops: int = 100_000,
-    write_ratio: Optional[float] = None,
-    op_skew: Optional[float] = None,
-    collect_metrics: bool = False,
-) -> List[SweepCell]:
-    """The full cross product, in (engine, workload, seed) order."""
-    for name in workloads:
-        if name not in WORKLOAD_NAMES:
-            raise ConfigError(f"unknown workload {name!r}")
-    return [
-        SweepCell(
-            engine=engine,
-            workload=workload,
-            seed=seed,
-            n_keys=n_keys,
-            n_ops=n_ops,
-            write_ratio=write_ratio,
-            op_skew=op_skew,
-            collect_metrics=collect_metrics,
-        )
-        for engine in engines
-        for workload in workloads
-        for seed in seeds
-    ]
-
-
-def run_cell(cell: SweepCell) -> Dict[str, object]:
-    """Execute one cell and return its lossless result dict.
-
-    Module-level (not a closure) so ``ProcessPoolExecutor`` can pickle
-    it; imports are deferred so worker start-up stays cheap.
-    """
-    from repro.harness.runner import default_engines
-    from repro.workloads import make_workload
-
-    workload = make_workload(
-        cell.workload,
-        n_keys=cell.n_keys,
-        n_ops=cell.n_ops,
-        seed=cell.seed,
-        write_ratio=cell.write_ratio,
-        op_skew=cell.op_skew,
-    )
-    engine = default_engines(cell.n_keys, include=[cell.engine])[0]
-    if cell.collect_metrics:
-        from repro.obs import Telemetry
-
-        engine.telemetry = Telemetry()
-    result = engine.run(workload)
-    doc = result_to_full_dict(result)
-    if cell.collect_metrics:
-        doc["metrics"] = engine.telemetry.registry.as_dict()
-    doc["cell"] = {
-        "engine": cell.engine,
-        "workload": cell.workload,
-        "seed": cell.seed,
-        "n_keys": cell.n_keys,
-        "n_ops": cell.n_ops,
-        "write_ratio": cell.write_ratio,
-        "op_skew": cell.op_skew,
-    }
-    return doc
+#: A grid cell: a frozen dataclass with a ``label()`` method.
+Cell = TypeVar("Cell")
 
 
 def error_doc(
-    cell: SweepCell, first: BaseException, retry: BaseException
+    cell: Cell, first: BaseException, retry: BaseException
 ) -> Dict[str, object]:
     """The structured slot-filler for a cell that failed twice."""
     return {
-        "cell": {
-            "engine": cell.engine,
-            "workload": cell.workload,
-            "seed": cell.seed,
-            "n_keys": cell.n_keys,
-            "n_ops": cell.n_ops,
-            "write_ratio": cell.write_ratio,
-            "op_skew": cell.op_skew,
-        },
+        "cell": dataclasses.asdict(cell),
         "error": {
             "type": type(retry).__name__,
             "message": str(retry) or repr(retry),
@@ -163,8 +62,8 @@ def cell_failed(doc: Dict[str, object]) -> bool:
 
 
 def _retry_cell(
-    worker: Callable[[SweepCell], Dict[str, object]],
-    cell: SweepCell,
+    worker: Callable[[Cell], Dict[str, object]],
+    cell: Cell,
     first: BaseException,
     in_process: bool,
 ) -> Dict[str, object]:
@@ -189,12 +88,11 @@ def _retry_cell(
 
 
 def run_cells(
-    cells: Sequence[SweepCell],
+    cells: Sequence[Cell],
     jobs: int = 1,
-    worker: Callable[[SweepCell], Dict[str, object]] = run_cell,
-    on_result: Optional[
-        Callable[[SweepCell, Dict[str, object]], None]
-    ] = None,
+    *,
+    worker: Callable[[Cell], Dict[str, object]],
+    on_result: Optional[Callable[[Cell, Dict[str, object]], None]] = None,
 ) -> List[Dict[str, object]]:
     """Run every cell, ``jobs`` at a time, collecting in cell order.
 
@@ -204,8 +102,9 @@ def run_cells(
     A cell whose worker raises — or whose worker *process* dies — is
     retried once with the same seed; if the retry also fails its slot
     holds :func:`error_doc` output instead of a result, and every other
-    cell still completes.  ``worker`` is injectable for tests and must
-    be a module-level callable when ``jobs > 1`` (pickling).
+    cell still completes.  ``worker`` must be picklable when
+    ``jobs > 1``: a module-level function or a ``functools.partial`` of
+    one.
 
     ``on_result`` fires once per cell, in collection (= submission)
     order, as soon as that cell's document is final — including the
@@ -245,36 +144,3 @@ def run_cells(
                 on_result(cell, doc)
             results.append(doc)
     return results
-
-
-def summarise(results: Iterable[Dict[str, object]]) -> List[Tuple[str, ...]]:
-    """Compact per-cell rows for table rendering."""
-    rows = []
-    for doc in results:
-        cell = doc["cell"]
-        if cell_failed(doc):
-            error = doc["error"]
-            rows.append(
-                (
-                    cell["engine"],
-                    cell["workload"],
-                    str(cell["seed"]),
-                    "FAILED",
-                    error["type"],
-                    error["message"][:40],
-                )
-            )
-            continue
-        elapsed = doc["elapsed_seconds"]
-        mops = doc["n_ops"] / elapsed / 1e6 if elapsed else 0.0
-        rows.append(
-            (
-                cell["engine"],
-                cell["workload"],
-                str(cell["seed"]),
-                f"{mops:.2f}",
-                f"{elapsed * 1e3:.3f}",
-                f"{doc['cache_hit_rate']:.3f}",
-            )
-        )
-    return rows

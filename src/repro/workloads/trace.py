@@ -15,7 +15,7 @@ restricted to JSON scalars (which is all the generators produce).
 from __future__ import annotations
 
 import json
-from typing import IO, Union
+from typing import IO, Iterator, Tuple, Union
 
 from repro.errors import WorkloadError
 from repro.workloads.ops import OpKind, Operation, OperationStream, Workload
@@ -50,17 +50,63 @@ def save_workload(workload: Workload, path_or_file: Union[str, IO]) -> None:
         out.write(json.dumps(record) + "\n")
 
 
-def load_workload(path_or_file: Union[str, IO]) -> Workload:
-    """Read a workload written by :func:`save_workload`."""
-    if isinstance(path_or_file, str):
-        with open(path_or_file) as handle:
-            return load_workload(handle)
-    lines = iter(path_or_file)
+def _lines(handle: IO) -> Iterator[Tuple[int, str]]:
+    """``(line number, text)`` for every line of a text or binary file."""
+    lines = iter(handle)
+    line_number = 0
+    while True:
+        line_number += 1
+        try:
+            line = next(lines, None)
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WorkloadError(
+                f"line {line_number}: not valid UTF-8 ({exc.reason})"
+            ) from None
+        if line is None:
+            return
+        yield line_number, line
+
+
+def _record(line_number: int, line: str) -> dict:
+    """One JSON-object line, or a WorkloadError naming the line."""
     try:
-        header = json.loads(next(lines))
-    except StopIteration:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise WorkloadError(
+            f"line {line_number}: not valid JSON ({exc.msg})"
+        ) from None
+    if not isinstance(record, dict):
+        raise WorkloadError(
+            f"line {line_number}: expected a JSON object, got "
+            f"{type(record).__name__}"
+        )
+    return record
+
+
+def load_workload(path_or_file: Union[str, IO]) -> Workload:
+    """Read a workload written by :func:`save_workload`.
+
+    Malformed input of any kind — a missing file, invalid UTF-8, a line
+    that is not a JSON object, a bad hex key, a record missing a field —
+    raises :class:`WorkloadError` naming the offending line.
+    """
+    if isinstance(path_or_file, str):
+        try:
+            handle = open(path_or_file, "rb")
+        except OSError as exc:
+            raise WorkloadError(
+                f"cannot read workload file {path_or_file}: {exc.strerror}"
+            ) from None
+        with handle:
+            return load_workload(handle)
+    lines = _lines(path_or_file)
+    first = next(lines, None)
+    if first is None:
         raise WorkloadError("empty workload file")
-    if not isinstance(header, dict) or "name" not in header:
+    header = _record(*first)
+    if "name" not in header:
         raise WorkloadError("malformed workload header")
     if header.get("format") != FORMAT_VERSION:
         raise WorkloadError(
@@ -69,31 +115,36 @@ def load_workload(path_or_file: Union[str, IO]) -> Workload:
 
     loaded_keys = []
     operations = []
-    for line_number, line in enumerate(lines, start=2):
-        line = line.strip()
-        if not line:
+    for line_number, line in lines:
+        if not line.strip():
             continue
-        record = json.loads(line)
+        record = _record(line_number, line)
         if "load" in record:
             if operations:
                 raise WorkloadError(
                     f"line {line_number}: load key after operations began"
                 )
-            loaded_keys.append(bytes.fromhex(record["load"]))
-        else:
             try:
-                kind = OpKind(record["op"])
-            except (KeyError, ValueError):
-                raise WorkloadError(f"line {line_number}: bad operation record")
+                loaded_keys.append(bytes.fromhex(record["load"]))
+            except (TypeError, ValueError):
+                raise WorkloadError(
+                    f"line {line_number}: load key is not a hex string"
+                ) from None
+            continue
+        try:
             operations.append(
                 Operation(
                     op_id=record["id"],
-                    kind=kind,
+                    kind=OpKind(record["op"]),
                     key=bytes.fromhex(record["key"]),
                     value=record.get("value"),
                     scan_count=record.get("scan", 0),
                 )
             )
+        except (KeyError, TypeError, ValueError):
+            raise WorkloadError(
+                f"line {line_number}: bad operation record"
+            ) from None
     return Workload(
         name=header["name"],
         key_family=header.get("key_family", "unknown"),

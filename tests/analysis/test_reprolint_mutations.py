@@ -135,22 +135,28 @@ def test_wal01_catches_ledger_advance_before_wal(scratch):
 
 
 def test_par02_catches_worker_global_append(scratch):
-    # run_cell is a worker root (the ``worker=run_cell`` parameter
-    # default feeds pool.submit); a module-global append inside it is
-    # cross-process state that silently diverges under --jobs N.
+    # run_campaign_cell is a worker root (the ``worker=run_campaign_cell``
+    # parameter default of run_campaign feeds pool.submit); a
+    # module-global append inside it is cross-process state that
+    # silently diverges under --jobs N.
+    signature = (
+        "def run_campaign_cell(\n"
+        "    cell: CampaignCell, *, collect_metrics: bool = False\n"
+        ") -> Dict[str, object]:"
+    )
     with mutated(
         scratch,
-        os.path.join("harness", "parallel.py"),
-        "def run_cell(cell: SweepCell) -> Dict[str, object]:",
+        os.path.join("experiments", "campaign.py"),
+        signature,
         "_CELL_LOG = []\n"
         "\n"
         "\n"
-        "def run_cell(cell: SweepCell) -> Dict[str, object]:\n"
-        "    _CELL_LOG.append(cell.label())",
+        + signature
+        + "\n    _CELL_LOG.append(cell.label())",
     ):
-        hits = _findings(scratch, "PAR02", "parallel.py")
+        hits = _findings(scratch, "PAR02", "campaign.py")
         assert any(
-            "_CELL_LOG" in d.message and "run_cell" in d.message
+            "_CELL_LOG" in d.message and "run_campaign_cell" in d.message
             for d in hits
         ), [d.render() for d in hits]
 

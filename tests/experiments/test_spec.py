@@ -148,6 +148,22 @@ class TestSpecFromDict:
                 "seeds": [1], "power": {"tpu_watts": 1.0},
             })
 
+    @pytest.mark.parametrize("override", [
+        {"name": 5},
+        {"name": ["x"]},
+        {"engines": ["DCART"], "faults": ["none", 5]},
+        {"engines": ["DCART"], "faults": [None]},
+        {"power": {"cpu_watts": "abc"}},
+        {"power": {"cpu_watts": None}},
+    ], ids=["name-int", "name-list", "fault-int", "fault-null",
+            "watts-str", "watts-null"])
+    def test_wrongly_typed_field_is_config_error(self, override):
+        doc = {"name": "x", "engines": ["ART"], "workloads": ["IPGEO"],
+               "seeds": [1]}
+        doc.update(override)
+        with pytest.raises(ConfigError):
+            spec_from_dict(doc)
+
 
 class TestLoadSpec:
     def test_json_spec_loads(self, tmp_path):

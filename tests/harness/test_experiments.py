@@ -1,6 +1,11 @@
 """Tests for the per-figure experiment entry points (small scale)."""
 
+import csv
+import io
+
 import pytest
+
+from repro.errors import SimulationError
 
 from repro.harness import experiments as ex
 
@@ -120,3 +125,52 @@ class TestHeadlineFigures:
     def test_render_produces_table(self):
         result = ex.table1_config()
         assert "parameter" in result.render()
+
+
+def _read_csv(text):
+    """Data rows of experiment CSV, the ``#`` comment lines skipped."""
+    return list(
+        csv.reader(line for line in text.splitlines() if not line.startswith("#"))
+    )
+
+
+class TestCsvExport:
+    def make_result(self):
+        return ex.ExperimentResult(
+            experiment="Fig. X",
+            headers=["workload", "value"],
+            rows=[["IPGEO", 1.5], ["DICT", 2]],
+            notes="a note",
+        )
+
+    def test_round_trip(self):
+        text = ex.experiment_to_csv(self.make_result())
+        assert _read_csv(text) == [
+            ["workload", "value"], ["IPGEO", "1.5"], ["DICT", "2"],
+        ]
+
+    def test_comment_lines(self):
+        text = ex.experiment_to_csv(self.make_result())
+        assert text.startswith("# experiment: Fig. X")
+        assert "# notes: a note" in text
+
+    def test_write_to_file_object(self):
+        buffer = io.StringIO()
+        text = ex.experiment_to_csv(self.make_result(), buffer)
+        assert buffer.getvalue() == text
+        assert "IPGEO" in text
+
+    def test_write_to_path(self, tmp_path):
+        path = tmp_path / "fig.csv"
+        text = ex.experiment_to_csv(self.make_result(), str(path))
+        assert path.read_text() == text
+        assert len(_read_csv(path.read_text())) == 3
+
+    def test_bad_rows_rejected(self):
+        bad = ex.ExperimentResult("X", ["a", "b"], [["only-one"]])
+        with pytest.raises(SimulationError):
+            ex.experiment_to_csv(bad)
+
+    def test_headerless_experiment_rejected(self):
+        with pytest.raises(SimulationError):
+            ex.experiment_to_csv(ex.ExperimentResult("X", [], []))

@@ -1,4 +1,4 @@
-"""Parallel sweep runner: grid expansion + cross-process determinism.
+"""Parallel grid runner: cross-process determinism and crash robustness.
 
 The load-bearing guarantee is that ``run_cells(cells, jobs=N)`` is
 bit-identical for every ``N``: a cell is a frozen value, the worker
@@ -8,59 +8,68 @@ in-process path (``jobs=1``) and the process-pool path (``jobs=2``),
 so any scheduling- or fork-state dependence shows up as a field diff.
 """
 
+import dataclasses
+import os
+
 import pytest
 
 from repro.errors import ConfigError
-from repro.harness.parallel import (
-    SweepCell,
-    expand_grid,
-    run_cell,
-    run_cells,
-    summarise,
-)
+from repro.experiments.campaign import CampaignCell, expand_spec
+from repro.experiments.spec import CampaignSpec
+from repro.harness.parallel import cell_failed, run_cells
 
 #: Small but non-trivial: two engines x two seeds crosses the batch
 #: boundary in every cell and keeps the pool path under a few seconds.
-GRID = dict(
-    engines=["ART", "DCART"],
-    workloads=["IPGEO"],
-    seeds=[1, 2],
+GRID = CampaignSpec(
+    name="parallel",
+    engines=("ART", "DCART"),
+    workloads=("IPGEO",),
+    seeds=(1, 2),
     n_keys=500,
     n_ops=2_000,
 )
 
 
-class TestExpandGrid:
-    def test_cross_product_in_order(self):
-        cells = expand_grid(**GRID)
-        assert len(cells) == 4
-        assert [c.label() for c in cells] == [
-            "ART/IPGEO/seed=1",
-            "ART/IPGEO/seed=2",
-            "DCART/IPGEO/seed=1",
-            "DCART/IPGEO/seed=2",
-        ]
+def _full_doc(cell):
+    """Run one cell and return its *lossless* result document.
 
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(ConfigError):
-            expand_grid(["ART"], ["NOPE"], [1])
+    Module-level so ``jobs=2`` can pickle it.  The campaign worker
+    returns a summary; this one keeps every field (per-op latencies
+    included), so the bit-identity check below misses nothing.
+    """
+    from repro.harness.runner import default_engines
+    from repro.harness.serialize import result_to_full_dict
+    from repro.workloads import make_workload
 
-    def test_cells_are_frozen_values(self):
-        cell = expand_grid(**GRID)[0]
-        with pytest.raises(AttributeError):
-            cell.seed = 99
+    workload = make_workload(
+        cell.workload,
+        n_keys=cell.n_keys,
+        n_ops=cell.n_ops,
+        seed=cell.seed,
+        write_ratio=cell.write_ratio,
+        op_skew=cell.op_skew,
+    )
+    engine = default_engines(cell.n_keys, include=[cell.engine])[0]
+    doc = result_to_full_dict(engine.run(workload))
+    doc["cell"] = dataclasses.asdict(cell)
+    return doc
 
 
 class TestRunCells:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ConfigError):
-            run_cells([], jobs=0)
+            run_cells([], jobs=0, worker=_full_doc)
+
+    def test_cells_are_frozen_values(self):
+        cell = expand_spec(GRID)[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cell.seed = 99
 
     def test_parallel_is_bit_identical_to_serial(self):
-        cells = expand_grid(**GRID)
-        serial = run_cells(cells, jobs=1)
-        pooled = run_cells(cells, jobs=2)
-        assert len(serial) == len(pooled) == len(cells)
+        cells = expand_spec(GRID)
+        serial = run_cells(cells, jobs=1, worker=_full_doc)
+        pooled = run_cells(cells, jobs=2, worker=_full_doc)
+        assert len(serial) == len(pooled) == len(cells) == 4
         for cell, one, many in zip(cells, serial, pooled):
             assert one["cell"]["engine"] == cell.engine
             # Field-by-field first so a mismatch names its field …
@@ -73,31 +82,16 @@ class TestRunCells:
             assert one == many
 
     def test_single_cell_short_circuits_pool(self):
-        cell = SweepCell(engine="DCART", workload="IPGEO", seed=3,
-                         n_keys=400, n_ops=1_000)
-        assert run_cells([cell], jobs=4) == [run_cell(cell)]
-
-
-class TestSummarise:
-    def test_rows_align_with_cells(self):
-        cells = expand_grid(engines=["DCART"], workloads=["IPGEO"],
-                            seeds=[1], n_keys=400, n_ops=1_000)
-        rows = summarise(run_cells(cells, jobs=1))
-        assert len(rows) == 1
-        engine, workload, seed, mops, ms, hit_rate = rows[0]
-        assert (engine, workload, seed) == ("DCART", "IPGEO", "1")
-        assert float(mops) >= 0.0
-        assert float(ms) > 0.0
-        assert 0.0 <= float(hit_rate) <= 1.0
+        cell = CampaignCell(engine="DCART", workload="IPGEO", seed=3,
+                            n_keys=400, n_ops=1_000)
+        assert run_cells([cell], jobs=4, worker=_full_doc) == [
+            _full_doc(cell)
+        ]
 
 
 # ---------------------------------------------------------------------------
 # crashed-worker robustness: retry once, then a structured per-cell error
 # ---------------------------------------------------------------------------
-
-import os
-
-from repro.harness.parallel import cell_failed, error_doc
 
 #: Flag-file path (via env so forked pool workers see it) marking that
 #: the flaky worker has already died once.
@@ -147,8 +141,8 @@ def _worker_flaky_inline(cell):
 
 def _cells(seeds=(1, 2, 3)):
     return [
-        SweepCell(engine="DCART", workload="IPGEO", seed=s,
-                  n_keys=400, n_ops=1_000)
+        CampaignCell(engine="DCART", workload="IPGEO", seed=s,
+                     n_keys=400, n_ops=1_000)
         for s in seeds
     ]
 
@@ -161,7 +155,7 @@ class TestWorkerCrashRobustness:
         bad = [doc for doc in results if cell_failed(doc)]
         assert [doc["cell"]["seed"] for doc in good] == [1, 3]
         (failure,) = bad
-        assert failure["cell"]["seed"] == 2
+        assert failure["cell"] == dataclasses.asdict(_cells()[1])
         assert failure["error"]["type"] == "ValueError"
         assert "boom" in failure["error"]["message"]
         assert failure["error"]["retried"] is True
@@ -194,14 +188,6 @@ class TestWorkerCrashRobustness:
         assert not cell_failed(doc)
         assert doc["cell"]["seed"] == 7
         assert _INLINE_CALLS["n"] == 2  # original + one retry
-
-    def test_error_doc_round_trips_through_summarise(self):
-        cell = _cells(seeds=(2,))[0]
-        doc = error_doc(cell, ValueError("first"), RuntimeError("again"))
-        (row,) = summarise([doc])
-        assert row[0] == "DCART"
-        assert row[3] == "FAILED"
-        assert row[4] == "RuntimeError"
 
 
 class TestOnResultHook:

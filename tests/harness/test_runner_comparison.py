@@ -4,7 +4,7 @@ import pytest
 
 from repro.engines.base import RunResult
 from repro.errors import SimulationError
-from repro.harness.comparison import band, energy_savings, ratio_table, speedups
+from repro.harness.comparison import band, energy_savings, speedups
 from repro.harness.formatting import format_table
 from repro.harness.runner import (
     DEFAULT_SCALE_REFERENCE,
@@ -101,10 +101,6 @@ class TestComparison:
 
     def test_energy_savings(self):
         assert energy_savings(fake_results())["ART"] == pytest.approx(200.0)
-
-    def test_ratio_table(self):
-        ratios = ratio_table(fake_results(), "partial_key_matches")
-        assert ratios["ART"] == pytest.approx(0.05)
 
     def test_missing_reference_raises(self):
         with pytest.raises(SimulationError):

@@ -58,6 +58,43 @@ class TestWorkloadCommand:
         assert data["workload"] == "DICT"
         assert data["n_ops"] == 800
 
+    def test_replay_of_corrupt_workload_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "wl.jsonl"
+        path.write_text('{"name": "X", "format": 1}\n{"load": "zz"}\n')
+        assert main(["run", "--engine", "DCART", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: line 2:")
+        assert len(err.strip().splitlines()) == 1
+
+
+#: Bad input that no command-specific handler catches: each must end in
+#: one stderr line and exit 2, never a traceback.
+BAD_INPUT = [
+    ["run", "--engine", "DCART", "--keys", "0"],
+    ["run", "--engine", "DCART", "--write-ratio", "1.5",
+     "--keys", "400", "--ops", "1000"],
+    ["workload", "--name", "IPGEO", "--keys", "0", "--out", "X"],
+    ["trace", "IPGEO", "--keys", "0"],
+    ["figures", "--only", "fig9", "--keys", "0"],
+    ["chaos", "--keys", "0"],
+    ["bench", "--quick", "--repeats", "0"],
+    ["sweep", "--jobs", "0", "--keys", "400", "--ops", "1000"],
+    ["sweep", "--keys", "0"],
+    ["sweep", "--write-ratio", "2", "--keys", "400", "--ops", "1000"],
+    ["sweep", "--seeds", "1", "1", "--keys", "400", "--ops", "1000"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"repro {argv[0]}: ")
+    assert not os.listdir(tmp_path)
+
 
 class TestChaosCommand:
     ARGS = ["chaos", "--keys", "800", "--ops", "6000", "--seed", "1"]
@@ -309,31 +346,49 @@ class TestFiguresCommand:
 
 
 class TestSweepCommand:
+    """``repro sweep`` is an unsaved campaign: it prints the campaign
+    report of an in-memory store."""
+
+    ARGS = ["sweep", "--engines", "ART", "DCART", "--seeds", "1", "2",
+            "--keys", "400", "--ops", "1000"]
+
     def test_table_output(self, capsys):
-        assert main([
-            "sweep", "--engines", "ART", "DCART", "--seeds", "1",
-            "--keys", "400", "--ops", "1000",
-        ]) == 0
+        assert main(self.ARGS) == 0
         out = capsys.readouterr().out
-        assert "engine" in out and "Mops/s" in out
-        assert "ART" in out and "DCART" in out
+        assert "# Campaign report: sweep" in out
+        assert "- git SHA: `unstamped`" in out
+        assert "## IPGEO (healthy)" in out
+        assert "best Mops/s" in out and "median Mops/s" in out
+        assert "| ART " in out and "| DCART " in out
+        assert "Incomplete" not in out
 
     def test_jobs_parallel_matches_serial_json(self, capsys, tmp_path):
-        common = [
-            "sweep", "--engines", "ART", "DCART", "--seeds", "1", "2",
-            "--keys", "400", "--ops", "1000",
-        ]
-        serial_path = str(tmp_path / "serial.json")
-        pooled_path = str(tmp_path / "pooled.json")
-        assert main(common + ["--jobs", "1", "--json", serial_path]) == 0
-        assert main(common + ["--jobs", "2", "--json", pooled_path]) == 0
+        serial_path = tmp_path / "serial.json"
+        pooled_path = tmp_path / "pooled.json"
+        assert main(self.ARGS + ["--jobs", "1", "--json", str(serial_path)]) == 0
+        assert main(self.ARGS + ["--jobs", "2", "--json", str(pooled_path)]) == 0
         capsys.readouterr()
-        with open(serial_path) as handle:
-            serial = json.load(handle)
-        with open(pooled_path) as handle:
-            pooled = json.load(handle)
-        assert serial["jobs"] == 1 and pooled["jobs"] == 2
-        assert serial["results"] == pooled["results"]
+        assert serial_path.read_bytes() == pooled_path.read_bytes()
+        doc = json.loads(serial_path.read_text())
+        assert doc["schema"] == "campaign-report/v1"
+        assert doc["complete"] is True
+        assert [(r["engine"], r["seeds"]) for r in doc["rows"]] == [
+            ("ART", [1, 2]), ("DCART", [1, 2]),
+        ]
+
+    def test_failed_cell_exits_1_and_is_reported(self, capsys, monkeypatch):
+        from repro.experiments import campaign
+
+        def dies(cell, **kwargs):
+            raise RuntimeError("cell died")
+
+        monkeypatch.setattr(campaign, "run_campaign_cell", dies)
+        assert main([
+            "sweep", "--engines", "ART", "--keys", "400", "--ops", "1000",
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "Incomplete campaign" in out
+        assert "`ART/IPGEO/seed=1/none`" in out
 
 
 class TestTraceCommand:
@@ -414,12 +469,18 @@ class TestMetricsFlag:
     def test_sweep_metrics_to_file(self, capsys, tmp_path):
         path = str(tmp_path / "metrics.json")
         assert main([
-            "sweep", "--engines", "DCART", "--seeds", "1",
+            "sweep", "--engines", "ART", "DCART", "--seeds", "1", "2",
             "--keys", "400", "--ops", "1000", "--metrics", path,
         ]) == 0
         with open(path) as handle:
             docs = json.load(handle)
-        assert all("cell" in doc and doc["metrics"] for doc in docs)
+        # One entry per cell, in grid order, each with a non-empty
+        # registry and the campaign cell identity.
+        assert [(d["cell"]["engine"], d["cell"]["seed"]) for d in docs] == [
+            ("ART", 1), ("ART", 2), ("DCART", 1), ("DCART", 2),
+        ]
+        assert all(doc["cell"]["fault"] == "none" for doc in docs)
+        assert all(doc["metrics"]["counters"] for doc in docs)
 
 
 class TestBenchCommand:

@@ -3,6 +3,7 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
 from repro.workloads import make_workload
@@ -66,6 +67,24 @@ class TestMalformedInputs:
         with pytest.raises(WorkloadError):
             load_workload(io.StringIO('{"nope": 1}\n'))
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(WorkloadError, match="cannot read workload file"):
+            load_workload(str(tmp_path / "absent.jsonl"))
+
+    @pytest.mark.parametrize("line", [
+        b'{"load": "\xff0a"}',                    # invalid UTF-8
+        b'{"load": "0a',                           # truncated JSON
+        b'5',                                      # not an object
+        b'{"load": "zz"}',                         # non-hex load key
+        b'{"op": "read", "key": "0a"}',            # op without id
+        b'{"id": 0, "op": "read"}',                # op without key
+    ], ids=["utf8", "json", "not-object", "hex", "no-id", "no-key"])
+    def test_bad_line_names_the_line(self, tmp_path, line):
+        path = tmp_path / "wl.jsonl"
+        path.write_bytes(b'{"name": "X", "format": 1}\n' + line + b"\n")
+        with pytest.raises(WorkloadError, match="^line 2: "):
+            load_workload(str(path))
+
     def test_unknown_format_version(self):
         with pytest.raises(WorkloadError):
             load_workload(io.StringIO('{"name": "X", "format": 99}\n'))
@@ -103,3 +122,32 @@ class TestMalformedInputs:
         wl = load_workload(io.StringIO(text))
         assert wl.operations[0].kind is OpKind.DELETE
         assert wl.operations[1].scan_count == 7
+
+
+def _saved_workload() -> bytes:
+    buffer = io.StringIO()
+    save_workload(make_workload("IPGEO", n_keys=20, n_ops=20, seed=3), buffer)
+    return buffer.getvalue().encode("utf-8")
+
+
+SAVED = _saved_workload()
+
+
+def _flip(position_and_mask) -> bytes:
+    position, mask = position_and_mask
+    damaged = bytearray(SAVED)
+    damaged[position] ^= mask
+    return bytes(damaged)
+
+
+@given(st.one_of(
+    st.integers(0, len(SAVED) - 1).map(lambda n: SAVED[:n]),
+    st.tuples(st.integers(0, len(SAVED) - 1), st.integers(1, 255)).map(_flip),
+))
+@settings(max_examples=300, deadline=None)
+def test_truncated_or_flipped_file_loads_or_raises_workload_error(damaged):
+    try:
+        workload = load_workload(io.BytesIO(damaged))
+    except WorkloadError:
+        return
+    assert workload.n_keys <= 20 and workload.n_ops <= 20
