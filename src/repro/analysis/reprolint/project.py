@@ -295,6 +295,3 @@ class ProjectModel:
         # Receiver of unknown type: fall back to every project method
         # with that name (may-alias dispatch).
         return list(self.methods_by_name.get(last, ())), True
-
-    def enclosing_class(self, info: FunctionInfo) -> Optional[str]:
-        return info.class_name

@@ -30,7 +30,6 @@ from repro.art.nodes import (
     Node256,
     InnerNode,
 )
-from repro.art.iterator import TreeCursor, merge_cursors
 from repro.art.stats import TraversalRecord, TreeStats
 from repro.art.traversal import record_traversal
 from repro.art.tree import AdaptiveRadixTree
@@ -45,7 +44,6 @@ __all__ = [
     "Node48",
     "Node256",
     "TraversalRecord",
-    "TreeCursor",
     "TreeStats",
     "decode_u64",
     "encode_email",
@@ -53,6 +51,5 @@ __all__ = [
     "encode_str",
     "encode_u32",
     "encode_u64",
-    "merge_cursors",
     "record_traversal",
 ]

@@ -180,21 +180,3 @@ class WaveSimulator:
         if latencies is not None:
             report.latencies_ns = latencies
         return report
-
-    def conflict_groups(
-        self, targets: Sequence[int], is_write: Sequence[bool]
-    ) -> List[ConflictGroup]:
-        """Enumerate conflict groups window by window (for inspection)."""
-        out: List[ConflictGroup] = []
-        n = len(targets)
-        for start in range(0, n, self.window):
-            end = min(start + self.window, n)
-            groups: Dict[int, Tuple[List[int], int]] = {}
-            for i in range(start, end):
-                indices, writers = groups.setdefault(targets[i], ([], 0))
-                indices.append(i)
-                if is_write[i]:
-                    groups[targets[i]] = (indices, writers + 1)
-            for node_id, (indices, writers) in groups.items():
-                out.append(ConflictGroup(node_id, indices, writers))
-        return out

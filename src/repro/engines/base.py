@@ -209,27 +209,3 @@ class Engine(abc.ABC):
     ) -> List[TraversalRecord]:
         """Apply every operation, returning the per-op traces in order."""
         return [apply_operation(tree, op) for op in workload.operations]
-
-    @staticmethod
-    def accumulate_traversal_counters(
-        result: RunResult, records: List[TraversalRecord]
-    ) -> None:
-        """Fill the trace-derived counters shared by all engines."""
-        seen = set()
-        visited = 0
-        fetched = used = 0
-        matches = 0
-        counts = result.node_access_counts
-        for record in records:
-            matches += record.total_matches()
-            for touch in record.touches:
-                visited += 1
-                counts[touch.node_id] += 1
-                seen.add(touch.node_id)
-            fetched += record.bytes_fetched
-            used += record.bytes_used
-        result.partial_key_matches = matches
-        result.nodes_visited = visited
-        result.distinct_nodes_visited = len(seen)
-        result.bytes_fetched = fetched
-        result.bytes_used = used

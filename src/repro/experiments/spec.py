@@ -160,7 +160,21 @@ class CampaignSpec:
         if len(set(self.faults)) != len(self.faults):
             raise ConfigError("duplicate fault signatures in campaign")
         for signature in self.faults:
-            parse_fault(signature)
+            kind, _ = parse_fault(signature)
+            if kind == "hbm-throttle":
+                # Fault cells run at the chaos batch size, and the throttle
+                # starts at batch 1: a one-batch run would never see it.
+                from repro.harness.resilience import chaos_config
+
+                batch_size = chaos_config(self.n_keys).batch_size
+                n_batches = -(-self.n_ops // batch_size)
+                if n_batches < 2:
+                    raise ConfigError(
+                        f"fault {signature!r} throttles the second half of "
+                        f"the run, but n_ops={self.n_ops} is {n_batches} "
+                        f"batch of {batch_size} ops; use n_ops > "
+                        f"{batch_size}"
+                    )
             if signature != NO_FAULT:
                 incapable = [
                     e for e in self.engines
@@ -285,6 +299,21 @@ def load_spec(path: str) -> CampaignSpec:
     if not os.path.exists(path):
         raise ConfigError(f"campaign spec not found: {path}")
     ext = os.path.splitext(path)[1].lower()
+    if ext not in (".toml", ".json"):
+        raise ConfigError(
+            f"campaign spec must be .toml or .json, got {path!r}"
+        )
+    try:
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read campaign spec {path}: {exc.strerror}"
+        ) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path} is not valid UTF-8 (byte {exc.start})"
+        ) from None
     if ext == ".toml":
         try:
             import tomllib
@@ -293,21 +322,15 @@ def load_spec(path: str) -> CampaignSpec:
                 f"{path}: TOML specs need Python >= 3.11 (tomllib); "
                 f"use a .json spec on this interpreter"
             ) from None
-        with open(path, "rb") as handle:
-            try:
-                doc = tomllib.load(handle)
-            except tomllib.TOMLDecodeError as exc:
-                raise ConfigError(f"{path} is not valid TOML: {exc}") from exc
-    elif ext == ".json":
-        with open(path) as handle:
-            try:
-                doc = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        try:
+            doc = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise ConfigError(f"{path} is not valid TOML: {exc}") from exc
     else:
-        raise ConfigError(
-            f"campaign spec must be .toml or .json, got {path!r}"
-        )
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(doc, Mapping) and isinstance(
         doc.get("campaign"), Mapping
     ):

@@ -254,11 +254,6 @@ class ResultStore:
         )
 
 
-def open_store(path: str) -> ResultStore:
-    """Open (creating if needed) the store at ``path``."""
-    return ResultStore(path)
-
-
 def default_store_path(base_dir: Optional[str] = None) -> str:
     """The conventional store location: ``campaigns.db`` in ``base_dir``."""
     return os.path.join(base_dir or os.getcwd(), "campaigns.db")

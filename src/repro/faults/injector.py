@@ -183,9 +183,6 @@ class FaultInjector:
     # queries billed by the timing model
     # ------------------------------------------------------------------
 
-    def sou_failed(self, sou_id: int) -> bool:
-        return sou_id in self.failed_sous
-
     def slowdown_factor(self, sou_id: int) -> float:
         """Slowdown multiplier on ``sou_id`` for the current batch."""
         return self.schedule.slowdown_factor(self.current_batch, sou_id)

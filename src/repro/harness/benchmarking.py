@@ -269,14 +269,16 @@ def load_trajectory(path: str) -> Dict[str, object]:
     """
     if not os.path.exists(path):
         return {"schema": 1, "history": []}
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{path} is corrupt (not valid JSON: {exc}); delete it or "
-                f"restore it from version control"
-            ) from exc
+    try:
+        with open(path, "rb") as handle:
+            doc = json.loads(handle.read().decode("utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(
+            f"{path} is corrupt (not valid JSON: {exc}); delete it or "
+            f"restore it from version control"
+        ) from exc
     if not isinstance(doc, dict) or "history" not in doc:
         raise ConfigError(f"{path} is not a bench trajectory file")
     if not isinstance(doc["history"], list):

@@ -32,7 +32,7 @@ from repro.core.config import DCARTConfig
 from repro.durability import DurabilityManager, recover
 from repro.durability.manager import CRASH_POINTS
 from repro.engines.base import RunResult
-from repro.errors import ConfigError, KeyNotFoundError, SimulatedCrash
+from repro.errors import KeyNotFoundError, SimulatedCrash
 from repro.faults import CrashFault, FaultInjector, FaultSchedule, Watchdog
 from repro.harness.experiments import ExperimentResult
 from repro.harness.runner import scaled_dcart_config
@@ -231,100 +231,6 @@ def degradation_curve(
             "graceful = degradation within "
             f"{GRACEFUL_FACTOR:g}x of the proportional capacity loss; "
             "tree = ART invariant validator verdict on the final tree"
-        ),
-        raw=raw,
-    )
-
-
-def cluster_degradation_curve(
-    n_shards: int = 8,
-    max_failed: Optional[int] = None,
-    seed: int = 1,
-    workload_name: str = "IPGEO",
-    n_keys: int = DEFAULT_KEYS,
-    n_ops: int = DEFAULT_OPS,
-    at_batch: int = 2,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> ExperimentResult:
-    """Cluster throughput vs. number of fail-stopped shard primaries.
-
-    The cluster counterpart of :func:`degradation_curve`: one row per
-    failure count, every faulted run killing seed-chosen primaries at
-    ``at_batch`` mid-traffic.  Each dead primary fails over to its
-    replica, so the columns to watch are the *recovery* ones — worst
-    RTO and hinted-handoff volume — alongside the throughput hit.  All
-    rows share one workload; every primary tree is re-validated after
-    the run (a failover must never cost correctness).
-    """
-    from repro.cluster import ClusterConfig, ClusterCoordinator
-
-    if max_failed is None:
-        max_failed = n_shards // 2
-    n_batches = -(-n_ops // batch_size)
-    if at_batch >= n_batches:
-        raise ConfigError(
-            f"fault batch {at_batch} is past the run "
-            f"({n_batches} batches of {batch_size}); the curve would "
-            "silently measure an unfaulted cluster"
-        )
-    workload = make_workload(
-        workload_name, n_keys=n_keys, n_ops=n_ops, seed=seed
-    )
-    config = chaos_config(n_keys, batch_size=batch_size)
-    cluster = ClusterConfig(n_shards=n_shards, replicas=1, seed=seed)
-
-    rows = []
-    raw: dict = {workload_name: {}}
-    healthy_mops = 0.0
-    for n_failed in range(0, max_failed + 1):
-        schedule = FaultSchedule.fail_shards(
-            n_failed, seed, n_shards=n_shards, at_batch=at_batch
-        )
-        coordinator = ClusterCoordinator(
-            workload, cluster=cluster, accel_config=config,
-            schedule=schedule,
-        )
-        report = coordinator.run(batch_size=batch_size)
-        coordinator.validate_trees()
-        mops = float(report["throughput_mops"])  # type: ignore[arg-type]
-        if n_failed == 0:
-            healthy_mops = mops
-        failovers = report["failovers"]
-        worst_rto = max(
-            (int(f["rto_cycles"]) for f in failovers), default=0
-        )
-        handoff = sum(int(f["handoff_ops"]) for f in failovers)
-        raw[workload_name][f"failed={n_failed}"] = report
-        rows.append(
-            [
-                n_failed,
-                mops,
-                healthy_mops / mops if mops > 0 else float("inf"),
-                len(failovers),
-                worst_rto,
-                handoff,
-                "ok",  # validate_trees() above raises otherwise
-            ]
-        )
-    return ExperimentResult(
-        f"Resilience - cluster degradation vs. failed shards "
-        f"({workload_name}, {n_shards} shards)",
-        [
-            "failed shards",
-            "Mops/s",
-            "degradation (x)",
-            "failovers",
-            "worst RTO (cycles)",
-            "handoff ops",
-            "trees",
-        ],
-        rows,
-        notes=(
-            "each dead primary is detected by missed heartbeats and "
-            "fails over to its replica (promotion + WAL-tail catch-up "
-            "+ hinted handoff); RTO = detection-to-recovery in cluster "
-            "cycles; trees = ART invariant validator over every "
-            "surviving primary"
         ),
         raw=raw,
     )

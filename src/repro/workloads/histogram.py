@@ -40,16 +40,6 @@ class PrefixHistogram:
                 counts[op.key[byte_offset]] += 1
         return cls(counts, byte_offset)
 
-    @classmethod
-    def from_keys(
-        cls, keys: Iterable[bytes], byte_offset: int = 0
-    ) -> "PrefixHistogram":
-        counts = [0] * 256
-        for key in keys:
-            if byte_offset < len(key):
-                counts[key[byte_offset]] += 1
-        return cls(counts, byte_offset)
-
     @property
     def total(self) -> int:
         return sum(self.counts)

@@ -44,11 +44,6 @@ class Operation:
     value: Optional[object] = None
     scan_count: int = 0
 
-    @property
-    def prefix_byte(self) -> int:
-        """First key byte — what DCART's PCU buckets on by default."""
-        return self.key[0]
-
 
 class OperationStream:
     """An ordered sequence of operations with summary accessors.

@@ -10,7 +10,6 @@ sorted partial keys, consistent compressed prefixes, exact size).
 from hypothesis import example, given, settings, strategies as st
 
 from repro.art import AdaptiveRadixTree, encode_str, encode_u64
-from repro.art.bulk import bulk_load
 from repro.art.nodes import Leaf
 from repro.durability.checkpoint import restore_tree
 from repro.errors import DuplicateKeyError, KeyNotFoundError
@@ -188,7 +187,9 @@ def walk_counts(tree):
 def test_node_counts_match_a_tree_walk(n_loaded, churn):
     # Consecutive u64 keys share one parent up to 256 children: loading
     # and draining them walks every node kind through grow and shrink.
-    tree = bulk_load([(encode_u64(i), i) for i in range(n_loaded)])
+    tree = AdaptiveRadixTree()
+    for i in range(n_loaded):
+        tree.insert(encode_u64(i), i)
     assert tree.node_counts() == walk_counts(tree)
     for insert, key in churn:
         if insert:

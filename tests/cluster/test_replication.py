@@ -4,7 +4,6 @@ import pytest
 
 from repro.art.tree import AdaptiveRadixTree
 from repro.cluster import ReplicaShard
-from repro.cluster.replication import ship_and_advance
 from repro.durability.wal import encode_batch_frames
 from repro.errors import SimulationError
 from repro.model.costs import DEFAULT_CLUSTER_COSTS
@@ -124,11 +123,3 @@ class TestDeterminism:
             for s in range(8)
         }
         assert len(readies) > 1
-
-
-def test_ship_and_advance_sums_across_replicas():
-    replicas = [_replica(shard_id=s) for s in range(3)]
-    for s, replica in enumerate(replicas):
-        frames, n = _writes(0, [(b"k%d" % s, s)])
-        replica.ship(0, frames, n, 0)
-    assert ship_and_advance(replicas, 10**9) == 3

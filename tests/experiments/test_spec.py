@@ -2,8 +2,10 @@
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import ConfigError
 from repro.experiments.spec import (
@@ -12,6 +14,11 @@ from repro.experiments.spec import (
     parse_fault,
     spec_from_dict,
 )
+from tests.strategies import damaged
+
+CAMPAIGNS = Path(__file__).resolve().parents[2] / "examples" / "campaigns"
+SMOKE_JSON = (CAMPAIGNS / "ci-smoke.json").read_bytes()
+FAULTS_TOML = (CAMPAIGNS / "faults.toml").read_bytes()
 
 
 def _spec(**overrides):
@@ -65,6 +72,19 @@ class TestValidation:
         # authoring error, caught at load, not a mid-campaign surprise.
         with pytest.raises(ConfigError, match="fault-capable"):
             _spec(faults=("none", "sou-failstop:2"))
+
+    @pytest.mark.parametrize("n_ops", [1_000, 2_048])
+    def test_throttle_needs_a_second_batch(self, n_ops):
+        # The throttle starts at batch 1 of the 2,048-op chaos batches:
+        # a one-batch run would silently measure a healthy machine.
+        with pytest.raises(ConfigError, match="1 batch of 2048"):
+            _spec(engines=("DCART",), faults=("hbm-throttle:0.1",),
+                  n_ops=n_ops)
+
+    def test_throttle_with_two_batches_validates(self):
+        spec = _spec(engines=("DCART",), faults=("hbm-throttle:0.1",),
+                     n_ops=2_049)
+        assert spec.faults == ("hbm-throttle:0.1",)
 
     def test_fault_dimension_on_dcart_validates(self):
         spec = _spec(engines=("DCART",), faults=("none", "sou-failstop:2"))
@@ -239,3 +259,42 @@ class TestLoadSpec:
             load_spec(str(toml)).content_hash()
             == load_spec(str(as_json)).content_hash()
         )
+
+    @pytest.mark.parametrize("suffix", [".json", ".toml"])
+    def test_invalid_utf8_is_config_error(self, tmp_path, suffix):
+        path = tmp_path / f"c{suffix}"
+        path.write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(ConfigError, match="not valid UTF-8"):
+            load_spec(str(path))
+
+    def test_directory_is_config_error(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.mkdir()
+        with pytest.raises(ConfigError, match="cannot read campaign spec"):
+            load_spec(str(path))
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("damaged-specs")
+
+
+def _load_damaged(path, data):
+    path.write_bytes(data)
+    try:
+        spec = load_spec(str(path))
+    except ConfigError:
+        return
+    assert isinstance(spec, CampaignSpec)
+
+
+@given(data=damaged(SMOKE_JSON))
+@settings(max_examples=300, deadline=None)
+def test_damaged_json_spec_loads_or_raises_config_error(spec_dir, data):
+    _load_damaged(spec_dir / "ci-smoke.json", data)
+
+
+@given(data=damaged(FAULTS_TOML))
+@settings(max_examples=300, deadline=None)
+def test_damaged_toml_spec_loads_or_raises_config_error(spec_dir, data):
+    _load_damaged(spec_dir / "faults.toml", data)

@@ -10,6 +10,7 @@ monkeypatched tiny spec so the unit tests stay fast.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.harness import benchmarking
@@ -23,6 +24,7 @@ from repro.harness.benchmarking import (
     load_trajectory,
     run_bench,
 )
+from tests.strategies import damaged
 
 TINY_SPEC = {
     "name": "IPGEO",
@@ -172,6 +174,37 @@ class TestTrajectoryFile:
         path.write_text(json.dumps({"schema": 1, "history": {"a": 1}}))
         with pytest.raises(ConfigError):
             load_trajectory(str(path))
+
+    def test_invalid_utf8_is_config_error(self, tmp_path):
+        path = tmp_path / "BENCH_speed.json"
+        path.write_bytes(b'{"schema": 1, "history": ["\xff"]}')
+        with pytest.raises(ConfigError, match="corrupt"):
+            load_trajectory(str(path))
+
+    def test_directory_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_trajectory(str(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def trajectory_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("trajectory") / "BENCH_speed.json"
+    append_entry(str(path), _entry(DCART=1.0, ART=2.0))
+    append_entry(str(path), _entry(mode="quick", DCART=3.0))
+    return path
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_trajectory_loads_or_raises_config_error(trajectory_path, data):
+    saved = trajectory_path.read_bytes()
+    path = trajectory_path.with_name("damaged.json")
+    path.write_bytes(data.draw(damaged(saved)))
+    try:
+        doc = load_trajectory(str(path))
+    except ConfigError:
+        return
+    assert isinstance(doc["history"], list)
 
 
 class TestMeasurement:

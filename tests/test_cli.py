@@ -595,6 +595,15 @@ class TestCampaignCommand:
         assert "not found" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_non_utf8_spec_exits_2_one_line(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        assert main(["campaign", "run", "--spec", str(path),
+                     "--store", str(tmp_path / "c.db")]) == 2
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_invalid_spec_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({

@@ -19,6 +19,7 @@ from repro.engines import (
 )
 from repro.workloads import OperationStream, Workload, make_workload
 from repro.workloads.ops import OpKind, Operation
+from tests.digest import structure_digest
 
 ALL_ENGINE_CLASSES = [
     ArtRowexEngine,
@@ -75,8 +76,6 @@ class TestDegenerateWorkloads:
 
     def test_all_engines_agree_on_final_tree_state(self):
         """Every engine must leave the index in the same logical state."""
-        from repro.art.debug import structure_digest
-
         wl = make_workload("DE", n_keys=400, n_ops=2000, seed=6)
         digests = set()
         for engine_cls in ALL_ENGINE_CLASSES:

@@ -3,12 +3,13 @@
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.errors import WorkloadError
 from repro.workloads import make_workload
 from repro.workloads.ops import OpKind
 from repro.workloads.trace import load_workload, save_workload
+from tests.strategies import damaged
 
 
 @pytest.fixture(scope="module")
@@ -133,21 +134,11 @@ def _saved_workload() -> bytes:
 SAVED = _saved_workload()
 
 
-def _flip(position_and_mask) -> bytes:
-    position, mask = position_and_mask
-    damaged = bytearray(SAVED)
-    damaged[position] ^= mask
-    return bytes(damaged)
-
-
-@given(st.one_of(
-    st.integers(0, len(SAVED) - 1).map(lambda n: SAVED[:n]),
-    st.tuples(st.integers(0, len(SAVED) - 1), st.integers(1, 255)).map(_flip),
-))
+@given(damaged(SAVED))
 @settings(max_examples=300, deadline=None)
-def test_truncated_or_flipped_file_loads_or_raises_workload_error(damaged):
+def test_truncated_or_flipped_file_loads_or_raises_workload_error(data):
     try:
-        workload = load_workload(io.BytesIO(damaged))
+        workload = load_workload(io.BytesIO(data))
     except WorkloadError:
         return
     assert workload.n_keys <= 20 and workload.n_ops <= 20
