@@ -10,13 +10,14 @@ Commands:
   (replayable with ``run --replay``).
 * ``chaos`` — fault-injection run (``--fail-sous N``, corruption,
   storms, throttling) with graceful-degradation and invariant checks;
-  ``--sweep`` produces the full degradation curve.  ``--json [PATH]``
-  emits the outcome (or the sweep's curve) as JSON, to stdout or PATH.
+  ``--sweep`` runs the degradation curve as an unsaved campaign.
+  ``--json [PATH]`` emits the outcome (or the sweep's campaign report)
+  as JSON, to stdout or PATH.
 * ``checkpoint`` — run DCART with the durability subsystem attached
   (WAL per batch, checkpoint every N batches) into a directory.
 * ``recover`` — rebuild the tree from a durability directory (latest
   valid checkpoint + committed WAL tail) and validate it; or, with
-  ``--campaign N``, run the seeded crash–recover–validate loop.
+  ``--campaign N``, run N seeded ``crash`` cells as an unsaved campaign.
 * ``sweep`` — run an (engine × workload × seed) grid as an unsaved
   campaign (in-memory store) over ``--jobs N`` worker processes and
   print its campaign report (``--jobs 1`` and ``--jobs N`` are
@@ -46,7 +47,7 @@ Commands:
 
 Every subcommand exits non-zero when its validation oracle fails: a
 broken tree after ``run``/``checkpoint``, a non-graceful or invalid
-chaos outcome (any row of a sweep), a recovery that diverges.  Bad
+chaos outcome (any fault row of a sweep), a recovery that diverges.  Bad
 input (a ``ConfigError`` or ``WorkloadError``) exits 2 with one line on
 stderr.
 
@@ -512,60 +513,39 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    import json
-
     from repro.errors import FaultError
-    from repro.faults import (
-        BufferStorm,
-        FaultSchedule,
-        HbmThrottle,
-        ShortcutCorruption,
-    )
+    from repro.experiments.spec import NO_FAULT, CampaignSpec
     from repro.harness import resilience
 
     n_keys = args.keys if args.keys is not None else resilience.DEFAULT_KEYS
     n_ops = args.ops if args.ops is not None else resilience.DEFAULT_OPS
+    config = resilience.chaos_config(n_keys)
 
     if args.sweep:
-        curve = resilience.degradation_curve(
-            n_keys=n_keys, n_ops=n_ops, seed=args.seed,
-            workload_name=args.workload,
+        if (args.fail_sous or args.corrupt_shortcuts or args.storm
+                or args.throttle != 1.0):
+            print("bad chaos scenario: --sweep takes no event flags",
+                  file=sys.stderr)
+            return 2
+        failstops = [f"sou-failstop:{k}" for k in range(1, config.n_sous)]
+        spec = CampaignSpec(
+            name="chaos-sweep", engines=("DCART",), workloads=(args.workload,),
+            seeds=(args.seed,), n_keys=n_keys, n_ops=n_ops,
+            faults=(NO_FAULT, *failstops),
         )
-        # A sweep fails when any row degraded non-gracefully or broke
-        # the tree (columns 5 and 6 of the curve).
-        all_ok = all(
-            row[5] == "yes" and row[6] == "ok" for row in curve.rows
-        )
-        if args.json is not None:
-            _emit_json(
-                {
-                    "experiment": curve.experiment,
-                    "headers": curve.headers,
-                    "rows": curve.rows,
-                    "all_graceful": all_ok,
-                },
-                args.json,
-            )
-        else:
-            print(curve.render())
-        return 0 if all_ok else 1
+        report = _run_unsaved(spec, args.json)
+        faulted = [row for row in report["rows"] if "verdict" in row]
+        graceful = all(row["verdict"]["graceful"] for row in faulted)
+        return 0 if report["complete"] and graceful else 1
 
-    config = resilience.chaos_config(n_keys)
-    n_batches = -(-n_ops // config.batch_size)
-    mid = min(max(1, n_batches // 2), n_batches - 1)
     try:
-        events = list(
-            FaultSchedule.fail_sous(
-                args.fail_sous, args.seed, n_sous=config.n_sous
-            ).events
+        schedule = resilience.chaos_schedule(
+            config, n_ops, args.seed,
+            fail_sous=args.fail_sous,
+            corrupt_shortcuts=args.corrupt_shortcuts,
+            storm=args.storm,
+            throttle=args.throttle,
         )
-        if args.corrupt_shortcuts > 0:
-            events.append(ShortcutCorruption(mid, args.corrupt_shortcuts))
-        if args.storm > 0.0:
-            events.append(BufferStorm(mid, args.storm))
-        if args.throttle < 1.0:
-            events.append(HbmThrottle(mid, n_batches - 1, args.throttle))
-        schedule = FaultSchedule(seed=args.seed, events=tuple(events))
     except ConfigError as exc:
         print(f"bad chaos scenario: {exc}", file=sys.stderr)
         return 2
@@ -664,29 +644,18 @@ def _cmd_recover(args) -> int:
     from repro.harness import resilience
 
     if args.campaign is not None:
-        n_keys = args.keys if args.keys is not None else resilience.DEFAULT_KEYS
-        n_ops = args.ops if args.ops is not None else resilience.DEFAULT_OPS
-        result = resilience.crash_recovery_campaign(
-            n_trials=args.campaign,
-            seed=args.seed,
-            workload_name=args.workload,
-            n_keys=n_keys,
-            n_ops=n_ops,
+        from repro.experiments.spec import CRASH_FAULT, CampaignSpec
+
+        spec = CampaignSpec(
+            name="crash-recover", engines=("DCART",), workloads=(args.workload,),
+            seeds=tuple(range(args.seed, args.seed + args.campaign)),
+            n_keys=args.keys if args.keys is not None else resilience.DEFAULT_KEYS,
+            n_ops=args.ops if args.ops is not None else resilience.DEFAULT_OPS,
+            faults=(CRASH_FAULT,),
         )
-        all_ok = bool(result.raw.get("all_ok"))
-        if args.json is not None:
-            _emit_json(
-                {
-                    "experiment": result.experiment,
-                    "headers": result.headers,
-                    "rows": result.rows,
-                    "all_ok": all_ok,
-                },
-                args.json,
-            )
-        else:
-            print(result.render())
-        return 0 if all_ok else 1
+        report = _run_unsaved(spec, args.json)
+        ok = all(row["verdict"]["ok"] for row in report["rows"])
+        return 0 if report["complete"] and ok else 1
 
     if args.dir is None:
         print("recover: --dir (or --campaign N) is required", file=sys.stderr)
@@ -722,34 +691,27 @@ def _cmd_workload(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _run_unsaved(spec, dest: Optional[str], jobs: int = 1,
+                 metrics: Optional[str] = None) -> dict:
+    """Run ``spec`` as an unsaved campaign, print its report, return it.
+
+    Same cells, worker and report as ``repro campaign``, in an in-memory
+    store under git SHA "unstamped" (deterministic output).
+    """
     import functools
 
     from repro.experiments import campaign as campaign_mod
     from repro.experiments import report as report_mod
-    from repro.experiments.spec import CampaignSpec
     from repro.experiments.store import ResultStore
 
-    # A sweep is an unsaved campaign: same cells, worker and report, in
-    # an in-memory store under git SHA "unstamped" (deterministic output).
-    spec = CampaignSpec(
-        name="sweep",
-        engines=tuple(args.engines),
-        workloads=tuple(args.workloads),
-        seeds=tuple(args.seeds),
-        n_keys=args.keys,
-        n_ops=args.ops,
-        write_ratio=args.write_ratio,
-        op_skew=args.op_skew,
-    )
     worker = campaign_mod.run_campaign_cell
-    if args.metrics is not None:
+    if metrics is not None:
         worker = functools.partial(worker, collect_metrics=True)
     with ResultStore(":memory:") as store:
         summary = campaign_mod.run_campaign(
-            spec, store, git_sha="unstamped", jobs=args.jobs, worker=worker
+            spec, store, git_sha="unstamped", jobs=jobs, worker=worker
         )
-        if args.metrics is not None:
+        if metrics is not None:
             stored = store.get_cells(
                 summary["spec_hash"], summary["git_sha"], summary["mode"]
             )
@@ -762,14 +724,31 @@ def _cmd_sweep(args) -> int:
                     {"cell": doc["cell"], "metrics": doc.get("metrics")}
                     for doc in docs
                 ],
-                args.metrics,
+                metrics,
             )
         report = report_mod.build_report(spec, store, git_sha="unstamped")
-    if args.json is not None:
-        _emit_json(report, args.json)
+    if dest is not None:
+        _emit_json(report, dest)
     else:
         print(report_mod.render_markdown(report), end="")
-    return 1 if summary["failed"] else 0
+    return report
+
+
+def _cmd_sweep(args) -> int:
+    from repro.experiments.spec import CampaignSpec
+
+    spec = CampaignSpec(
+        name="sweep",
+        engines=tuple(args.engines),
+        workloads=tuple(args.workloads),
+        seeds=tuple(args.seeds),
+        n_keys=args.keys,
+        n_ops=args.ops,
+        write_ratio=args.write_ratio,
+        op_skew=args.op_skew,
+    )
+    report = _run_unsaved(spec, args.json, jobs=args.jobs, metrics=args.metrics)
+    return 0 if report["complete"] else 1
 
 
 #: Default offered-load fractions for ``repro serve --load-sweep``.

@@ -16,17 +16,18 @@ retry-once path, structured per-cell error documents — and adds what a
 The cell worker is module-level (picklable) and derives everything from
 the frozen cell value, preserving the grid runner's determinism
 contract: a campaign's stored grid is bit-identical for any ``--jobs``.
-``repro sweep`` is an unsaved campaign: it runs its grid through
-:func:`run_campaign` into an in-memory store.
+``repro sweep``, ``chaos --sweep`` and ``recover --campaign`` are unsaved
+campaigns: they run their grids through :func:`run_campaign` into an
+in-memory store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.experiments.spec import NO_FAULT, CampaignSpec, parse_fault
+from repro.experiments.spec import CRASH_FAULT, NO_FAULT, CampaignSpec, fault_schedule
 from repro.experiments.store import ResultStore
 from repro.harness.parallel import cell_failed, run_cells
 from repro.model.costs import DEFAULT_POWER, PowerModel
@@ -58,6 +59,10 @@ class CampaignCell:
     write_ratio: Optional[float] = None
     op_skew: Optional[float] = None
     power: Optional[Tuple[float, float, float]] = None
+    #: Run on the chaos harness even when ``fault`` is ``none``: set for
+    #: every cell of a campaign with faults, so that its healthy and
+    #: faulted cells run one config and their throughputs compare.
+    chaos: bool = False
 
     def key(self) -> str:
         """The store key: stable, human-readable, unique in the grid."""
@@ -75,6 +80,7 @@ class CampaignCell:
 
 def expand_spec(spec: CampaignSpec) -> List[CampaignCell]:
     """The full grid, in (engine, workload, fault, seed) order."""
+    chaos = any(fault != NO_FAULT for fault in spec.faults)
     return [
         CampaignCell(
             engine=engine,
@@ -86,31 +92,13 @@ def expand_spec(spec: CampaignSpec) -> List[CampaignCell]:
             write_ratio=spec.write_ratio,
             op_skew=spec.op_skew,
             power=spec.power,
+            chaos=chaos,
         )
         for engine in spec.engines
         for workload in spec.workloads
         for fault in spec.faults
         for seed in spec.seeds
     ]
-
-
-def _fault_schedule(cell: CampaignCell, config):
-    """Build the cell's :class:`FaultSchedule` from its signature."""
-    from repro.faults import FaultSchedule, HbmThrottle
-
-    kind, arg = parse_fault(cell.fault)
-    if kind == "sou-failstop":
-        return FaultSchedule.fail_sous(
-            int(arg), cell.seed, n_sous=config.n_sous, at_batch=0
-        )
-    if kind == "hbm-throttle":
-        n_batches = -(-cell.n_ops // config.batch_size)
-        mid = min(max(1, n_batches // 2), max(1, n_batches - 1))
-        return FaultSchedule(
-            seed=cell.seed,
-            events=(HbmThrottle(mid, max(mid, n_batches - 1), float(arg)),),
-        )
-    raise ConfigError(f"unhandled fault kind {kind!r}")  # pragma: no cover
 
 
 def run_campaign_cell(
@@ -120,64 +108,67 @@ def run_campaign_cell(
 
     Module-level (picklable) with deferred imports so worker start-up
     stays cheap.  The document is the summary-level result dict plus
-    the cell identity, fault outcome (tree validity, degradation inputs)
-    and the applied platform power — everything the report needs, small
-    enough to archive thousands of.
+    the cell identity, tree validity and the applied platform power —
+    everything the report needs, small enough to archive thousands of.
+    A ``crash`` cell runs one crash-recover-validate trial instead: its
+    document carries the trial's outcome and no throughput.
 
     ``collect_metrics`` attaches a telemetry registry to the run and
     returns its contents under ``doc["metrics"]``.  It is deterministic
     for any ``jobs`` count: the registry is filled from the run's own
     counters, never from scheduling state.
     """
+    from repro.harness import resilience
+    from repro.harness.runner import default_engines
     from repro.harness.serialize import result_to_dict
     from repro.obs import Telemetry
     from repro.workloads import make_workload
 
-    workload = make_workload(
-        cell.workload,
-        n_keys=cell.n_keys,
-        n_ops=cell.n_ops,
-        seed=cell.seed,
-        write_ratio=cell.write_ratio,
-        op_skew=cell.op_skew,
-    )
-    tree_valid: Optional[bool] = None
-    if cell.fault == NO_FAULT:
-        from repro.harness.runner import default_engines
-
-        engine = default_engines(cell.n_keys, include=[cell.engine])[0]
-        if collect_metrics:
-            engine.telemetry = Telemetry()
-        result = engine.run(workload)
-    else:
-        from repro.art.validate import validate_tree
-        from repro.core.accelerator import DcartAccelerator
-        from repro.faults import FaultInjector
-        from repro.harness import resilience
-
-        config = resilience.chaos_config(cell.n_keys)
-        schedule = _fault_schedule(cell, config)
-        injector = FaultInjector(
-            schedule.validate_sous(config.n_sous).validate_shards(0)
-        )
-        engine = DcartAccelerator(config=config, injector=injector)
-        if collect_metrics:
-            engine.telemetry = Telemetry()
-        tree = engine.build_tree(workload)
-        result = engine.run(workload, tree=tree)
-        tree_valid = validate_tree(tree).ok
-
-    doc = result_to_dict(result)
-    if collect_metrics:
-        doc["metrics"] = engine.telemetry.registry.as_dict()
-    power = cell.power_model()
     kind = ENGINE_PLATFORM_KIND[cell.engine]
     default_watts = DEFAULT_POWER.watts_for(kind)
-    watts = power.watts_for(kind)
-    if watts != default_watts:
-        # Energy = power x time (model/costs.py), so re-pricing a run
-        # under the spec's power model is an exact linear rescale.
-        doc["energy_joules"] = doc["energy_joules"] * watts / default_watts
+    watts = cell.power_model().watts_for(kind)
+    tree_valid: Optional[bool] = None
+    if cell.fault == CRASH_FAULT:
+        outcome = resilience.crash_recover_verify(
+            seed=cell.seed,
+            workload_name=cell.workload,
+            n_keys=cell.n_keys,
+            n_ops=cell.n_ops,
+            write_ratio=cell.write_ratio,
+            op_skew=cell.op_skew,
+        )
+        doc: Dict[str, object] = dict(asdict(outcome), ok=outcome.ok)
+        tree_valid = outcome.validation.ok
+    else:
+        workload = make_workload(
+            cell.workload,
+            n_keys=cell.n_keys,
+            n_ops=cell.n_ops,
+            seed=cell.seed,
+            write_ratio=cell.write_ratio,
+            op_skew=cell.op_skew,
+        )
+        telemetry = Telemetry() if collect_metrics else None
+        if cell.chaos or cell.fault != NO_FAULT:
+            config = resilience.chaos_config(cell.n_keys)
+            schedule = fault_schedule(
+                cell.fault, config, cell.n_ops, cell.seed
+            )
+            result, validation = resilience.faulted_run(
+                config, workload, schedule, telemetry=telemetry
+            )
+            tree_valid = validation.ok
+        else:
+            engine = default_engines(cell.n_keys, include=[cell.engine])[0]
+            engine.telemetry = telemetry
+            result = engine.run(workload)
+        doc = result_to_dict(result)
+        if telemetry is not None:
+            doc["metrics"] = telemetry.registry.as_dict()
+        if watts != default_watts:
+            # Energy = power x time (model/costs.py), so re-pricing a run
+            # under the spec's power model is an exact linear rescale.
+            doc["energy_joules"] = doc["energy_joules"] * watts / default_watts
     doc["cell"] = {
         "engine": cell.engine,
         "workload": cell.workload,

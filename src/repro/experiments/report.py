@@ -9,7 +9,7 @@ schema contract stays honest:
   seed named, so any single cell is re-runnable), median across
   repeats, energy and p99 at the best run, and a Mann–Whitney
   significance verdict against the spec's baseline engine
-  (:mod:`repro.experiments.stats`);
+  (:mod:`repro.experiments.stats`), plus a fault row's ``verdict``;
 * :func:`render_markdown` / :func:`render_html` — formatting only, no
   store access and no arithmetic beyond printf.
 
@@ -26,15 +26,67 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.experiments.campaign import expand_spec
-from repro.experiments.spec import CampaignSpec
+from repro.experiments.spec import CRASH_FAULT, NO_FAULT, CampaignSpec, parse_fault
 from repro.experiments.stats import ALPHA, mann_whitney_u, median
 from repro.experiments.store import ResultStore
+from repro.harness import resilience
 
 #: Markdown banner: the one rule about the generated file.
 GENERATED_BANNER = (
     "<!-- GENERATED FILE - do not hand-edit. "
     "Regenerate with: repro campaign report -->"
 )
+
+
+def _cell_key(engine: str, workload: str, seed: int, fault: str) -> str:
+    return f"{engine}/{workload}/seed={seed}/{fault}"
+
+
+def _crash_verdict(runs: List[Dict[str, object]]) -> Dict[str, object]:
+    """Recovery trials of a ``crash`` row: counts, and every trial."""
+    return {
+        "trials": len(runs),
+        "exact": sum(1 for r in runs if r["state_matches"]),
+        "tree_valid": sum(1 for r in runs if r["cell"]["tree_valid"]),
+        "ok": all(r["ok"] for r in runs),
+        "runs": [
+            {k: v for k, v in r.items() if k not in ("cell", "_seed")}
+            for r in runs
+        ],
+    }
+
+
+def _fault_verdict(
+    spec: CampaignSpec, cells: Dict[str, Dict[str, object]], fault: str,
+    engine: str, workload: str, runs: List[Dict[str, object]],
+) -> Dict[str, object]:
+    """Worst-seed degradation against the ``none`` cells of the same
+    engine, workload and seed (``None`` when there are none)."""
+    kind, arg = parse_fault(fault)
+    proportional = resilience.proportional_loss_ratio(
+        resilience.chaos_config(spec.n_keys).n_sous,
+        int(arg) if kind == "sou-failstop" else 0,
+    )
+    degradations: Dict[int, float] = {}
+    for run in runs:
+        seed = int(run["_seed"])
+        healthy = cells.get(_cell_key(engine, workload, seed, NO_FAULT))
+        if healthy is not None and healthy["status"] == "ok":
+            degradations[seed] = resilience.degradation_ratio(
+                float(healthy["payload"]["throughput_mops"]),
+                float(run["throughput_mops"]),
+            )
+    worst = max(degradations, key=degradations.__getitem__, default=None)
+    degradation = degradations.get(worst)
+    tree_valid = all(run["cell"]["tree_valid"] for run in runs)
+    return {
+        "degradation": degradation,
+        "worst_seed": worst,
+        "proportional_loss": proportional,
+        "tree_valid": tree_valid,
+        "graceful": degradation is not None
+        and resilience.is_graceful(tree_valid, degradation, proportional),
+    }
 
 
 def _group_rows(
@@ -46,15 +98,12 @@ def _group_rows(
     errors: List[str] = []
     baseline_rates: Dict[Tuple[str, str], List[float]] = {}
 
-    def cell_key(engine: str, workload: str, seed: int, fault: str) -> str:
-        return f"{engine}/{workload}/seed={seed}/{fault}"
-
     for fault in spec.faults:
         for workload in spec.workloads:
             for engine in spec.engines:
                 runs: List[Dict[str, object]] = []
                 for seed in spec.seeds:
-                    key = cell_key(engine, workload, seed, fault)
+                    key = _cell_key(engine, workload, seed, fault)
                     cell = cells.get(key)
                     if cell is None:
                         missing.append(key)
@@ -66,6 +115,13 @@ def _group_rows(
                     payload["_seed"] = seed
                     runs.append(payload)
                 if not runs:
+                    continue
+                if fault == CRASH_FAULT:  # no throughput: trials instead
+                    rows.append(dict(
+                        fault=fault, workload=workload, engine=engine,
+                        n=len(runs), seeds=[int(r["_seed"]) for r in runs],
+                        verdict=_crash_verdict(runs),
+                    ))
                     continue
                 rates = [float(r["throughput_mops"]) for r in runs]
                 best = max(
@@ -85,11 +141,17 @@ def _group_rows(
                     "best_p99_us": latency.get("p99_us"),
                     "rates": rates,
                 }
+                if fault != NO_FAULT:
+                    row["verdict"] = _fault_verdict(
+                        spec, cells, fault, engine, workload, runs
+                    )
                 if engine == spec.baseline_engine:
                     baseline_rates[(fault, workload)] = rates
                 rows.append(row)
 
     for row in rows:
+        if "rates" not in row:  # a crash row has no throughput to test
+            continue
         base = baseline_rates.get((row["fault"], row["workload"]))
         if row["engine"] == spec.baseline_engine or not base:
             row["vs_baseline"] = None
@@ -108,7 +170,7 @@ def _group_rows(
             "significant": test["p"] < ALPHA,
         }
     for row in rows:
-        del row["rates"]
+        row.pop("rates", None)
     return rows, missing, errors
 
 
@@ -177,6 +239,22 @@ def _fault_title(fault: str) -> str:
     return "healthy" if fault == "none" else f"fault: {fault}"
 
 
+def _fault_verdict_text(row: Dict[str, object]) -> str:
+    """The extra column of a fault table."""
+    verdict = row["verdict"]
+    if "trials" in verdict:
+        return (
+            f"{verdict['exact']}/{verdict['trials']} EXACT, "
+            f"{verdict['tree_valid']}/{verdict['trials']} tree valid"
+        )
+    return (
+        f"degradation {_fmt(verdict['degradation'], 2)} vs proportional "
+        f"{verdict['proportional_loss']:.2f}, tree "
+        + ("ok, " if verdict["tree_valid"] else "BROKEN, ")
+        + ("graceful" if verdict["graceful"] else "NOT graceful")
+    )
+
+
 def render_markdown(report: Dict[str, object]) -> str:
     """The campaign report as Markdown (the EXPERIMENTS.md payload)."""
     spec = report["spec"]
@@ -218,19 +296,21 @@ def render_markdown(report: Dict[str, object]) -> str:
             ]
             if not group:
                 continue
+            faulted = fault != NO_FAULT
             lines.append(f"## {workload} ({_fault_title(fault)})")
             lines.append("")
-            lines.append(header)
-            lines.append(divider)
+            lines.append(header + (" fault verdict |" if faulted else ""))
+            lines.append(divider + ("---|" if faulted else ""))
             for row in group:
                 lines.append(
                     f"| {row['engine']} "
-                    f"| {_fmt(row['best_throughput_mops'])} "
-                    f"| {row['best_seed']} "
-                    f"| {_fmt(row['median_throughput_mops'])} "
-                    f"| {_fmt(row['best_energy_joules'], 4)} "
-                    f"| {_fmt(row['best_p99_us'], 2)} "
+                    f"| {_fmt(row.get('best_throughput_mops'))} "
+                    f"| {row.get('best_seed', '-')} "
+                    f"| {_fmt(row.get('median_throughput_mops'))} "
+                    f"| {_fmt(row.get('best_energy_joules'), 4)} "
+                    f"| {_fmt(row.get('best_p99_us'), 2)} "
                     f"| {_verdict(row)} |"
+                    + (f" {_fault_verdict_text(row)} |" if faulted else "")
                 )
             lines.append("")
     if report["error_cells"]:
@@ -303,10 +383,13 @@ def render_html(report: Dict[str, object]) -> str:
                 f"<caption>{_html_escape(str(workload))} "
                 f"({_html_escape(_fault_title(str(fault)))})</caption>"
             )
+            faulted = fault != NO_FAULT
             parts.append(
                 "<tr><th>engine</th><th>best Mops/s</th><th>seed</th>"
                 "<th>median Mops/s</th><th>energy J</th>"
-                "<th>p99 &micro;s</th><th>vs baseline</th></tr>"
+                "<th>p99 &micro;s</th><th>vs baseline</th>"
+                + ("<th>fault verdict</th>" if faulted else "")
+                + "</tr>"
             )
             for row in group:
                 vs = row.get("vs_baseline")
@@ -316,13 +399,15 @@ def render_html(report: Dict[str, object]) -> str:
                 parts.append(
                     "<tr>"
                     f"<td>{_html_escape(str(row['engine']))}</td>"
-                    f"<td>{_fmt(row['best_throughput_mops'])}</td>"
-                    f"<td>{row['best_seed']}</td>"
-                    f"<td>{_fmt(row['median_throughput_mops'])}</td>"
-                    f"<td>{_fmt(row['best_energy_joules'], 4)}</td>"
-                    f"<td>{_fmt(row['best_p99_us'], 2)}</td>"
+                    f"<td>{_fmt(row.get('best_throughput_mops'))}</td>"
+                    f"<td>{row.get('best_seed', '-')}</td>"
+                    f"<td>{_fmt(row.get('median_throughput_mops'))}</td>"
+                    f"<td>{_fmt(row.get('best_energy_joules'), 4)}</td>"
+                    f"<td>{_fmt(row.get('best_p99_us'), 2)}</td>"
                     f"<td>{verdict}</td>"
-                    "</tr>"
+                    + (f"<td>{_html_escape(_fault_verdict_text(row))}</td>"
+                       if faulted else "")
+                    + "</tr>"
                 )
             parts.append("</table>")
     if report["error_cells"]:

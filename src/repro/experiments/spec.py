@@ -23,7 +23,10 @@ import os
 from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.core.config import DCARTConfig
 from repro.errors import ConfigError
+from repro.faults import FaultSchedule
+from repro.harness.resilience import chaos_config, chaos_schedule
 from repro.harness.runner import ENGINE_ORDER, EXTENSION_ENGINES
 from repro.model.costs import DEFAULT_POWER, PowerModel
 from repro.workloads import WORKLOAD_NAMES
@@ -40,6 +43,9 @@ FAULT_CAPABLE_ENGINES: Tuple[str, ...] = ("DCART",)
 #: The no-fault signature every campaign has by default.
 NO_FAULT = "none"
 
+#: The crash-recover-validate signature (a recovery verdict, no throughput).
+CRASH_FAULT = "crash"
+
 
 def parse_fault(signature: str) -> Tuple[str, Optional[float]]:
     """Validate and split a fault signature into ``(kind, argument)``.
@@ -47,19 +53,21 @@ def parse_fault(signature: str) -> Tuple[str, Optional[float]]:
     Supported signatures:
 
     * ``"none"`` — the healthy run;
+    * ``"crash"`` — kill a durable run at a seed-drawn point, recover,
+      and check the recovered tree against the committed prefix;
     * ``"sou-failstop:N"`` — fail-stop N SOUs at batch 0 (N ≥ 1);
     * ``"hbm-throttle:F"`` — HBM bandwidth × F over the second half of
       the run (0 < F < 1).
     """
     if not isinstance(signature, str):
         raise ConfigError(f"fault signature must be a string: {signature!r}")
-    if signature == NO_FAULT:
-        return (NO_FAULT, None)
+    if signature in (NO_FAULT, CRASH_FAULT):
+        return (signature, None)
     kind, sep, arg = signature.partition(":")
     if not sep:
         raise ConfigError(
             f"bad fault signature {signature!r}: expected 'none', "
-            f"'sou-failstop:N', or 'hbm-throttle:F'"
+            f"'crash', 'sou-failstop:N', or 'hbm-throttle:F'"
         )
     if kind == "sou-failstop":
         try:
@@ -86,6 +94,18 @@ def parse_fault(signature: str) -> Tuple[str, Optional[float]]:
             )
         return (kind, factor)
     raise ConfigError(f"unknown fault kind {kind!r} in {signature!r}")
+
+
+def fault_schedule(
+    signature: str, config: DCARTConfig, n_ops: int, seed: int
+) -> FaultSchedule:
+    """The chaos schedule a fault signature runs (empty for none/crash)."""
+    kind, arg = parse_fault(signature)
+    return chaos_schedule(
+        config, n_ops, seed,
+        fail_sous=int(arg) if kind == "sou-failstop" else 0,
+        throttle=arg if kind == "hbm-throttle" else 1.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -160,22 +180,11 @@ class CampaignSpec:
         if len(set(self.faults)) != len(self.faults):
             raise ConfigError("duplicate fault signatures in campaign")
         for signature in self.faults:
-            kind, _ = parse_fault(signature)
-            if kind == "hbm-throttle":
-                # Fault cells run at the chaos batch size, and the throttle
-                # starts at batch 1: a one-batch run would never see it.
-                from repro.harness.resilience import chaos_config
-
-                batch_size = chaos_config(self.n_keys).batch_size
-                n_batches = -(-self.n_ops // batch_size)
-                if n_batches < 2:
-                    raise ConfigError(
-                        f"fault {signature!r} throttles the second half of "
-                        f"the run, but n_ops={self.n_ops} is {n_batches} "
-                        f"batch of {batch_size} ops; use n_ops > "
-                        f"{batch_size}"
-                    )
             if signature != NO_FAULT:
+                # A schedule the cells cannot run (a mid-run event on a
+                # one-batch run, too many dead SOUs) fails at load.
+                config = chaos_config(self.n_keys)
+                fault_schedule(signature, config, self.n_ops, self.seeds[0])
                 incapable = [
                     e for e in self.engines
                     if e not in FAULT_CAPABLE_ENGINES

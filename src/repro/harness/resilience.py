@@ -3,27 +3,27 @@
 Two contracts a production accelerator must honour:
 
 * **Degradation** — unit failures cost *throughput*, never
-  *correctness*.  :func:`chaos_run` executes one faulted DCART run,
-  re-validates every ART invariant on the final tree, and compares
-  against the healthy baseline; :func:`degradation_curve` sweeps the
-  number of fail-stopped SOUs (0..15) against the *proportional* limit
-  (``n_sous / survivors``); graceful means within 2x of proportional.
+  *correctness*.  :func:`faulted_run` executes DCART under a
+  :func:`chaos_schedule` and re-validates every ART invariant on the
+  final tree; :func:`chaos_run` compares it against the healthy
+  baseline and the *proportional* limit (``n_sous / survivors``);
+  graceful means within 2x of proportional.
 * **Durability** — a crash costs the *uncommitted tail*, never the
   committed prefix.  :func:`crash_recover_verify` kills one durable run
   at a seeded point of the WAL/checkpoint/replay protocol, recovers,
   and proves the rebuilt tree (a) passes the standalone invariant
   validator and (b) exactly equals the committed-prefix reference —
   the bulk load plus every *committed* batch replayed in order.
-  :func:`crash_recovery_campaign` sweeps that over many seeds (the
-  acceptance loop: >= 50 random crash points, all exact).
+
+Grids of these runs are campaigns (:mod:`repro.experiments.campaign`).
 """
 
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
-from typing import Dict, Optional
+from typing import Optional, Tuple
 
 from repro.art.tree import AdaptiveRadixTree
 from repro.art.validate import ValidationReport, validate_tree
@@ -32,9 +32,9 @@ from repro.core.config import DCARTConfig
 from repro.durability import DurabilityManager, recover
 from repro.durability.manager import CRASH_POINTS
 from repro.engines.base import RunResult
-from repro.errors import KeyNotFoundError, SimulatedCrash
+from repro.errors import ConfigError, KeyNotFoundError, SimulatedCrash
 from repro.faults import CrashFault, FaultInjector, FaultSchedule, Watchdog
-from repro.harness.experiments import ExperimentResult
+from repro.faults.schedule import BufferStorm, HbmThrottle, ShortcutCorruption
 from repro.harness.runner import scaled_dcart_config
 from repro.log import get_logger
 from repro.workloads import make_workload
@@ -60,6 +60,66 @@ def chaos_config(
     return scaled_dcart_config(n_keys, DCARTConfig(batch_size=batch_size))
 
 
+def chaos_schedule(
+    config: DCARTConfig, n_ops: int, seed: int, *, fail_sous: int = 0,
+    corrupt_shortcuts: int = 0, storm: float = 0.0, throttle: float = 1.0,
+) -> FaultSchedule:
+    """Place a chaos scenario's events on a run of ``n_ops`` operations.
+
+    Seed-chosen SOUs fail at batch 0; corruption and the storm land at
+    batch ``n_batches // 2``, and the throttle covers batches
+    ``n_batches // 2`` to ``n_batches - 1``.  A mid-run event on a run of
+    fewer than two batches is a :class:`ConfigError`.
+    """
+    n_batches = -(-n_ops // config.batch_size)
+    mid = n_batches // 2
+    mid_run = []
+    if corrupt_shortcuts > 0:
+        mid_run.append(ShortcutCorruption(mid, corrupt_shortcuts))
+    if storm > 0.0:
+        mid_run.append(BufferStorm(mid, storm))
+    if throttle < 1.0:
+        mid_run.append(HbmThrottle(mid, n_batches - 1, throttle))
+    if mid_run and n_batches < 2:
+        raise ConfigError(
+            f"{type(mid_run[0]).__name__} lands mid-run and needs a second "
+            f"batch, but n_ops={n_ops} is {n_batches} batch of "
+            f"{config.batch_size} ops; use n_ops > {config.batch_size}"
+        )
+    failures = FaultSchedule.fail_sous(fail_sous, seed, n_sous=config.n_sous)
+    return FaultSchedule(seed=seed, events=failures.events + tuple(mid_run))
+
+
+def degradation_ratio(healthy_mops: float, faulted_mops: float) -> float:
+    """Observed slowdown: healthy throughput over faulted throughput.
+
+    Vacuous comparisons are 1.0, not a division blow-up: an empty
+    workload (both runs at zero throughput) did not degrade, it
+    measured nothing.  ``inf`` is reserved for a genuine stall — the
+    healthy machine made progress and the faulted one did not.
+    """
+    if healthy_mops == 0:
+        return 1.0
+    if faulted_mops == 0:
+        return float("inf")
+    return healthy_mops / faulted_mops
+
+
+def proportional_loss_ratio(n_sous: int, n_failed: int) -> float:
+    """Slowdown of a perfectly rebalanced machine losing ``n_failed`` units."""
+    if n_sous <= 0:
+        return 1.0
+    survivors = n_sous - n_failed
+    if survivors <= 0:
+        return float("inf")
+    return n_sous / survivors
+
+
+def is_graceful(tree_valid: bool, degradation: float, proportional: float) -> bool:
+    """Within the 2x-of-proportional degradation bound, and correct."""
+    return tree_valid and degradation <= GRACEFUL_FACTOR * proportional
+
+
 @dataclass
 class ChaosOutcome:
     """One faulted run, its healthy baseline, and the correctness oracle."""
@@ -76,36 +136,17 @@ class ChaosOutcome:
 
     @property
     def degradation(self) -> float:
-        """Observed slowdown: healthy throughput over faulted throughput.
-
-        Vacuous comparisons are 1.0, not a division blow-up: an empty
-        workload (both runs at zero throughput) did not degrade, it
-        measured nothing.  ``inf`` is reserved for a genuine stall —
-        the healthy machine made progress and the faulted one did not.
-        """
-        if self.baseline.throughput_mops == 0:
-            return 1.0
-        if self.result.throughput_mops == 0:
-            return float("inf")
-        return self.baseline.throughput_mops / self.result.throughput_mops
+        return degradation_ratio(
+            self.baseline.throughput_mops, self.result.throughput_mops
+        )
 
     @property
     def proportional_loss(self) -> float:
-        """Slowdown of a perfectly rebalanced machine losing those units."""
-        if self.n_sous <= 0:
-            return 1.0
-        survivors = self.n_sous - self.n_failed
-        if survivors <= 0:
-            return float("inf")
-        return self.n_sous / survivors
+        return proportional_loss_ratio(self.n_sous, self.n_failed)
 
     @property
     def graceful(self) -> bool:
-        """Within the 2x-of-proportional degradation bound, and correct."""
-        return (
-            self.validation.ok
-            and self.degradation <= GRACEFUL_FACTOR * self.proportional_loss
-        )
+        return is_graceful(self.validation.ok, self.degradation, self.proportional_loss)
 
     def summary(self) -> str:
         return (
@@ -116,6 +157,29 @@ class ChaosOutcome:
             f"(proportional {self.proportional_loss:.2f}x), "
             f"tree {self.validation.summary()}"
         )
+
+
+def faulted_run(
+    config: DCARTConfig, workload: Workload, schedule: FaultSchedule, *,
+    watchdog: Optional[Watchdog] = None, telemetry=None,
+) -> Tuple[RunResult, ValidationReport]:
+    """Build the tree, run ``workload`` under ``schedule``, validate.
+
+    An empty schedule reads the same throughput as no injector at all.
+    """
+    # n_shards=0: a single-machine chaos run must refuse a schedule
+    # carrying cluster-level events rather than silently ignore them.
+    injector = FaultInjector(
+        schedule.validate_sous(config.n_sous).validate_shards(0),
+        watchdog=watchdog,
+    )
+    accelerator = DcartAccelerator(
+        config=config, injector=injector, telemetry=telemetry
+    )
+    tree = accelerator.build_tree(workload)
+    LOG.info("chaos run starting: %s", schedule.describe())
+    result = accelerator.run(workload, tree=tree)
+    return result, validate_tree(tree)
 
 
 def chaos_run(
@@ -134,7 +198,7 @@ def chaos_run(
 
     With no explicit ``schedule``, fail-stops ``n_failed`` seed-chosen
     SOUs at batch 0.  ``workload``/``baseline``/``config`` may be passed
-    in to share across a sweep; anything omitted is built here.
+    in to share across runs; anything omitted is built here.
     A :class:`~repro.errors.FaultError` (watchdog, all units dead)
     propagates to the caller — that *is* the experiment's result for
     non-survivable scenarios.
@@ -146,23 +210,10 @@ def chaos_run(
             workload_name, n_keys=n_keys, n_ops=n_ops, seed=seed
         )
     if schedule is None:
-        schedule = FaultSchedule.fail_sous(
-            n_failed, seed, n_sous=config.n_sous, at_batch=0
-        )
+        schedule = chaos_schedule(config, workload.n_ops, seed, fail_sous=n_failed)
     if baseline is None:
         baseline = DcartAccelerator(config=config).run(workload)
-
-    # n_shards=0: a single-machine chaos run must refuse a schedule
-    # carrying cluster-level events rather than silently ignore them.
-    injector = FaultInjector(
-        schedule.validate_sous(config.n_sous).validate_shards(0),
-        watchdog=watchdog,
-    )
-    accelerator = DcartAccelerator(config=config, injector=injector)
-    tree = accelerator.build_tree(workload)
-    LOG.info("chaos run starting: %s", schedule.describe())
-    result = accelerator.run(workload, tree=tree)
-    validation = validate_tree(tree)
+    result, validation = faulted_run(config, workload, schedule, watchdog=watchdog)
     outcome = ChaosOutcome(
         schedule=schedule,
         result=result,
@@ -172,68 +223,6 @@ def chaos_run(
     )
     LOG.info("%s", outcome.summary())
     return outcome
-
-
-def degradation_curve(
-    n_keys: int = DEFAULT_KEYS,
-    n_ops: int = DEFAULT_OPS,
-    seed: int = 1,
-    workload_name: str = "IPGEO",
-    max_failed: Optional[int] = None,
-) -> ExperimentResult:
-    """Throughput and p99 latency vs. number of fail-stopped SOUs.
-
-    The headline resilience figure: one row per failure count from 0 to
-    ``n_sous - 1``, the whole curve sharing one workload and one healthy
-    baseline so every difference is the fault model's doing.
-    """
-    config = chaos_config(n_keys)
-    if max_failed is None:
-        max_failed = config.n_sous - 1
-    workload = make_workload(workload_name, n_keys=n_keys, n_ops=n_ops, seed=seed)
-    baseline = DcartAccelerator(config=config).run(workload)
-
-    rows = []
-    raw: dict = {workload_name: {}}
-    for n_failed in range(0, max_failed + 1):
-        outcome = chaos_run(
-            n_failed=n_failed,
-            seed=seed,
-            config=config,
-            workload=workload,
-            baseline=baseline,
-        )
-        raw[workload_name][f"failed={n_failed}"] = outcome.result
-        rows.append(
-            [
-                n_failed,
-                outcome.result.throughput_mops,
-                outcome.result.p99_latency_us,
-                outcome.degradation,
-                outcome.proportional_loss,
-                "yes" if outcome.graceful else "NO",
-                "ok" if outcome.validation.ok else "BROKEN",
-            ]
-        )
-    return ExperimentResult(
-        f"Resilience - degradation vs. failed SOUs ({workload_name})",
-        [
-            "failed SOUs",
-            "Mops/s",
-            "p99 (us)",
-            "degradation (x)",
-            "proportional (x)",
-            "graceful",
-            "tree",
-        ],
-        rows,
-        notes=(
-            "graceful = degradation within "
-            f"{GRACEFUL_FACTOR:g}x of the proportional capacity loss; "
-            "tree = ART invariant validator verdict on the final tree"
-        ),
-        raw=raw,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +281,6 @@ class CrashRecoveryOutcome:
     validation: ValidationReport
     #: Recovered tree's (key, value) set exactly equals the reference's.
     state_matches: bool
-    extra: Dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -320,6 +308,8 @@ def crash_recover_verify(
     n_keys: int = DEFAULT_KEYS,
     n_ops: int = DEFAULT_OPS,
     checkpoint_every: int = 3,
+    write_ratio: Optional[float] = None,
+    op_skew: Optional[float] = None,
 ) -> CrashRecoveryOutcome:
     """Kill one durable run at a seeded crash point, recover, verify.
 
@@ -327,18 +317,26 @@ def crash_recover_verify(
     seed (point from :data:`CRASH_MATRIX`, batch uniformly over the
     run).  The ``replay`` point lets the run complete, then crashes the
     *first recovery* mid-replay and recovers again — proving recovery is
-    idempotent over unchanged files.
+    idempotent over unchanged files.  With no ``directory`` the trial
+    runs in a temporary one, removed once the verdict is in.
     """
+    if directory is None:
+        with tempfile.TemporaryDirectory(prefix="dcart-crash-") as scratch:
+            return crash_recover_verify(
+                seed, scratch, crash_point, crash_batch, workload_name,
+                n_keys, n_ops, checkpoint_every, write_ratio, op_skew,
+            )
     rng = Random(seed)
-    workload = make_workload(workload_name, n_keys=n_keys, n_ops=n_ops, seed=seed)
+    workload = make_workload(
+        workload_name, n_keys=n_keys, n_ops=n_ops, seed=seed,
+        write_ratio=write_ratio, op_skew=op_skew,
+    )
     config = chaos_config(n_keys)
     n_batches = -(-n_ops // config.batch_size)
     point = crash_point if crash_point is not None else rng.choice(CRASH_MATRIX)
     batch = (
         crash_batch if crash_batch is not None else rng.randrange(max(1, n_batches))
     )
-    if directory is None:
-        directory = tempfile.mkdtemp(prefix="dcart-crash-")
 
     durability = DurabilityManager(directory, checkpoint_every=checkpoint_every)
     injector = None
@@ -394,69 +392,3 @@ def crash_recover_verify(
     )
     LOG.info("%s", outcome.summary())
     return outcome
-
-
-def crash_recovery_campaign(
-    n_trials: int = 50,
-    seed: int = 1,
-    workload_name: str = "IPGEO",
-    n_keys: int = DEFAULT_KEYS,
-    n_ops: int = DEFAULT_OPS,
-    checkpoint_every: int = 3,
-) -> ExperimentResult:
-    """The seeded crash–recover–validate loop (acceptance: all EXACT).
-
-    Each trial gets its own seed (``seed + i``), its own temp directory,
-    and a kill point drawn from the full matrix.  The rendered table is
-    the durability counterpart of the degradation curve: one row per
-    crash, and the verdict columns must read ``ok`` / ``EXACT`` on every
-    single one.
-    """
-    rows = []
-    all_ok = True
-    for trial in range(n_trials):
-        outcome = crash_recover_verify(
-            seed=seed + trial,
-            workload_name=workload_name,
-            n_keys=n_keys,
-            n_ops=n_ops,
-            checkpoint_every=checkpoint_every,
-        )
-        all_ok = all_ok and outcome.ok
-        rows.append(
-            [
-                outcome.seed,
-                outcome.crash_point,
-                outcome.crash_batch,
-                outcome.committed_through,
-                outcome.ops_replayed,
-                outcome.uncommitted_ops_skipped,
-                "yes" if outcome.torn_tail_detected else "no",
-                outcome.checkpoints_skipped,
-                "ok" if outcome.validation.ok else "BROKEN",
-                "EXACT" if outcome.state_matches else "DIVERGED",
-            ]
-        )
-    result = ExperimentResult(
-        f"Durability - crash/recover/validate x{n_trials} ({workload_name})",
-        [
-            "seed",
-            "crash point",
-            "batch",
-            "committed",
-            "replayed ops",
-            "skipped ops",
-            "torn tail",
-            "ckpts skipped",
-            "tree",
-            "state",
-        ],
-        rows,
-        notes=(
-            "state EXACT = recovered tree's key/value set equals the "
-            "committed-prefix reference; torn trailing WAL records are "
-            "CRC-detected and skipped, never applied"
-        ),
-    )
-    result.raw = {"all_ok": all_ok}
-    return result

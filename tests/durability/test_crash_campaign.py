@@ -5,8 +5,12 @@ the chaos-marked campaign runs the full >= 50 seeded random crash points
 and demands EXACT recovery on every single one.
 """
 
+import os
+import tempfile
+
 import pytest
 
+from repro.experiments import CampaignSpec, ResultStore, build_report, run_campaign
 from repro.harness import resilience
 
 
@@ -51,16 +55,39 @@ class TestCrashMatrixSmoke:
         assert outcome.torn_tail_detected
         assert outcome.ok
 
+    def test_scratch_directory_is_removed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        outcome = resilience.crash_recover_verify(
+            seed=11, n_keys=800, n_ops=6_000
+        )
+        assert outcome.ok
+        assert not os.listdir(tmp_path)
+        # A directory the caller names is the caller's: it is kept.
+        kept = str(tmp_path / "kept")
+        resilience.crash_recover_verify(
+            seed=11, directory=kept, n_keys=800, n_ops=6_000
+        )
+        assert os.listdir(kept)
+
 
 @pytest.mark.chaos
 class TestCrashCampaign:
     def test_fifty_random_crash_points_all_exact(self):
-        result = resilience.crash_recovery_campaign(n_trials=50, seed=1)
-        assert result.raw["all_ok"], result.render()
-        assert len(result.rows) == 50
-        for row in result.rows:
-            assert row[-2] == "ok", result.render()
-            assert row[-1] == "EXACT", result.render()
+        spec = CampaignSpec(
+            name="crash-fifty", engines=("DCART",), workloads=("IPGEO",),
+            seeds=tuple(range(1, 51)), n_keys=resilience.DEFAULT_KEYS,
+            n_ops=resilience.DEFAULT_OPS, faults=("crash",),
+        )
+        with ResultStore(":memory:") as store:
+            run_campaign(spec, store, git_sha="unstamped")
+            report = build_report(spec, store, git_sha="unstamped")
+        assert report["complete"]
+        (row,) = report["rows"]
+        verdict = row["verdict"]
+        assert verdict["trials"] == 50
+        assert verdict["ok"], verdict
+        assert verdict["tree_valid"] == 50, verdict
+        assert verdict["exact"] == 50, verdict
         # The seeded draw must exercise the whole matrix, not one corner.
-        points = {row[1] for row in result.rows}
+        points = {run["crash_point"] for run in verdict["runs"]}
         assert points == set(resilience.CRASH_MATRIX)

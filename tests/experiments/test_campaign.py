@@ -23,6 +23,8 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.spec import KNOWN_ENGINES, CampaignSpec
 from repro.experiments.store import ResultStore
+from repro.harness import resilience
+from repro.harness.serialize import result_to_dict
 
 
 def _spec(**overrides):
@@ -200,24 +202,56 @@ class TestRealCellExecution:
         assert doc["cell"]["tree_valid"] is True
         assert doc["throughput_mops"] > 0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "healthy DCART cells run the default_engines config, whose batch "
-        "is the 512 KiB scan buffer / 16 B = 32,768 ops, while fault cells "
-        "run resilience.chaos_config, whose batch is 2,048 ops; the "
-        "smaller batches overlap PCU and SOU work and outweigh two dead "
-        "SOUs"
-    ))
     def test_failed_sous_do_not_speed_dcart_up(self):
         # The workloads, scale and first seed of
-        # examples/campaigns/faults.toml.
+        # examples/campaigns/faults.toml.  The none cells come from the
+        # campaign grid: a hand-built one never sees the campaign's config.
+        spec = _spec(engines=("DCART",), seeds=(1,), n_keys=2_000,
+                     n_ops=20_000, faults=("none", "sou-failstop:2"))
+        with ResultStore(":memory:") as store:
+            run_campaign(spec, store, git_sha="unstamped")
+            cells = store.get_cells(spec.content_hash(), "unstamped", "full")
+
         def mops(workload, fault):
-            return run_campaign_cell(CampaignCell(
-                engine="DCART", workload=workload, seed=1, fault=fault,
-                n_keys=2_000, n_ops=20_000,
-            ))["throughput_mops"]
+            key = f"DCART/{workload}/seed=1/{fault}"
+            return cells[key]["payload"]["throughput_mops"]
 
         for workload in ("IPGEO", "DICT"):
             assert mops(workload, "sou-failstop:2") <= mops(workload, "none")
+
+    def test_fault_campaign_cells_equal_chaos_run(self):
+        spec = _spec(engines=("DCART",), workloads=("IPGEO",), seeds=(5,),
+                     n_keys=800, n_ops=6_000,
+                     faults=("none", "sou-failstop:3"))
+        healthy, faulted = (run_campaign_cell(c) for c in expand_spec(spec))
+        outcome = resilience.chaos_run(n_failed=3, seed=5, n_keys=800,
+                                       n_ops=6_000)
+        for doc, result in ((healthy, outcome.baseline),
+                            (faulted, outcome.result)):
+            expected = result_to_dict(result)
+            assert doc["throughput_mops"] == expected["throughput_mops"]
+            assert doc["latency"]["p99_us"] == expected["latency"]["p99_us"]
+        assert healthy["cell"]["tree_valid"] is True
+
+    def test_crash_cell_runs_its_own_workload(self):
+        cell = CampaignCell(engine="DCART", workload="IPGEO", seed=1,
+                            fault="crash", n_keys=800, n_ops=6_000,
+                            write_ratio=0.9)
+        doc = run_campaign_cell(cell)
+        assert "throughput_mops" not in doc
+        assert doc["ok"] and doc["cell"]["tree_valid"]
+
+        def trial(write_ratio):
+            outcome = resilience.crash_recover_verify(
+                seed=1, n_keys=800, n_ops=6_000, write_ratio=write_ratio
+            )
+            return (outcome.crash_point, outcome.ops_replayed,
+                    outcome.uncommitted_ops_skipped)
+
+        stored = (doc["crash_point"], doc["ops_replayed"],
+                  doc["uncommitted_ops_skipped"])
+        assert stored == trial(0.9)
+        assert stored != trial(None)
 
     def test_power_override_rescales_energy_exactly(self):
         base = run_campaign_cell(CampaignCell(

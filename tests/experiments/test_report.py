@@ -138,3 +138,41 @@ class TestRenderers:
             doc = build_report(spec, store, git_sha="unstamped")
             assert "Incomplete campaign" in render_markdown(doc)
             assert "Incomplete:" in render_html(doc)
+
+
+class TestFaultVerdicts:
+    @staticmethod
+    def _worker(cell):
+        # Seed 1 loses half its throughput to the fault, seed 2 a tenth.
+        rate = {
+            "none": {1: 40.0, 2: 50.0},
+            "sou-failstop:4": {1: 20.0, 2: 45.0},
+        }[cell.fault][cell.seed]
+        return {
+            "cell": {"engine": cell.engine, "seed": cell.seed,
+                     "tree_valid": True},
+            "throughput_mops": rate,
+            "energy_joules": 1.0 / rate,
+            "latency": {"p99_us": 100.0 / rate},
+        }
+
+    def test_worst_seed_in_fault_tables_only(self, tmp_path):
+        spec = _spec(engines=("DCART",), seeds=(1, 2),
+                     faults=("none", "sou-failstop:4"))
+        with ResultStore(str(tmp_path / "c.db")) as store:
+            run_campaign(spec, store, git_sha="unstamped",
+                         worker=self._worker)
+            doc = build_report(spec, store, git_sha="unstamped")
+        healthy, faulted = doc["rows"]
+        assert "verdict" not in healthy
+        assert faulted["verdict"] == {
+            "degradation": 2.0,
+            "worst_seed": 1,
+            "proportional_loss": 16 / 12,
+            "tree_valid": True,
+            "graceful": True,
+        }
+        healthy_table, fault_table = render_markdown(doc).split("## ")[1:]
+        assert "fault verdict" not in healthy_table
+        assert "degradation 2.00 vs proportional 1.33" in fault_table
+        assert "<th>fault verdict</th>" in render_html(doc)

@@ -81,6 +81,10 @@ class TestValidation:
             _spec(engines=("DCART",), faults=("hbm-throttle:0.1",),
                   n_ops=n_ops)
 
+    def test_more_failed_sous_than_the_machine_has_rejected(self):
+        with pytest.raises(ConfigError, match="16 of 16"):
+            _spec(engines=("DCART",), faults=("sou-failstop:16",))
+
     def test_throttle_with_two_batches_validates(self):
         spec = _spec(engines=("DCART",), faults=("hbm-throttle:0.1",),
                      n_ops=2_049)
@@ -104,6 +108,9 @@ class TestParseFault:
 
     def test_hbm_throttle(self):
         assert parse_fault("hbm-throttle:0.25") == ("hbm-throttle", 0.25)
+
+    def test_crash(self):
+        assert parse_fault("crash") == ("crash", None)
 
     @pytest.mark.parametrize("bad", [
         "sou-failstop", "sou-failstop:0", "sou-failstop:x",

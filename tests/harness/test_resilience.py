@@ -3,6 +3,13 @@
 import pytest
 
 from repro.art.validate import ValidationReport
+from repro.experiments import (
+    CampaignSpec,
+    ResultStore,
+    build_report,
+    render_markdown,
+    run_campaign,
+)
 from repro.harness import resilience
 from repro.workloads import make_workload
 
@@ -60,22 +67,26 @@ class TestChaosRun:
 
 
 class TestDegradationCurve:
-    def test_small_sweep_shape(self, shared):
-        curve = resilience.degradation_curve(
-            n_keys=N_KEYS, n_ops=N_OPS, max_failed=3
+    def test_small_sweep_shape(self):
+        faults = ("none", "sou-failstop:1", "sou-failstop:2", "sou-failstop:3")
+        spec = CampaignSpec(
+            name="curve", engines=("DCART",), workloads=("IPGEO",),
+            seeds=(1,), n_keys=N_KEYS, n_ops=N_OPS, faults=faults,
         )
-        assert len(curve.rows) == 4
-        assert curve.headers[0] == "failed SOUs"
-        assert [row[0] for row in curve.rows] == [0, 1, 2, 3]
+        with ResultStore(":memory:") as store:
+            run_campaign(spec, store, git_sha="unstamped")
+            cells = store.get_cells(spec.content_hash(), "unstamped", "full")
+            report = build_report(spec, store, git_sha="unstamped")
+        assert report["complete"]
+        assert [row["fault"] for row in report["rows"]] == list(faults)
+        verdicts = [row["verdict"] for row in report["rows"][1:]]
         # Degradation is monotone non-decreasing in failed units here:
-        # the curve shares one workload, so differences are fault-made.
-        degradations = [row[3] for row in curve.rows]
-        assert degradations[0] == pytest.approx(1.0)
-        assert all(row[6] == "ok" for row in curve.rows)
-        assert all(row[5] == "yes" for row in curve.rows)
-        assert "IPGEO" in curve.experiment
-        rendered = curve.render()
-        assert "degradation" in rendered
+        # every cell runs one workload, so differences are fault-made.
+        degradations = [1.0] + [v["degradation"] for v in verdicts]
+        assert degradations == sorted(degradations)
+        assert all(c["payload"]["cell"]["tree_valid"] for c in cells.values())
+        assert all(v["graceful"] for v in verdicts)
+        assert "degradation" in render_markdown(report)
 
 
 class TestVacuousOutcomes:

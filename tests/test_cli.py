@@ -144,13 +144,42 @@ class TestChaosCommand:
         # --throttle outside [0, 1] is a schedule error, not a crash.
         assert main(self.ARGS + ["--throttle", "-0.5"]) == 2
 
+    @pytest.mark.parametrize("event", [
+        ["--corrupt-shortcuts", "64"], ["--storm", "0.5"],
+        ["--throttle", "0.5"],
+    ], ids=" ".join)
+    def test_mid_run_event_needs_a_second_batch(self, event, capsys):
+        # --ops 2000 is one 2,048-op batch: the event has nowhere to land.
+        assert main(["chaos", "--keys", "800", "--ops", "2000"] + event) == 2
+        err = capsys.readouterr().err
+        assert "bad chaos scenario" in err
+        assert "1 batch of 2048" in err
+
+    def test_mid_run_events_land_on_a_second_batch(self, capsys):
+        assert main([
+            "chaos", "--keys", "800", "--ops", "2049",
+            "--corrupt-shortcuts", "64", "--storm", "0.5", "--json",
+        ]) == 0
+        extra = json.loads(capsys.readouterr().out)["result"]["extra"]
+        assert extra["shortcut_corruptions"] == 64
+        assert extra["storm_invalidations"] > 0
+
+    @pytest.mark.parametrize("event", [
+        ["--fail-sous", "2"], ["--corrupt-shortcuts", "64"],
+        ["--storm", "0.5"], ["--throttle", "0.25"],
+    ], ids=" ".join)
+    def test_sweep_takes_no_event_flags(self, event, capsys):
+        assert main(["chaos", "--sweep", "--keys", "600", "--ops", "4000"]
+                    + event) == 2
+        assert "bad chaos scenario" in capsys.readouterr().err
+
     def test_sweep_renders_curve(self, capsys):
         assert main([
             "chaos", "--keys", "600", "--ops", "4000", "--sweep",
         ]) == 0
         out = capsys.readouterr().out
         assert "degradation" in out
-        assert "failed SOUs" in out
+        assert "fault: sou-failstop:15" in out
 
     def test_sweep_json_to_file(self, capsys, tmp_path):
         path = str(tmp_path / "curve.json")
@@ -161,9 +190,10 @@ class TestChaosCommand:
         assert "wrote JSON to" in capsys.readouterr().out
         with open(path) as handle:
             data = json.load(handle)
-        assert data["all_graceful"] is True
-        assert data["headers"][0] == "failed SOUs"
+        assert data["schema"] == "campaign-report/v1"
+        assert data["complete"] is True
         assert len(data["rows"]) == 16
+        assert all(row["verdict"]["graceful"] for row in data["rows"][1:])
 
     def test_json_to_file(self, capsys, tmp_path):
         path = str(tmp_path / "chaos.json")
@@ -318,8 +348,8 @@ class TestDurabilityCommands:
             "--keys", "800", "--ops", "6000",
         ]) == 0
         out = capsys.readouterr().out
-        assert "crash/recover/validate" in out
-        assert "EXACT" in out
+        assert "fault: crash" in out
+        assert "2/2 EXACT" in out
 
 
 class TestFiguresCommand:
