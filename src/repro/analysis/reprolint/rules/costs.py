@@ -69,8 +69,7 @@ class Cost01RawCycleLiteral(Rule):
 
     **Contract**: all billed time flows through the calibrated constants
     of ``model/costs.py`` (``FpgaCosts``, ``DurabilityCosts``, ...), so
-    the paper's cycle model stays auditable in one file and the
-    perf-regression gate compares like with like.
+    the paper's cycle model stays auditable in one file.
 
     **Escape hatch**: ``# reprolint: disable=COST01 -- <why>`` — e.g. a
     unit conversion factor that is arithmetic, not billing.

@@ -133,7 +133,7 @@ class Det02WallClock(Rule):
     ``model/costs.py`` — real wall-clock must never influence a
     simulated result, or runs stop being reproducible and crash-recovery
     EXACT comparisons drift.  Host-side wall timing is sanctioned only
-    in ``harness/benchmarking.py`` (speed measurement) and ``log.py``
+    in ``harness/benchmarking.py`` (host-side stamps) and ``log.py``
     (timestamped log records), which the default scope excludes.
 
     **Escape hatch**: ``# reprolint: disable=DET02 -- <why>`` for a

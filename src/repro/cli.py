@@ -31,9 +31,12 @@ Commands:
   HBM / durability spans per batch) plus a terminal summary table.
 * ``stats`` — run one engine with a MetricsRegistry attached and
   pretty-print every counter/gauge (``--json`` for machine output).
-* ``bench`` — measure simulator speed (sim-ops/s, wall seconds, peak
-  RSS per engine); ``--record`` appends to ``BENCH_speed.json``,
-  ``--check`` fails on a >20 % regression vs the best prior entry.
+* ``bench`` — simulator speed as a paired A/B comparison: ``--ab REV``
+  runs perfbench on every ``BENCHMARK.json`` workload in this checkout
+  and in REV (a temporary worktree), ``--pairs N`` times with the first
+  side alternating, and prints a verdict per end-to-end metric (exit 1
+  on ``worse``); ``--record`` appends the comparison to
+  ``BENCH_speed.json``.
 * ``campaign`` — declarative experiment campaigns (docs/EXPERIMENTS.md):
   ``run`` executes a TOML/JSON spec's grid into the SQLite result store,
   skipping every already-completed cell (kill it, re-run it, it
@@ -71,7 +74,7 @@ Examples:
     python -m repro trace IPGEO --keys 2000 --ops 20000 --out trace.json
     python -m repro stats --engine DCART --workload RS
     python -m repro run --engine DCART --metrics metrics.json
-    python -m repro bench --quick --check --record
+    python -m repro bench --ab HEAD~1 --pairs 5 --record
     python -m repro lint
     python -m repro lint src/repro/core --json -
 """
@@ -278,8 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="enable the skew-driven bucket rebalancer "
                             "with --shards")
     serve.add_argument("--dir", default=None, metavar="DIR",
-                       help="durability directory for --fault crash "
-                            "(default: a fresh temp dir)")
+                       help="durability directory for --fault crash, "
+                            "kept after the run (default: a scratch "
+                            "directory, removed)")
     serve.add_argument("--json", nargs="?", const="-", default=None,
                        metavar="PATH",
                        help="emit the serve-sweep/v1 report as JSON")
@@ -346,27 +350,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit the registry as JSON (to PATH, or stdout)")
 
     bench = sub.add_parser(
-        "bench", help="measure simulator speed; record/check BENCH_speed.json"
+        "bench",
+        help="paired A/B speed comparison with REV over the perfbench "
+             "workloads; record it in BENCH_speed.json",
     )
-    bench.add_argument("--quick", action="store_true",
-                       help="CI-sized workload instead of the 1 M-op "
-                            "reference")
-    bench.add_argument("--engines", nargs="+", choices=ENGINE_NAMES,
-                       default=None,
-                       help="engines to time (default: ART DCART)")
+    bench.add_argument("--ab", required=True, metavar="REV",
+                       help="git revision to compare this checkout with "
+                            "(checked out into a temporary worktree)")
+    bench.add_argument("--pairs", type=int, default=10, metavar="N",
+                       help="pairs of runs per workload, first side "
+                            "alternating (default: 10)")
     bench.add_argument("--record", action="store_true",
-                       help="append this sample to the trajectory file")
-    bench.add_argument("--check", action="store_true",
-                       help="fail on >20%% sim-ops/s regression vs the best "
-                            "prior same-mode entry")
+                       help="append the comparison to the trajectory file "
+                            "as a schema-2 entry")
     bench.add_argument("--file", default=None, metavar="PATH",
                        help="trajectory file (default: BENCH_speed.json "
                             "at the repo root)")
-    bench.add_argument("--workload-cache", default=None, metavar="DIR",
-                       help="cache generated bench workloads in DIR")
-    bench.add_argument("--repeats", type=int, default=1, metavar="N",
-                       help="time each engine N times and keep the fastest "
-                            "(best-of-N; use >=3 on noisy/shared machines)")
 
     campaign = sub.add_parser(
         "campaign",
@@ -756,6 +755,7 @@ SERVE_DEFAULT_LOADS = (0.25, 0.5, 0.75, 1.0, 1.5)
 
 
 def _cmd_serve(args) -> int:
+    import contextlib
     import tempfile
 
     from repro.faults import FaultSchedule
@@ -784,7 +784,6 @@ def _cmd_serve(args) -> int:
     try:
         serve_config = ServeConfig(**overrides)
         schedule = None
-        durability_dir = None
         cluster_config = None
         if args.shards is not None:
             from repro.cluster import ClusterConfig
@@ -820,25 +819,25 @@ def _cmd_serve(args) -> int:
                     ),
                 ),
             )
-            durability_dir = (
-                args.dir if args.dir is not None
-                else tempfile.mkdtemp(prefix="dcart-serve-")
-            )
         loads = (
             args.load_sweep if args.load_sweep is not None
             else list(SERVE_DEFAULT_LOADS)
         )
-        report = load_sweep(
-            workload,
-            serve_config,
-            loads,
-            seed=args.seed,
-            engine=args.engine,
-            accel_config=accel_config,
-            schedule=schedule,
-            durability_dir=durability_dir,
-            cluster_config=cluster_config,
-        )
+        # A crash run needs durable state: under --dir it is kept,
+        # otherwise it lives in a scratch directory removed afterwards.
+        if args.fault != "crash":
+            state = contextlib.nullcontext(None)
+        elif args.dir is not None:
+            state = contextlib.nullcontext(args.dir)
+        else:
+            state = tempfile.TemporaryDirectory(prefix="dcart-serve-")
+        with state as durability_dir:
+            report = load_sweep(
+                workload, serve_config, loads, seed=args.seed,
+                engine=args.engine, accel_config=accel_config,
+                schedule=schedule, durability_dir=durability_dir,
+                cluster_config=cluster_config,
+            )
     except ConfigError as exc:
         print(f"bad serving setup: {exc}", file=sys.stderr)
         return 2
@@ -876,8 +875,8 @@ def _cmd_serve(args) -> int:
         widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
         for r in rows:
             print("  ".join(col.rjust(w) for col, w in zip(r, widths)))
-        if durability_dir is not None:
-            print(f"durable state under {durability_dir}")
+        if args.fault == "crash" and args.dir is not None:
+            print(f"durable state under {args.dir}")
 
     if args.fault != "none":
         recovered = any(
@@ -1046,41 +1045,29 @@ def _cmd_stats(args) -> int:
 def _cmd_bench(args) -> int:
     from repro.harness import benchmarking
 
-    engines = args.engines or list(benchmarking.DEFAULT_BENCH_ENGINES)
-    path = args.file
-    if path is None:
-        path = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.dirname(
-                os.path.abspath(__file__)
-            ))),
-            benchmarking.BENCH_FILENAME,
-        )
-    entry = benchmarking.run_bench(
-        engines=engines, quick=args.quick, cache_dir=args.workload_cache,
-        repeats=args.repeats,
+    path = args.file or os.path.join(
+        benchmarking.REPO_ROOT, benchmarking.BENCH_FILENAME
     )
-    print(benchmarking.format_entry(entry))
-    status = 0
-    # A corrupt/foreign trajectory file is a configuration problem, not
-    # a crash: one line on stderr and exit 2 (the CLI's bad-input code).
+    if args.record:
+        # A torn trajectory fails now, not after an hour of runs.
+        benchmarking.load_trajectory(path)
     try:
-        if args.check:
-            history = benchmarking.load_trajectory(path)["history"]
-            ok, messages = benchmarking.check_regression(entry, history)
-            for line in messages:
-                print(line)
-            if not ok:
-                print(
-                    "bench: performance regression detected", file=sys.stderr
-                )
-                status = 1
-        if args.record:
-            benchmarking.append_entry(path, entry)
-            print(f"recorded in {path}")
-    except ConfigError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
-    return status
+        entry = benchmarking.ab_compare(
+            args.ab, args.pairs,
+            progress=lambda line: print(line, file=sys.stderr, flush=True),
+        )
+    except benchmarking.RunFailed as exc:
+        print(f"repro bench: {exc}", file=sys.stderr)
+        return 1
+    print(benchmarking.render(entry))
+    if args.record:
+        benchmarking.append_entry(path, entry)
+        print(f"recorded in {path}")
+    worse = benchmarking.worse_verdicts(entry)
+    if worse:
+        print(f"repro bench: worse: {', '.join(worse)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_campaign(args) -> int:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 from repro.errors import ConfigError
 
@@ -464,29 +464,6 @@ class FaultSchedule:
             events=tuple(
                 ShardFailStop(at_batch, shard) for shard in sorted(victims)
             ),
-        )
-
-    @classmethod
-    def crash_at(
-        cls,
-        seed: int,
-        n_batches: int,
-        point: Optional[str] = None,
-        batch: Optional[int] = None,
-    ) -> "FaultSchedule":
-        """One seeded crash: point and batch drawn from the seed if omitted.
-
-        The crash loop's generator — 50 seeds give 50 distinct,
-        replayable kill points across the durability protocol.
-        """
-        if n_batches <= 0:
-            raise ConfigError(f"n_batches must be positive: {n_batches}")
-        rng = Random(seed)
-        chosen_point = point if point is not None else rng.choice(CRASH_POINTS)
-        chosen_batch = batch if batch is not None else rng.randrange(n_batches)
-        return cls(
-            seed=seed,
-            events=(CrashFault(chosen_batch, chosen_point, rng.randrange(1024)),),
         )
 
     @classmethod

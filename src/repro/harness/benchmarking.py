@@ -1,23 +1,14 @@
-"""Simulator-speed benchmarking and the perf-regression trajectory.
+"""Simulator speed, measured one way: paired A/B runs of perfbench.
 
-This module measures how fast the *simulator itself* runs — wall-clock
-sim-ops/second, not the modelled hardware throughput — so hot-path
-regressions are caught before they merge.  The canonical artefact is
-``BENCH_speed.json`` at the repo root: an append-only trajectory of
-samples, one per recorded invocation, each stamped with the git SHA and
-a timestamp.  CI runs ``repro bench --quick --check`` and fails when any
-engine's sim-ops/sec drops more than :data:`REGRESSION_THRESHOLD` below
-the best previous entry of the same mode.
-
-Two workload specs are defined:
-
-* the **reference** spec — the ISSUE's 1 M-op reference workload,
-  used for recorded full runs;
-* the **quick** spec — a 100 k-op slice of the same distribution for
-  CI, where a full run would dominate the job.
-
-Regression comparison only ever compares entries of the same mode, so a
-quick CI sample is never judged against a full local one.
+This is about how fast the *simulator itself* runs, not the modelled
+hardware throughput.  :func:`ab_compare` (``repro bench --ab REV``)
+checks REV out into a temporary ``git worktree`` and runs
+``perfbench/run.py`` on every ``BENCHMARK.json`` workload in both trees,
+pair after pair; :func:`verdict` judges each end-to-end metric by its
+``better`` and ``bound`` there.  ``BENCH_speed.json`` at the repo root
+is the append-only trajectory of recorded comparisons (schema-2
+entries; entries without a ``schema`` key are schema-1 samples of a
+retired timer).  docs/PERFORMANCE.md has the method and the schema.
 """
 
 from __future__ import annotations
@@ -25,89 +16,56 @@ from __future__ import annotations
 import json
 import os
 import resource
+import shutil
+import statistics
 import subprocess
+import sys
+import tempfile
 import time
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError
-from repro.harness.runner import default_engines
-from repro.workloads import make_workload
-from repro.workloads.ops import Workload
-
-#: Fractional sim-ops/sec drop (vs the best prior same-mode entry) that
-#: counts as a regression.  20 % leaves headroom for CI-runner noise.
-REGRESSION_THRESHOLD = 0.20
-
-#: The ISSUE's reference workload: 1 M ops, Zipf 0.99, 16 SOUs.
-REFERENCE_SPEC = {
-    "name": "IPGEO",
-    "n_keys": 100_000,
-    "n_ops": 1_000_000,
-    "seed": 42,
-    "op_skew": 0.99,
-}
-
-#: CI-sized slice of the same distribution.
-QUICK_SPEC = {
-    "name": "IPGEO",
-    "n_keys": 20_000,
-    "n_ops": 100_000,
-    "seed": 42,
-    "op_skew": 0.99,
-}
-
-#: Engines benchmarked by default: the pure-Python traversal engine and
-#: the full accelerator model (the two extremes of the hot path).
-DEFAULT_BENCH_ENGINES = ("ART", "DCART")
+from repro.errors import ConfigError, ReproError
 
 BENCH_FILENAME = "BENCH_speed.json"
 
+#: The root of the checkout that holds this package (src/repro/harness).
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__))
+)))
+
+#: The two trees of a comparison; pair 0 runs them in this order.
+SIDES = ("parent", "change")
+
+class RunFailed(ReproError):
+    """A perfbench run on either side failed or reported a wrong output."""
+
 
 @dataclass(frozen=True)
-class BenchSample:
-    """One engine's measurement inside one bench entry."""
+class Run:
+    """One perfbench invocation: its end-to-end metrics and digest.
 
-    engine: str
-    sim_ops_per_sec: float
-    wall_seconds: float
-    peak_rss_bytes: int
-    sim_throughput_mops: float
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "sim_ops_per_sec": self.sim_ops_per_sec,
-            "wall_seconds": self.wall_seconds,
-            "peak_rss_bytes": self.peak_rss_bytes,
-            "sim_throughput_mops": self.sim_throughput_mops,
-        }
-
-
-def reset_peak_rss() -> None:
-    """Reset the kernel's peak-RSS watermark for this process.
-
-    Writing ``"5"`` to ``/proc/self/clear_refs`` zeroes ``VmHWM``, so
-    the next :func:`peak_rss_bytes` reports the peak *since this reset*
-    rather than the process-lifetime high-water mark — without it every
-    engine benchmarked after the first inherits its predecessors' peak.
-    A no-op where the procfs knob does not exist (macOS, restricted
-    containers); there the lifetime fallback still applies.
+    ``problem`` is empty for a run that counts; otherwise it says why
+    the run does not (non-zero exit, ``correct: false``, failed ops).
     """
-    try:
-        with open("/proc/self/clear_refs", "w") as handle:  # reprolint: disable=DUR01 -- procfs knob, not durable state; there is no file to tear
-            handle.write("5")
-    except OSError:  # pragma: no cover - non-linux / restricted
-        pass
+
+    metrics: Dict[str, float] = field(default_factory=dict)
+    digest: str = ""
+    problem: str = ""
+
+
+#: ``runner(tree, workload)``: one perfbench run of ``workload`` in the
+#: checkout rooted at ``tree``.
+Runner = Callable[[str, str], Run]
 
 
 def peak_rss_bytes() -> int:
-    """Peak resident set size in bytes since the last reset.
+    """This process's peak resident set size in bytes.
 
-    Prefers ``VmHWM`` from ``/proc/self/status`` (resettable via
-    :func:`reset_peak_rss`, so each engine's sample is its own); falls
-    back to ``ru_maxrss`` where procfs is unavailable — a lifetime
-    number that can only overstate.  ``ru_maxrss`` is kilobytes on
-    Linux and bytes on macOS; normalise to bytes.
+    Prefers ``VmHWM`` from ``/proc/self/status``; falls back to
+    ``ru_maxrss`` where procfs is unavailable.  ``ru_maxrss`` is
+    kilobytes on Linux and bytes on macOS; normalise to bytes.
     """
     try:
         with open("/proc/self/status") as handle:
@@ -122,34 +80,38 @@ def peak_rss_bytes() -> int:
     return maxrss * 1024
 
 
-def git_sha(repo_dir: Optional[str] = None) -> str:
-    """The current commit SHA, or ``"unknown"`` outside a checkout.
-
-    A ``-dirty`` suffix marks measurements taken with uncommitted
-    changes, so a trajectory entry never silently claims to describe a
-    commit whose code it did not actually run.
-    """
+def _git(repo_dir: str, *args: str) -> Optional[str]:
+    """Stripped stdout of ``git -C repo_dir ARGS``, or None if it fails."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=repo_dir,
-            capture_output=True,
-            text=True,
-            timeout=10,
+        proc = subprocess.run(
+            ["git", "-C", repo_dir, *args],
+            capture_output=True, text=True, timeout=60,
         )
-        status = subprocess.run(
-            ["git", "status", "--porcelain"],
-            cwd=repo_dir,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except OSError:  # pragma: no cover - git missing
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _is_checkout(repo_dir: str) -> bool:
+    """True when ``repo_dir`` is the top level of a git work tree."""
+    top = _git(repo_dir, "rev-parse", "--show-toplevel")
+    return top is not None and os.path.realpath(top) == os.path.realpath(repo_dir)
+
+
+def git_sha(repo_dir: Optional[str] = None) -> str:
+    """The commit of ``repo_dir`` (default: the checkout running this code).
+
+    Git never runs in the working directory, so the stamp is the same
+    wherever the command was started; ``"unknown"`` when ``repo_dir`` is
+    not the top of a git checkout (an installed package).  A ``-dirty``
+    suffix marks uncommitted changes, so an entry never claims a commit
+    whose code it did not run.
+    """
+    repo_dir = REPO_ROOT if repo_dir is None else repo_dir
+    sha = _git(repo_dir, "rev-parse", "HEAD") if _is_checkout(repo_dir) else None
+    if sha is None:
         return "unknown"
-    if out.returncode != 0:
-        return "unknown"
-    sha = out.stdout.strip()
-    if status.returncode == 0 and status.stdout.strip():
+    if _git(repo_dir, "status", "--porcelain"):
         sha += "-dirty"
     return sha
 
@@ -165,101 +127,7 @@ def utc_stamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def bench_workload(
-    quick: bool = False, cache_dir: Optional[str] = None
-) -> Workload:
-    """Build (or load from ``cache_dir``) the benchmark workload.
-
-    The cache keys on the spec values, so a stale cache from a different
-    spec can never be replayed silently.
-    """
-    spec = QUICK_SPEC if quick else REFERENCE_SPEC
-    if cache_dir is not None:
-        from repro.workloads.trace import load_workload, save_workload
-
-        tag = "quick" if quick else "full"
-        stamp = "-".join(
-            f"{key}={spec[key]}" for key in sorted(spec)
-        ).replace("/", "_")
-        path = os.path.join(cache_dir, f"bench-{tag}-{stamp}.jsonl")
-        if os.path.exists(path):
-            return load_workload(path)
-        workload = make_workload(**spec)
-        os.makedirs(cache_dir, exist_ok=True)
-        save_workload(workload, path)
-        return workload
-    return make_workload(**spec)
-
-
-def bench_engine(
-    engine_name: str,
-    workload: Workload,
-    n_keys: int,
-    repeats: int = 1,
-) -> BenchSample:
-    """Time one engine's timed phase on a prebuilt tree.
-
-    Tree construction is excluded — the regression gate watches the
-    per-operation hot path, and build time would dilute it.
-
-    ``repeats`` runs the timed phase that many times and keeps the
-    fastest wall time (best-of-N).  On shared or cgroup-throttled
-    machines individual wall times can swing far more than any real
-    code change; the minimum is the standard robust estimator because
-    only slowdowns (scheduler preemption, throttling) perturb a run —
-    nothing makes code run faster than it can.
-    """
-    engine = default_engines(n_keys, include=[engine_name])[0]
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1: {repeats}")
-    reset_peak_rss()
-    wall = None
-    result = None
-    for _ in range(repeats):
-        tree = engine.build_tree(workload)
-        start = time.perf_counter()
-        result = engine.run(workload, tree=tree)
-        elapsed = time.perf_counter() - start
-        if wall is None or elapsed < wall:
-            wall = elapsed
-    n_ops = len(workload.operations)
-    return BenchSample(
-        engine=engine_name,
-        sim_ops_per_sec=n_ops / wall if wall > 0 else 0.0,
-        wall_seconds=wall,
-        peak_rss_bytes=peak_rss_bytes(),
-        sim_throughput_mops=result.throughput_mops,
-    )
-
-
-def run_bench(
-    engines: Iterable[str] = DEFAULT_BENCH_ENGINES,
-    quick: bool = False,
-    cache_dir: Optional[str] = None,
-    repeats: int = 1,
-) -> Dict[str, object]:
-    """Benchmark ``engines`` on the reference (or quick) workload.
-
-    Returns one trajectory entry: git SHA, timestamp, mode, workload
-    spec, and a per-engine sample dict.
-    """
-    spec = QUICK_SPEC if quick else REFERENCE_SPEC
-    workload = bench_workload(quick=quick, cache_dir=cache_dir)
-    samples = {}
-    for name in engines:
-        samples[name] = bench_engine(
-            name, workload, spec["n_keys"], repeats=repeats
-        ).to_dict()
-    return {
-        "git_sha": git_sha(),
-        "timestamp": utc_stamp(),
-        "mode": "quick" if quick else "full",
-        "workload": dict(spec),
-        "engines": samples,
-    }
-
-
-def load_trajectory(path: str) -> Dict[str, object]:
+def load_trajectory(path: str) -> Dict[str, Any]:
     """Read ``BENCH_speed.json`` (empty trajectory if absent).
 
     A torn or otherwise undecodable file surfaces as
@@ -286,7 +154,7 @@ def load_trajectory(path: str) -> Dict[str, object]:
     return doc
 
 
-def append_entry(path: str, entry: Dict[str, object]) -> None:
+def append_entry(path: str, entry: Dict[str, Any]) -> None:
     """Append one entry to the trajectory file (atomic rewrite).
 
     Follows the fsync-before-rename protocol (reprolint DUR01): the
@@ -305,89 +173,241 @@ def append_entry(path: str, entry: Dict[str, object]) -> None:
     os.replace(tmp, path)
 
 
-def check_regression(
-    entry: Dict[str, object],
-    history: List[Dict[str, object]],
-    threshold: float = REGRESSION_THRESHOLD,
-) -> Tuple[bool, List[str]]:
-    """Compare ``entry`` against the best same-mode history entries.
+def parse_run(returncode: int, stdout: str, stderr: str) -> Run:
+    """Read one perfbench invocation's exit code and output.
 
-    For each engine in ``entry``, find the best prior sim-ops/sec among
-    history entries of the same mode that measured that engine; flag a
-    regression when the new number is more than ``threshold`` below it.
-    Returns ``(ok, messages)`` where messages describe each comparison.
-
-    History entries from an older schema — or failed samples that never
-    recorded a rate — are skipped with a message rather than crashing
-    the gate mid-check: a decade-old trajectory must never be able to
-    take down today's CI run.
+    The metrics come from the JSON object on the last line; the digest
+    from the human-readable ``digest`` line above it.
     """
-    mode = entry["mode"]
-    messages: List[str] = []
-    ok = True
-    for engine, sample in entry["engines"].items():
-        best = None
-        skipped = 0
-        for prior in history:
-            if not isinstance(prior, dict) or prior.get("mode") != mode:
-                continue
-            engines = prior.get("engines")
-            if not isinstance(engines, dict):
-                continue
-            prior_sample = engines.get(engine)
-            if prior_sample is None:
-                continue
-            rate = (
-                prior_sample.get("sim_ops_per_sec")
-                if isinstance(prior_sample, dict)
-                else None
-            )
-            if not isinstance(rate, (int, float)):
-                skipped += 1
-                continue
-            if best is None or rate > best:
-                best = rate
-        if skipped:
-            messages.append(
-                f"{engine}: skipped {skipped} history "
-                f"entr{'y' if skipped == 1 else 'ies'} without "
-                f"sim_ops_per_sec (older schema or failed sample)"
-            )
-        new_rate = sample["sim_ops_per_sec"]
-        if best is None:
-            messages.append(
-                f"{engine}: {new_rate:,.0f} sim-ops/s (no {mode} baseline)"
-            )
-            continue
-        ratio = new_rate / best if best > 0 else float("inf")
-        line = (
-            f"{engine}: {new_rate:,.0f} sim-ops/s vs best {best:,.0f} "
-            f"({ratio:.2f}x)"
+    if returncode != 0:
+        last = (stderr.strip().splitlines() or ["no output on stderr"])[-1]
+        return Run(problem=f"exit {returncode}: {last}")
+    lines = stdout.strip().splitlines()
+    try:
+        doc = json.loads(lines[-1])
+        metrics = {k: float(m["value"]) for k, m in doc["metrics"].items()}
+        digest = next(line.split(None, 1)[1] for line in map(str.strip, lines)
+                      if line.startswith("digest "))
+        correct, failed = doc["correct"], doc["failed"]
+    except (IndexError, KeyError, TypeError, ValueError, StopIteration):
+        return Run(problem="unreadable perfbench output")
+    if not correct:
+        return Run(metrics, digest, "correct: false")
+    if failed:
+        return Run(metrics, digest, f"{failed} failed ops")
+    return Run(metrics, digest)
+
+
+def perfbench_runner(command: Sequence[str], seconds: float) -> Runner:
+    """Run ``command`` (BENCHMARK.json's) under this interpreter.
+
+    ``PYTHONPATH`` is dropped from the child's environment: perfbench
+    puts its own tree's ``src`` on the path, and an inherited entry
+    could make one side import the other's code.
+    """
+    argv = [sys.executable, *command[1:]]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+    def run(tree: str, workload: str) -> Run:
+        proc = subprocess.run(
+            argv + ["--workload", workload, "--seconds", f"{seconds:g}",
+                    "--trace", "0"],
+            cwd=tree, env=env, capture_output=True, text=True,
         )
-        if ratio < 1.0 - threshold:
-            ok = False
-            line += f"  REGRESSION (> {threshold:.0%} below best)"
-        messages.append(line)
-    return ok, messages
+        return parse_run(proc.returncode, proc.stdout, proc.stderr)
+
+    return run
 
 
-def format_entry(entry: Dict[str, object]) -> str:
-    """Human-readable rendering of one trajectory entry."""
-    lines = [
-        f"bench @ {entry['git_sha'][:12]} ({entry['mode']}, "
-        f"{entry['timestamp']})"
+def run_pairs(
+    trees: Dict[str, str], workloads: Sequence[str], pairs: int, runner: Runner,
+    progress: Callable[[str], None] = lambda line: None,
+) -> Dict[str, Dict[str, List[Run]]]:
+    """``pairs`` paired runs per workload: ``{workload: {side: [Run]}}``.
+
+    The two runs of a workload are back to back, and the side that goes
+    first alternates from pair to pair.  The first run that does not
+    count raises :class:`RunFailed`.
+    """
+    runs = {w: {s: [] for s in SIDES} for w in workloads}
+    for pair in range(pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for workload in workloads:
+            for side in order:
+                run = runner(trees[side], workload)
+                where = f"{side} run of {workload} in pair {pair + 1}/{pairs}"
+                if run.problem:
+                    raise RunFailed(f"{where} failed: {run.problem}")
+                runs[workload][side].append(run)
+                progress(f"{where}: digest {run.digest}")
+    return runs
+
+
+def quartiles(values: Sequence[float]) -> Tuple[float, float]:
+    """First and third quartile (inclusive method; one value: itself)."""
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def wins(parent: Sequence[float], change: Sequence[float], better: str) -> int:
+    """Pairs the change wins; a tie counts for neither side."""
+    sign = 1.0 if better == "higher" else -1.0
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def verdict(
+    parent: Sequence[float], change: Sequence[float], better: str, bound: float
+) -> str:
+    """Judge paired values of one metric; the first matching rule wins.
+
+    1. ``worse``: the change median is worse than the parent median by
+       more than ``bound`` times the parent median.
+    2. ``unresolved``: the parent's IQR exceeds ``bound`` times its
+       median, and not every change run beats every parent run.
+    3. ``gain``: the change wins at least 9 of 10 pairs and the medians
+       differ by more than the parent's IQR in the better direction.
+    4. ``same``: none of the above.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, q3 = quartiles(parent)
+    if sign * (p_med - c_med) > bound * abs(p_med):
+        return "worse"
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if q3 - q1 > bound * abs(p_med) and not beats_all:
+        return "unresolved"
+    if 10 * wins(parent, change, better) >= 9 * len(parent) \
+            and sign * (c_med - p_med) > q3 - q1:
+        return "gain"
+    return "same"
+
+
+def summarize(
+    runs: Dict[str, Dict[str, List[Run]]], end_to_end: List[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """Per workload: both sides' digests and every metric's verdict."""
+    out: Dict[str, Any] = {}
+    for workload, sides in runs.items():
+        metrics = {}
+        for spec in end_to_end:
+            name, better = spec["name"], spec["better"]
+            parent = [r.metrics[name] for r in sides["parent"]]
+            change = [r.metrics[name] for r in sides["change"]]
+            p_med = statistics.median(parent)
+            metrics[name] = {
+                "parent": parent,
+                "change": change,
+                "ratio": statistics.median(change) / p_med if p_med else None,
+                "wins": wins(parent, change, better),
+                "verdict": verdict(parent, change, better, spec["bound"]),
+            }
+        digests = {s: " ".join(sorted({r.digest for r in sides[s]})) for s in SIDES}
+        out[workload] = {"digest": digests, "metrics": metrics}
+    return out
+
+
+@contextmanager
+def worktree(root: str, sha: str) -> Iterator[str]:
+    """Check ``sha`` out into a temporary worktree outside ``root``.
+
+    The worktree and its directory are removed on every exit path.
+    """
+    scratch = tempfile.mkdtemp(prefix="repro-bench-")
+    path = os.path.join(scratch, "parent")
+    try:
+        if _git(root, "worktree", "add", "--detach", path, sha) is None:
+            raise ConfigError(f"cannot check {sha[:12]} out into {path}")
+        yield path
+    finally:
+        _git(root, "worktree", "remove", "--force", path)
+        shutil.rmtree(scratch, ignore_errors=True)
+        _git(root, "worktree", "prune")
+
+
+def ab_compare(
+    rev: str,
+    pairs: int,
+    runner: Optional[Runner] = None,
+    root: Optional[str] = None,
+    progress: Callable[[str], None] = lambda line: None,
+) -> Dict[str, Any]:
+    """Compare the checkout at ``root`` (the change) with ``rev``.
+
+    Returns the schema-2 trajectory entry.  Bad input raises
+    :class:`ConfigError` before any run; a run that does not count
+    raises :class:`RunFailed`.
+    """
+    root = REPO_ROOT if root is None else root
+    if pairs < 1:
+        raise ConfigError(f"--pairs must be >= 1: {pairs}")
+    if not _is_checkout(root):
+        raise ConfigError(f"--ab needs a git checkout; {root} is not one")
+    sha = _git(root, "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}")
+    if sha is None:
+        raise ConfigError(f"{rev!r} does not resolve to a commit")
+    if _git(root, "cat-file", "-e", f"{sha}:perfbench/run.py") is None:
+        raise ConfigError(f"{rev} ({sha[:12]}) has no perfbench/run.py")
+    with open(os.path.join(root, "BENCHMARK.json")) as handle:
+        bench = json.load(handle)
+    if runner is None:
+        runner = perfbench_runner(bench["command"], bench["run_seconds"])
+    workloads = [w["name"] for w in bench["workloads"]]
+    change_sha = git_sha(root)
+    with worktree(root, sha) as parent_tree:
+        trees = {"parent": parent_tree, "change": root}
+        runs = run_pairs(trees, workloads, pairs, runner, progress)
+    return {
+        "schema": 2,
+        "git_sha": change_sha,
+        "base_sha": sha,
+        "timestamp": utc_stamp(),
+        "pairs": pairs,
+        "run_seconds": bench["run_seconds"],
+        "workloads": summarize(runs, bench["end_to_end"]),
+    }
+
+
+def worse_verdicts(entry: Dict[str, Any]) -> List[str]:
+    """``workload metric`` for every ``worse`` verdict of a schema-2 entry."""
+    return [
+        f"{workload} {name}"
+        for workload, doc in entry["workloads"].items()
+        for name, metric in doc["metrics"].items()
+        if metric["verdict"] == "worse"
     ]
-    spec = entry["workload"]
-    lines.append(
-        f"  workload {spec['name']}: {spec['n_keys']:,} keys, "
-        f"{spec['n_ops']:,} ops, seed {spec['seed']}, "
-        f"skew {spec['op_skew']}"
-    )
-    for engine, sample in entry["engines"].items():
-        lines.append(
-            f"  {engine:8s} {sample['sim_ops_per_sec']:>12,.0f} sim-ops/s  "
-            f"{sample['wall_seconds']:8.2f} s wall  "
-            f"{sample['peak_rss_bytes'] / 2**20:8.0f} MB peak RSS  "
-            f"({sample['sim_throughput_mops']:.2f} modelled Mops/s)"
+
+
+def render(entry: Dict[str, Any]) -> str:
+    """A schema-2 entry as a Markdown table plus one digest line a workload."""
+
+    def spread(values: List[float]) -> str:
+        q1, q3 = quartiles(values)
+        return f"{statistics.median(values):.6g} [{q1:.6g}, {q3:.6g}]"
+
+    change = entry["git_sha"]
+    lines = [
+        # [40:] keeps a "-dirty" suffix after the 40-hex SHA.
+        f"parent {entry['base_sha'][:12]}, change {change[:12]}{change[40:]}: "
+        f"{entry['pairs']} pairs, {entry['run_seconds']} s a run",
+        "",
+        "| workload | metric | parent median [q1, q3] "
+        "| change median [q1, q3] | ratio | change wins | verdict |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    digests = []
+    for workload, doc in entry["workloads"].items():
+        for name, m in doc["metrics"].items():
+            ratio = "-" if m["ratio"] is None else f"{m['ratio']:.3f}"
+            lines.append(
+                f"| {workload} | {name} | {spread(m['parent'])} "
+                f"| {spread(m['change'])} | {ratio} "
+                f"| {m['wins']}/{len(m['parent'])} | {m['verdict']} |"
+            )
+        parent, change = doc["digest"]["parent"], doc["digest"]["change"]
+        digests.append(
+            f"digest {workload}: parent {parent}, change {change}"
+            + ("" if parent == change else "  (moved)")
         )
-    return "\n".join(lines)
+    return "\n".join(lines + [""] + digests)

@@ -1,13 +1,13 @@
-"""Benchmarking layer: trajectory file, regression gate, measurement.
+"""Benchmarking layer: trajectory file, git stamp and the paired A/B driver.
 
-The regression check is the piece CI leans on, so it gets synthetic
-histories covering: improvement, within-threshold noise, a real
-regression, mode separation (quick entries never judged against full
-ones), and the no-baseline case.  The measurement path runs against a
-monkeypatched tiny spec so the unit tests stay fast.
+The driver is tested with a fake runner in place of perfbench, so no
+test here runs a real benchmark: run order, verdicts on constructed
+values, failed runs, moved digests, ``--record`` and the worktree's
+lifecycle in a throwaway git repository.
 """
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,14 +15,27 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigError
 from repro.harness import benchmarking
 from repro.harness.benchmarking import (
+    REPO_ROOT,
+    Run,
+    RunFailed,
+    ab_compare,
     append_entry,
-    bench_engine,
-    bench_workload,
-    check_regression,
-    format_entry,
     git_sha,
     load_trajectory,
-    run_bench,
+    parse_run,
+    run_pairs,
+    verdict,
+    worse_verdicts,
+)
+from tests.fakebench import (
+    END_TO_END,
+    WORKLOADS,
+    FakeRunner,
+    commit,
+    git,
+    make_repo,
+    perfbench_stdout,
+    worktree_count,
 )
 from tests.strategies import damaged
 
@@ -51,74 +64,6 @@ def _entry(mode="full", **rates):
             for name, rate in rates.items()
         },
     }
-
-
-class TestCheckRegression:
-    def test_improvement_passes(self):
-        ok, messages = check_regression(
-            _entry(DCART=150_000.0), [_entry(DCART=50_000.0)]
-        )
-        assert ok
-        assert any("3.00x" in line for line in messages)
-
-    def test_noise_within_threshold_passes(self):
-        ok, _ = check_regression(
-            _entry(DCART=81_000.0), [_entry(DCART=100_000.0)]
-        )
-        assert ok
-
-    def test_real_regression_fails(self):
-        ok, messages = check_regression(
-            _entry(DCART=79_000.0), [_entry(DCART=100_000.0)]
-        )
-        assert not ok
-        assert any("REGRESSION" in line for line in messages)
-
-    def test_compared_against_best_prior_not_latest(self):
-        history = [_entry(DCART=100_000.0), _entry(DCART=60_000.0)]
-        ok, _ = check_regression(_entry(DCART=79_000.0), history)
-        assert not ok
-
-    def test_modes_never_cross_compare(self):
-        # A slow quick entry must not be judged against a full baseline.
-        ok, messages = check_regression(
-            _entry(mode="quick", DCART=10_000.0), [_entry(DCART=100_000.0)]
-        )
-        assert ok
-        assert any("no quick baseline" in line for line in messages)
-
-    def test_mixed_schema_history_is_skipped_not_crashed(self):
-        # A real trajectory accumulates entries across schema epochs:
-        # pre-sim_ops_per_sec samples, failed samples recorded as None,
-        # and even non-dict junk.  The gate must judge against the valid
-        # entries only and say what it skipped.
-        history = [
-            _entry(DCART=100_000.0),
-            {  # older schema: engine sample lacks sim_ops_per_sec
-                "git_sha": "1" * 40,
-                "mode": "full",
-                "engines": {"DCART": {"ops_per_sec": 999_999.0}},
-            },
-            {  # failed sample: rate recorded as None
-                "git_sha": "2" * 40,
-                "mode": "full",
-                "engines": {"DCART": {"sim_ops_per_sec": None}},
-            },
-            {"mode": "full", "engines": "not-a-dict"},
-            "not-even-a-dict",
-        ]
-        ok, messages = check_regression(_entry(DCART=95_000.0), history)
-        assert ok
-        assert any("skipped 2" in line for line in messages)
-        # The judged baseline is the one valid entry, not the junk.
-        assert any("100,000" in line for line in messages)
-
-    def test_new_engine_has_no_baseline(self):
-        ok, messages = check_regression(
-            _entry(SMART=5.0), [_entry(DCART=100_000.0)]
-        )
-        assert ok
-        assert any("no full baseline" in line for line in messages)
 
 
 class TestTrajectoryFile:
@@ -207,52 +152,167 @@ def test_damaged_trajectory_loads_or_raises_config_error(trajectory_path, data):
     assert isinstance(doc["history"], list)
 
 
-class TestMeasurement:
-    @pytest.fixture(autouse=True)
-    def tiny_spec(self, monkeypatch):
-        monkeypatch.setattr(benchmarking, "QUICK_SPEC", dict(TINY_SPEC))
+def test_git_sha_stamps_the_checkout_not_the_working_directory(
+    tmp_path, monkeypatch
+):
+    # Started outside the repository, the stamp still names the code
+    # that is running, never "unknown" or another repository's HEAD.
+    monkeypatch.chdir(tmp_path)
+    want = git(REPO_ROOT, "rev-parse", "HEAD")
+    if git(REPO_ROOT, "status", "--porcelain"):
+        want += "-dirty"
+    assert git_sha() == want
 
-    def test_bench_engine_measures(self):
-        workload = bench_workload(quick=True)
-        sample = bench_engine("DCART", workload, TINY_SPEC["n_keys"])
-        assert sample.wall_seconds > 0.0
-        assert sample.sim_ops_per_sec > 0.0
-        assert sample.peak_rss_bytes > 0
-        assert sample.sim_throughput_mops > 0.0
 
-    def test_repeats_must_be_positive(self):
-        workload = bench_workload(quick=True)
-        with pytest.raises(ConfigError):
-            bench_engine("DCART", workload, TINY_SPEC["n_keys"], repeats=0)
+def test_git_sha_outside_a_checkout_is_unknown(tmp_path):
+    assert git_sha(str(tmp_path)) == "unknown"
 
-    def test_best_of_n_keeps_a_single_run(self):
-        workload = bench_workload(quick=True)
-        sample = bench_engine(
-            "DCART", workload, TINY_SPEC["n_keys"], repeats=3
-        )
-        # Best-of-3 reports ONE run's wall time, not a sum of three.
-        single = bench_engine("DCART", workload, TINY_SPEC["n_keys"])
-        assert sample.wall_seconds <= single.wall_seconds * 2
 
-    def test_workload_cache_round_trips(self, tmp_path):
-        fresh = bench_workload(quick=True, cache_dir=str(tmp_path))
-        cached = bench_workload(quick=True, cache_dir=str(tmp_path))
-        assert len(list(tmp_path.glob("bench-quick-*.jsonl"))) == 1
-        assert [op.key for op in fresh.operations] == [
-            op.key for op in cached.operations
-        ]
-        assert [op.kind for op in fresh.operations] == [
-            op.kind for op in cached.operations
-        ]
+class TestVerdict:
+    def test_higher_is_better_drop_beyond_the_bound_is_worse(self):
+        spec = END_TO_END["sim_ops_per_s"]
+        parent = [100.0, 101.0, 99.0, 100.0, 100.0]
+        assert verdict(parent, [70.0] * 5, spec["better"], spec["bound"]) \
+            == "worse"
+        assert verdict(parent, [80.0] * 5, spec["better"], spec["bound"]) \
+            == "same"
 
-    def test_run_bench_entry_shape(self, tmp_path):
-        entry = run_bench(
-            engines=("DCART",), quick=True, cache_dir=str(tmp_path)
-        )
-        assert entry["mode"] == "quick"
-        assert entry["workload"] == TINY_SPEC
-        assert set(entry["engines"]) == {"DCART"}
-        assert entry["git_sha"] == git_sha() != "unknown"
-        rendered = format_entry(entry)
-        assert "DCART" in rendered
-        assert entry["git_sha"][:12] in rendered
+    def test_lower_is_better_metric(self):
+        spec = END_TO_END["setup_s"]
+        assert spec["better"] == "lower"
+        parent = [2.0, 2.02, 1.98, 2.0, 2.01, 1.99, 2.0, 2.0, 2.03, 1.97]
+        faster = [1.4] * 9 + [2.5]
+        assert verdict(parent, faster, "lower", spec["bound"]) == "gain"
+        slower = [p * 1.3 for p in parent]
+        assert verdict(parent, slower, "lower", spec["bound"]) == "worse"
+        # The same drop in a higher-is-better metric is worse.
+        assert verdict(parent, faster, "higher", spec["bound"]) == "worse"
+
+    def test_tied_pairs_count_for_neither_side(self):
+        parent = [10.0] * 10
+        assert verdict(parent, list(parent), "higher", 0.2) == "same"
+        assert benchmarking.wins(parent, list(parent), "higher") == 0
+        # 8 wins and 2 ties is below 9/10: not a gain.
+        change = [11.0] * 8 + [10.0] * 2
+        assert benchmarking.wins(parent, change, "higher") == 8
+        assert verdict(parent, change, "higher", 0.2) == "same"
+        assert verdict(parent, [11.0] * 9 + [10.0], "higher", 0.2) == "gain"
+
+    def test_gain_must_clear_the_parent_iqr(self):
+        parent = [100.0, 104.0, 96.0, 102.0, 98.0, 100.0, 103.0, 97.0, 101.0, 99.0]
+        change = [p + 1.0 for p in parent]
+        assert benchmarking.wins(parent, change, "higher") == 10
+        assert verdict(parent, change, "higher", 0.25) == "same"
+        assert verdict(parent, [p + 10 for p in parent], "higher", 0.25) \
+            == "gain"
+
+    def test_parent_spread_wider_than_the_bound_is_unresolved(self):
+        parent = [50.0, 100.0, 150.0, 100.0, 60.0, 140.0]
+        assert verdict(parent, [110.0] * 6, "higher", 0.25) == "unresolved"
+        # Unless every change run beats every parent run.
+        assert verdict(parent, [170.0] * 6, "higher", 0.25) == "gain"
+
+    def test_worse_is_tried_first(self):
+        parent = [50.0, 100.0, 150.0, 100.0]
+        assert verdict(parent, [10.0] * 4, "higher", 0.25) == "worse"
+
+
+class TestParseRun:
+    def test_reads_metrics_and_digest(self):
+        run = parse_run(0, perfbench_stdout(digest="abc", sim_ops_per_s=5.0), "")
+        assert run.problem == ""
+        assert run.digest == "abc"
+        assert run.metrics["sim_ops_per_s"] == 5.0
+
+    @pytest.mark.parametrize("code, out, err, problem", [
+        (1, "", "Traceback\nValueError: boom\n", "exit 1: ValueError: boom"),
+        (0, perfbench_stdout(correct=False), "", "correct: false"),
+        (0, perfbench_stdout(failed=3), "", "3 failed ops"),
+        (0, "no json here\n", "", "unreadable perfbench output"),
+    ])
+    def test_runs_that_do_not_count(self, code, out, err, problem):
+        assert parse_run(code, out, err).problem == problem
+
+
+def test_first_side_alternates_and_a_workloads_runs_are_adjacent():
+    calls = []
+
+    def runner(tree, workload):
+        calls.append((tree, workload))
+        return Run({}, "d")
+
+    run_pairs({"parent": "P", "change": "C"}, ["a", "b"], 3, runner)
+    assert calls == [
+        ("P", "a"), ("C", "a"), ("P", "b"), ("C", "b"),
+        ("C", "a"), ("P", "a"), ("C", "b"), ("P", "b"),
+        ("P", "a"), ("C", "a"), ("P", "b"), ("C", "b"),
+    ]
+
+
+@pytest.fixture
+def repo(tmp_path):
+    return make_repo(tmp_path / "repo")
+
+
+class TestAbCompare:
+    def test_entry_has_every_workload_and_metric(self, repo):
+        runner = FakeRunner(repo, change={"sim_ops_per_s": 2.0})
+        entry = ab_compare("HEAD", 2, runner=runner, root=str(repo))
+        assert entry["schema"] == 2
+        assert entry["base_sha"] == git(repo, "rev-parse", "HEAD")
+        assert entry["git_sha"] == git_sha(str(repo))
+        assert entry["pairs"] == 2
+        assert list(entry["workloads"]) == WORKLOADS
+        for doc in entry["workloads"].values():
+            assert list(doc["metrics"]) == list(END_TO_END)
+            ops = doc["metrics"]["sim_ops_per_s"]
+            assert ops["parent"] == [1.0, 1.0] and ops["change"] == [2.0, 2.0]
+            assert ops["ratio"] == 2.0 and ops["wins"] == 2
+            assert ops["verdict"] == "gain"
+        assert worse_verdicts(entry) == []
+
+    def test_worktree_is_gone_after_a_pass(self, repo):
+        runner = FakeRunner(repo)
+        ab_compare("HEAD", 1, runner=runner, root=str(repo))
+        (tree,) = runner.trees
+        assert not os.path.exists(os.path.dirname(tree))
+        assert worktree_count(repo) == 1
+
+    def test_worktree_is_gone_after_a_runner_exception(self, repo):
+        trees = []
+
+        def runner(tree, workload):
+            trees.append(tree)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            ab_compare("HEAD", 1, runner=runner, root=str(repo))
+        assert not os.path.exists(os.path.dirname(trees[0]))
+        assert worktree_count(repo) == 1
+
+    @pytest.mark.parametrize("side", ["parent", "change"])
+    def test_an_incorrect_run_on_either_side_fails(self, repo, side):
+        runner = FakeRunner(repo, **{side: {"correct": False}})
+        with pytest.raises(RunFailed, match=f"{side} run of .*correct: false"):
+            ab_compare("HEAD", 1, runner=runner, root=str(repo))
+        assert worktree_count(repo) == 1
+
+    def test_slower_change_is_worse(self, repo):
+        runner = FakeRunner(repo, change={"sim_ops_per_s": 0.5})
+        entry = ab_compare("HEAD", 1, runner=runner, root=str(repo))
+        assert worse_verdicts(entry) == [f"{w} sim_ops_per_s" for w in WORKLOADS]
+
+    def test_bad_input_is_config_error(self, repo, tmp_path):
+        runner = FakeRunner(repo)
+        with pytest.raises(ConfigError, match="--pairs"):
+            ab_compare("HEAD", 0, runner=runner, root=str(repo))
+        with pytest.raises(ConfigError, match="does not resolve"):
+            ab_compare("no-such-rev", 1, runner=runner, root=str(repo))
+        with pytest.raises(ConfigError, match="git checkout"):
+            ab_compare("HEAD", 1, runner=runner, root=str(tmp_path))
+        os.remove(repo / "perfbench" / "run.py")
+        commit(repo, "no perfbench")
+        with pytest.raises(ConfigError, match="has no perfbench"):
+            ab_compare("HEAD", 1, runner=runner, root=str(repo))
+        assert not runner.trees
+        assert worktree_count(repo) == 1

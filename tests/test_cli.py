@@ -77,7 +77,8 @@ BAD_INPUT = [
     ["trace", "IPGEO", "--keys", "0"],
     ["figures", "--only", "fig9", "--keys", "0"],
     ["chaos", "--keys", "0"],
-    ["bench", "--quick", "--repeats", "0"],
+    ["bench", "--ab", "HEAD", "--pairs", "0"],
+    ["bench", "--ab", "no-such-rev"],
     ["sweep", "--jobs", "0", "--keys", "400", "--ops", "1000"],
     ["sweep", "--keys", "0"],
     ["sweep", "--write-ratio", "2", "--keys", "400", "--ops", "1000"],
@@ -331,6 +332,26 @@ class TestDurabilityCommands:
         assert row["rto_cycles"] is not None and row["rto_cycles"] > 0
         assert data["fault_schedule_signature"] is not None
 
+    def test_serve_crash_state_is_scratch_unless_dir_given(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        args = [
+            "serve", "--keys", "1000", "--ops", "8000",
+            "--batch-size", "1024", "--queue-capacity", "2048",
+            "--load-sweep", "0.1", "--fault", "crash", "--fault-batch", "2",
+        ]
+        main(args + ["--json"])
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["crashes"] == 1
+        assert not glob.glob(str(tmp_path / "dcart-serve-*"))
+        kept = tmp_path / "kept"
+        main(args + ["--dir", str(kept)])
+        assert f"durable state under {kept}" in capsys.readouterr().out
+        assert (kept / "load-0" / "wal.log").is_file()
+
     def test_serve_bad_load_exits_2(self, capsys):
         assert main([
             "serve", "--keys", "600", "--ops", "1000",
@@ -514,54 +535,91 @@ class TestMetricsFlag:
 
 
 class TestBenchCommand:
-    def test_quick_bench_records_and_checks(self, capsys, tmp_path, monkeypatch):
+    """``repro bench --ab`` on a throwaway checkout, perfbench faked."""
+
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
         from repro.harness import benchmarking
+        from tests.fakebench import make_repo
 
-        monkeypatch.setattr(
-            benchmarking, "QUICK_SPEC",
-            {"name": "IPGEO", "n_keys": 400, "n_ops": 1000,
-             "seed": 5, "op_skew": 0.99},
-        )
-        path = str(tmp_path / "BENCH_speed.json")
-        assert main([
-            "bench", "--quick", "--engines", "DCART",
-            "--record", "--check", "--file", path,
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "sim-ops/s" in out
-        assert "no quick baseline" in out
-        assert f"recorded in {path}" in out
-        doc = benchmarking.load_trajectory(path)
-        assert len(doc["history"]) == 1
-        assert doc["history"][0]["mode"] == "quick"
+        root = make_repo(tmp_path / "repo")
+        monkeypatch.setattr(benchmarking, "REPO_ROOT", str(root))
+        return root
 
-    def test_check_fails_on_regression(self, capsys, tmp_path, monkeypatch):
+    def _fake(self, monkeypatch, root, **sides):
         from repro.harness import benchmarking
+        from tests.fakebench import FakeRunner
 
+        runner = FakeRunner(root, **sides)
         monkeypatch.setattr(
-            benchmarking, "QUICK_SPEC",
-            {"name": "IPGEO", "n_keys": 400, "n_ops": 1000,
-             "seed": 5, "op_skew": 0.99},
+            benchmarking, "perfbench_runner", lambda command, seconds: runner
         )
-        path = str(tmp_path / "BENCH_speed.json")
-        impossible = {
-            "git_sha": "f" * 40,
-            "timestamp": "2026-08-06T00:00:00Z",
-            "mode": "quick",
-            "workload": dict(benchmarking.QUICK_SPEC),
-            "engines": {"DCART": {
-                "sim_ops_per_sec": 1e12, "wall_seconds": 1e-9,
-                "peak_rss_bytes": 1, "sim_throughput_mops": 1.0,
-            }},
-        }
-        benchmarking.append_entry(path, impossible)
-        assert main([
-            "bench", "--quick", "--engines", "DCART",
-            "--check", "--file", path,
-        ]) == 1
+        return runner
+
+    def test_same_code_passes_and_prints_the_table(
+        self, capsys, repo, monkeypatch
+    ):
+        from tests.fakebench import WORKLOADS, worktree_count
+
+        self._fake(monkeypatch, repo)
+        assert main(["bench", "--ab", "HEAD", "--pairs", "2"]) == 0
         captured = capsys.readouterr()
-        assert "REGRESSION" in captured.out
-        assert "regression detected" in captured.err
+        assert "| verdict |" in captured.out
+        for workload in WORKLOADS:
+            assert f"| {workload} | sim_ops_per_s |" in captured.out
+            assert f"digest {workload}: parent d1, change d1" in captured.out
+        assert "pair 2/2" in captured.err
+        assert worktree_count(repo) == 1
+
+    def test_worse_verdict_exits_1(self, capsys, repo, monkeypatch):
+        self._fake(monkeypatch, repo, change={"sim_ops_per_s": 0.5})
+        assert main(["bench", "--ab", "HEAD", "--pairs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "| worse |" in captured.out
+        assert "repro bench: worse: " in captured.err
+
+    @pytest.mark.parametrize("side, output", [
+        ("parent", {"correct": False}),
+        ("change", {"failed": 2}),
+    ])
+    def test_a_failed_run_exits_1(self, capsys, repo, monkeypatch, side,
+                                  output):
+        self._fake(monkeypatch, repo, **{side: output})
+        assert main(["bench", "--ab", "HEAD", "--pairs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"repro bench: {side} run of " in err
+
+    def test_moved_digest_passes(self, capsys, repo, monkeypatch):
+        self._fake(monkeypatch, repo, change={"digest": "d2"})
+        assert main(["bench", "--ab", "HEAD", "--pairs", "1"]) == 0
+        assert "parent d1, change d2  (moved)" in capsys.readouterr().out
+
+    def test_record_appends_one_schema_2_entry(
+        self, capsys, repo, monkeypatch, tmp_path
+    ):
+        import shutil
+
+        from repro.harness import benchmarking
+
+        # The committed trajectory (REPO_ROOT points at the throwaway repo).
+        committed = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "BENCH_speed.json",
+        )
+        path = tmp_path / "BENCH_speed.json"
+        shutil.copy(committed, path)
+        before = benchmarking.load_trajectory(str(path))["history"]
+        self._fake(monkeypatch, repo)
+        assert main([
+            "bench", "--ab", "HEAD", "--pairs", "2", "--record",
+            "--file", str(path),
+        ]) == 0
+        assert f"recorded in {path}" in capsys.readouterr().out
+        after = benchmarking.load_trajectory(str(path))["history"]
+        assert after[:-1] == before
+        assert sum("schema" not in entry for entry in after) == 5
+        assert after[-1]["schema"] == 2 and after[-1]["pairs"] == 2
+
 
 class TestCampaignCommand:
     def _write_spec(self, tmp_path):
@@ -655,20 +713,19 @@ class TestBenchCorruptTrajectory:
         self, capsys, tmp_path, monkeypatch
     ):
         # A torn trajectory file is a configuration problem: one line on
-        # stderr and exit code 2, never a JSONDecodeError traceback.
+        # stderr and exit code 2, before any run, never a traceback.
         from repro.harness import benchmarking
 
-        monkeypatch.setattr(
-            benchmarking, "QUICK_SPEC",
-            {"name": "IPGEO", "n_keys": 400, "n_ops": 1000,
-             "seed": 5, "op_skew": 0.99},
-        )
+        def no_runs(command, seconds):
+            raise AssertionError("a run started before the file was read")
+
+        monkeypatch.setattr(benchmarking, "perfbench_runner", no_runs)
         path = tmp_path / "BENCH_speed.json"
         path.write_text('{"schema": 1, "history": [{"git_sha": "tor')
         assert main([
-            "bench", "--quick", "--engines", "DCART",
-            "--check", "--file", str(path),
+            "bench", "--ab", "HEAD", "--record", "--file", str(path),
         ]) == 2
         captured = capsys.readouterr()
         assert "not valid JSON" in captured.err
+        assert captured.err.startswith("repro bench: ")
         assert len(captured.err.strip().splitlines()) == 1
