@@ -20,6 +20,7 @@ memory simulators bill cacheline fetches from it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
@@ -49,6 +50,8 @@ class Node:
 
     @property
     def size_bytes(self) -> int:
+        """Bytes the node occupies; a class constant on inner nodes,
+        whose size depends only on their type."""
         raise NotImplementedError
 
     def used_bytes_for_descent(self) -> int:
@@ -69,7 +72,11 @@ class Leaf(Node):
     kind = "Leaf"
 
     def __init__(self, key: bytes, value: object) -> None:
-        super().__init__()
+        # The Node fields are set here rather than through
+        # super().__init__(): one leaf is made per loaded key.
+        self.node_id = -1
+        self.address = -1
+        self.prefix = b""
         self.key = key
         self.value = value
 
@@ -165,23 +172,17 @@ class _SortedArrayNode(InnerNode):
 
     def _slot_of(self, byte: int) -> int:
         """Binary-search insertion point for ``byte`` in ``self.keys``."""
-        lo, hi = 0, len(self.keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.keys[mid] < byte:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self.keys, byte)
 
     def find_child(self, byte: int) -> Optional[Child]:
-        slot = self._slot_of(byte)
-        if slot < len(self.keys) and self.keys[slot] == byte:
+        keys = self.keys
+        slot = bisect_left(keys, byte)
+        if slot < len(keys) and keys[slot] == byte:
             return self.children[slot]
         return None
 
     def add_child(self, byte: int, child: Child) -> None:
-        if self.is_full:
+        if len(self.keys) >= self.capacity:
             raise SimulationError(f"add_child on full {self.kind}")
         slot = self._slot_of(byte)
         if slot < len(self.keys) and self.keys[slot] == byte:
@@ -213,10 +214,7 @@ class Node4(_SortedArrayNode):
     kind = "N4"
     capacity = 4
     min_occupancy = 2  # a 1-child N4 is collapsed by path merging instead
-
-    @property
-    def size_bytes(self) -> int:
-        return HEADER_BYTES + self.capacity * (1 + POINTER_BYTES)
+    size_bytes = HEADER_BYTES + capacity * (1 + POINTER_BYTES)
 
     def grow(self) -> "Node16":
         bigger = Node16()
@@ -233,10 +231,7 @@ class Node16(_SortedArrayNode):
     kind = "N16"
     capacity = 16
     min_occupancy = 4
-
-    @property
-    def size_bytes(self) -> int:
-        return HEADER_BYTES + self.capacity * (1 + POINTER_BYTES)
+    size_bytes = HEADER_BYTES + capacity * (1 + POINTER_BYTES)
 
     def grow(self) -> "Node48":
         bigger = Node48()
@@ -263,6 +258,7 @@ class Node48(InnerNode):
     kind = "N48"
     capacity = 48
     min_occupancy = 13
+    size_bytes = HEADER_BYTES + 256 + capacity * POINTER_BYTES
 
     def __init__(self) -> None:
         super().__init__()
@@ -274,10 +270,6 @@ class Node48(InnerNode):
     @property
     def num_children(self) -> int:
         return self._count
-
-    @property
-    def size_bytes(self) -> int:
-        return HEADER_BYTES + 256 + self.capacity * POINTER_BYTES
 
     def find_child(self, byte: int) -> Optional[Child]:
         slot = self.child_index[byte]
@@ -345,6 +337,7 @@ class Node256(InnerNode):
     kind = "N256"
     capacity = 256
     min_occupancy = 37
+    size_bytes = HEADER_BYTES + capacity * POINTER_BYTES
 
     def __init__(self) -> None:
         super().__init__()
@@ -354,10 +347,6 @@ class Node256(InnerNode):
     @property
     def num_children(self) -> int:
         return self._count
-
-    @property
-    def size_bytes(self) -> int:
-        return HEADER_BYTES + 256 * POINTER_BYTES
 
     def find_child(self, byte: int) -> Optional[Child]:
         return self.children[byte]

@@ -359,7 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(checked out into a temporary worktree)")
     bench.add_argument("--pairs", type=int, default=10, metavar="N",
                        help="pairs of runs per workload, first side "
-                            "alternating (default: 10)")
+                            "alternating (default: 10; with fewer no "
+                            "metric can read gain)")
     bench.add_argument("--record", action="store_true",
                        help="append the comparison to the trajectory file "
                             "as a schema-2 entry")

@@ -38,6 +38,10 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 #: The two trees of a comparison; pair 0 runs them in this order.
 SIDES = ("parent", "change")
 
+#: Fewest pairs from which a metric can read ``gain``.
+MIN_GAIN_PAIRS = 10
+
+
 class RunFailed(ReproError):
     """A perfbench run on either side failed or reported a wrong output."""
 
@@ -266,8 +270,10 @@ def verdict(
        more than ``bound`` times the parent median.
     2. ``unresolved``: the parent's IQR exceeds ``bound`` times its
        median, and not every change run beats every parent run.
-    3. ``gain``: the change wins at least 9 of 10 pairs and the medians
-       differ by more than the parent's IQR in the better direction.
+    3. ``gain``: at least ten pairs ran, the change wins at least 9 of
+       10 of them, and the medians differ by more than the parent's IQR
+       in the better direction.  With fewer pairs 9/10 means every pair,
+       which noise meets too often to support a claim.
     4. ``same``: none of the above.
     """
     sign = 1.0 if better == "higher" else -1.0
@@ -278,7 +284,8 @@ def verdict(
     beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
     if q3 - q1 > bound * abs(p_med) and not beats_all:
         return "unresolved"
-    if 10 * wins(parent, change, better) >= 9 * len(parent) \
+    if len(parent) >= MIN_GAIN_PAIRS \
+            and 10 * wins(parent, change, better) >= 9 * len(parent) \
             and sign * (c_med - p_med) > q3 - q1:
         return "gain"
     return "same"

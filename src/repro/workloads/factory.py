@@ -97,27 +97,33 @@ def make_workload(
         mix = mix_for_write_ratio(write_ratio)
     if mix is None:
         mix = DEFAULT_MIX
+    # Every argument is checked before the first draw: generating a
+    # large key set takes seconds.
+    if n_keys <= 0:
+        raise WorkloadError(f"n_keys must be positive: {n_keys}")
     if n_ops is None:
         n_ops = 2 * n_keys
+    if n_ops < 0:
+        raise WorkloadError(f"n_ops must be >= 0: {n_ops}")
+    theta = DEFAULT_OP_SKEW[name] if op_skew is None else op_skew
+    if theta < 0:
+        raise WorkloadError(f"op_skew must be >= 0: {theta}")
     if not 0 < load_fraction <= 1:
         raise WorkloadError(f"load_fraction must be in (0, 1]: {load_fraction}")
     if not 0 <= insert_share_of_writes <= 1:
         raise WorkloadError(
             f"insert_share_of_writes must be in [0, 1]: {insert_share_of_writes}"
         )
-
-    rng = np.random.default_rng(seed)
-    keys = _generate_keys(name, n_keys, rng)
-    theta = DEFAULT_OP_SKEW[name] if op_skew is None else op_skew
-
-    n_loaded = max(1, int(len(keys) * load_fraction))
-    loaded = keys[:n_loaded]
-    reserve = keys[n_loaded:]
-
     if not 0 <= scan_ratio <= 1:
         raise WorkloadError(f"scan_ratio must be in [0, 1]: {scan_ratio}")
     if scan_length <= 0:
         raise WorkloadError(f"scan_length must be positive: {scan_length}")
+
+    rng = np.random.default_rng(seed)
+    keys = _generate_keys(name, n_keys, rng)
+    n_loaded = max(1, int(len(keys) * load_fraction))
+    loaded = keys[:n_loaded]
+    reserve = keys[n_loaded:]
 
     operations = _generate_operations(
         loaded, reserve, n_ops, mix, theta, insert_share_of_writes, rng,
@@ -168,9 +174,6 @@ def _generate_operations(
 ) -> OperationStream:
     from repro.workloads.zipf import ZipfSampler
 
-    if n_ops < 0:
-        raise WorkloadError(f"n_ops must be >= 0: {n_ops}")
-
     # Popularity ranking: rank r -> loaded[permutation[r]].  The
     # permutation is *partially* correlated with the key generators' own
     # ordering (generators emit keys of hot prefixes first): shuffling
@@ -197,36 +200,24 @@ def _generate_operations(
     is_scan = rng.random(n_ops) < scan_ratio
     scan_counts = rng.integers(1, scan_length + 1, size=n_ops)
 
-    # Materialising 1M+ Operations dominates workload build time, so the
-    # numpy arrays are resolved to plain Python lists up front (indexing
-    # a numpy scalar per op is ~5x slower than a list element) and the
-    # rank->key indirection is applied as one vectorised gather.
-    key_indices = permutation[ranks].tolist()
-    write_flags = is_write.tolist()
-    insert_flags = is_insert.tolist()
-    scan_flags = is_scan.tolist()
-    count_list = scan_counts.tolist()
-    write_kind, read_kind, scan_kind = OpKind.WRITE, OpKind.READ, OpKind.SCAN
-
-    reserve_iter = iter(reserve)
-    operations = []
-    append = operations.append
-    for op_id in range(n_ops):
-        if write_flags[op_id]:
-            if insert_flags[op_id]:
-                new_key = next(reserve_iter, None)
-                if new_key is not None:
-                    append(Operation(op_id, write_kind, new_key, op_id))
-                    continue
-            append(
-                Operation(op_id, write_kind, loaded[key_indices[op_id]], op_id)
-            )
-        else:
-            key = loaded[key_indices[op_id]]
-            if scan_flags[op_id]:
-                append(
-                    Operation(op_id, scan_kind, key, scan_count=count_list[op_id])
-                )
-            else:
-                append(Operation(op_id, read_kind, key))
+    # Columnar assembly: every field is resolved for the whole stream by
+    # numpy and the columns are zipped into Operations.  Keys, kinds and
+    # values are object arrays, whose iteration yields the Python objects
+    # themselves; turning them into lists first cost a few MiB of peak
+    # RSS.  The first len(reserve) inserting writes, in stream order,
+    # take the reserve keys; every other op keeps its loaded key.
+    keys = np.empty(n_loaded, dtype=object)
+    keys[:] = loaded
+    keys = keys[permutation[ranks]]
+    inserts = np.flatnonzero(is_write & is_insert)[: len(reserve)]
+    keys[inserts] = reserve[: len(inserts)]
+    kind_table = np.array([OpKind.WRITE, OpKind.READ, OpKind.SCAN], dtype=object)
+    kinds = kind_table[np.where(is_write, 0, np.where(is_scan, 2, 1))]
+    # A write's value is its op_id: the same int objects as op_ids, so
+    # the stream does not hold each id twice.
+    op_ids = list(range(n_ops))
+    values = np.where(is_write, np.array(op_ids, dtype=object), None)
+    # A list, so scan counts are Python ints, not numpy scalars.
+    counts = np.where(is_scan & ~is_write, scan_counts, 0).tolist()
+    operations = list(map(Operation, op_ids, kinds, keys, values, counts))
     return OperationStream(operations)

@@ -29,13 +29,19 @@ class OpKind(enum.Enum):
         return self in (OpKind.WRITE, OpKind.DELETE)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Operation:
     """One key-value operation.
 
     ``value`` is the payload for writes; ``scan_count`` bounds a range
     scan.  ``op_id`` preserves arrival order, which the concurrency
     simulators use to form waves/batches.
+
+    Not frozen: a frozen dataclass sets each field through
+    ``object.__setattr__``, which made building a 500k-op stream about
+    twice as slow.  Nothing assigns to an operation's fields or hashes
+    one (an unfrozen dataclass with ``__eq__`` has no ``__hash__``), so
+    treat an ``Operation`` as a value all the same.
     """
 
     op_id: int

@@ -66,29 +66,37 @@ def ipgeo_keys(n_keys: int, rng: np.random.Generator) -> List[bytes]:
     # Rank 0 -> the hot octet; remaining ranks -> a seeded permutation.
     others = [o for o in range(256) if o != IPGEO_HOT_OCTET]
     rng.shuffle(others)
-    octet_for_rank = [IPGEO_HOT_OCTET] + others
+    octet_for_rank = np.array([IPGEO_HOT_OCTET] + others, dtype=np.uint32)
 
-    seen = set()
-    keys: List[bytes] = []
-    while len(keys) < n_keys:
-        need = n_keys - len(keys)
-        firsts = sampler.sample(need)
-        rest = rng.integers(0, 256, size=(need, 3))
-        for rank, tail in zip(firsts.tolist(), rest.tolist()):
-            address = bytes([octet_for_rank[rank]] + tail)
-            if address not in seen:
-                seen.add(address)
-                keys.append(address)
+    # Addresses as uint32, drawn in rounds until n_keys are unique: a
+    # round keeps the first occurrence of each address it draws that no
+    # earlier round kept, in draw order.
+    addresses = np.empty(0, dtype=np.uint32)
+    while len(addresses) < n_keys:
+        need = n_keys - len(addresses)
+        firsts = octet_for_rank[sampler.sample(need)]
+        rest = rng.integers(0, 256, size=(need, 3)).astype(np.uint32)
+        drawn = (firsts << 24) | (rest[:, 0] << 16) | (rest[:, 1] << 8) | rest[:, 2]
+        _, first_seen = np.unique(drawn, return_index=True)
+        drawn = drawn[np.sort(first_seen)]
+        if len(addresses):
+            # Membership against a sorted copy: np.isin's hash path is
+            # several times slower at a million keys.
+            kept = np.sort(addresses)
+            slot = np.minimum(np.searchsorted(kept, drawn), len(kept) - 1)
+            drawn = drawn[kept[slot] != drawn]
+        addresses = np.concatenate([addresses, drawn])
     # Order keys by descending block popularity: request popularity in
     # real IP lookup streams correlates with block density (a hot /8
     # holds both more addresses and more traffic), and the workload
     # factory derives op popularity from this order — which is what
     # makes the per-prefix op histogram peak at the hot octet (Fig. 3).
-    octet_count = [0] * 256
-    for key in keys:
-        octet_count[key[0]] += 1
-    keys.sort(key=lambda k: -octet_count[k[0]])
-    return keys
+    # The sort is stable, so keys of equally dense blocks keep draw order.
+    octets = addresses >> 24
+    octet_count = np.bincount(octets, minlength=256)
+    addresses = addresses[np.argsort(-octet_count[octets], kind="stable")]
+    packed = addresses.astype(">u4").tobytes()
+    return [packed[i : i + 4] for i in range(0, len(packed), 4)]
 
 
 def ipgeo_values(keys: List[bytes], rng: np.random.Generator) -> List[str]:

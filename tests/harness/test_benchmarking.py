@@ -207,10 +207,21 @@ class TestVerdict:
             == "gain"
 
     def test_parent_spread_wider_than_the_bound_is_unresolved(self):
-        parent = [50.0, 100.0, 150.0, 100.0, 60.0, 140.0]
-        assert verdict(parent, [110.0] * 6, "higher", 0.25) == "unresolved"
+        parent = [50.0, 100.0, 150.0, 100.0, 60.0, 140.0, 55.0, 145.0, 90.0, 110.0]
+        assert verdict(parent, [110.0] * 10, "higher", 0.25) == "unresolved"
         # Unless every change run beats every parent run.
-        assert verdict(parent, [170.0] * 6, "higher", 0.25) == "gain"
+        assert verdict(parent, [170.0] * 10, "higher", 0.25) == "gain"
+
+    def test_fewer_than_ten_pairs_never_gain(self):
+        # Winning 3 of 3 pairs meets "9 of 10" but is what noise does
+        # one time in eight.
+        parent = [100.0, 101.0, 99.0]
+        assert verdict(parent, [150.0] * 3, "higher", 0.25) == "same"
+        assert verdict(parent * 3, [150.0] * 9, "higher", 0.25) == "same"
+        parent = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+        change = [150.0] * 9 + [90.0]
+        assert benchmarking.wins(parent, change, "higher") == 9
+        assert verdict(parent, change, "higher", 0.25) == "gain"
 
     def test_worse_is_tried_first(self):
         parent = [50.0, 100.0, 150.0, 100.0]
@@ -257,17 +268,17 @@ def repo(tmp_path):
 class TestAbCompare:
     def test_entry_has_every_workload_and_metric(self, repo):
         runner = FakeRunner(repo, change={"sim_ops_per_s": 2.0})
-        entry = ab_compare("HEAD", 2, runner=runner, root=str(repo))
+        entry = ab_compare("HEAD", 10, runner=runner, root=str(repo))
         assert entry["schema"] == 2
         assert entry["base_sha"] == git(repo, "rev-parse", "HEAD")
         assert entry["git_sha"] == git_sha(str(repo))
-        assert entry["pairs"] == 2
+        assert entry["pairs"] == 10
         assert list(entry["workloads"]) == WORKLOADS
         for doc in entry["workloads"].values():
             assert list(doc["metrics"]) == list(END_TO_END)
             ops = doc["metrics"]["sim_ops_per_s"]
-            assert ops["parent"] == [1.0, 1.0] and ops["change"] == [2.0, 2.0]
-            assert ops["ratio"] == 2.0 and ops["wins"] == 2
+            assert ops["parent"] == [1.0] * 10 and ops["change"] == [2.0] * 10
+            assert ops["ratio"] == 2.0 and ops["wins"] == 10
             assert ops["verdict"] == "gain"
         assert worse_verdicts(entry) == []
 

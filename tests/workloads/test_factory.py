@@ -96,6 +96,31 @@ class TestFactory:
     def test_summary_mentions_name(self):
         assert "IPGEO" in make_workload("IPGEO", n_keys=200, n_ops=10).summary()
 
+    @pytest.mark.parametrize("bad", [
+        {"scan_ratio": 2.0},
+        {"scan_ratio": -0.1},
+        {"scan_length": 0},
+        {"n_ops": -1},
+        {"op_skew": -1.0},
+        {"n_keys": 0},
+        {"load_fraction": 0.0},
+        {"insert_share_of_writes": 1.5},
+        {"write_ratio": 1.5},
+        {"name": "YCSB-X"},
+    ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_bad_argument_rejected_before_generating_keys(self, monkeypatch, bad):
+        # Keys take seconds to generate at a million: a bad argument must
+        # fail before the first draw.
+        from repro.workloads import factory
+
+        def no_keys(*args):
+            raise AssertionError("keys generated before arguments were checked")
+
+        monkeypatch.setattr(factory, "_generate_keys", no_keys)
+        kwargs = {"name": "IPGEO", "n_keys": 1_000_000, **bad}
+        with pytest.raises(WorkloadError):
+            factory.make_workload(**kwargs)
+
 
 class TestOperationStream:
     def ops(self, kinds):

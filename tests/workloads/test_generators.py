@@ -7,10 +7,35 @@ from repro.art.keys import decode_u64
 from repro.errors import WorkloadError
 from repro.workloads import realworld, synthetic
 from repro.workloads.realworld import IPGEO_HOT_OCTET
+from repro.workloads.zipf import ZipfSampler
 
 
 def rng(seed=1):
     return np.random.default_rng(seed)
+
+
+def ipgeo_reference(n_keys, generator):
+    """``realworld.ipgeo_keys`` as a per-key loop over the same draws."""
+    sampler = ZipfSampler(256, realworld.IPGEO_OCTET_SKEW, generator)
+    others = [o for o in range(256) if o != IPGEO_HOT_OCTET]
+    generator.shuffle(others)
+    octet_for_rank = [IPGEO_HOT_OCTET] + others
+    seen = set()
+    keys = []
+    while len(keys) < n_keys:
+        need = n_keys - len(keys)
+        firsts = sampler.sample(need)
+        rest = generator.integers(0, 256, size=(need, 3))
+        for rank, tail in zip(firsts.tolist(), rest.tolist()):
+            address = bytes([octet_for_rank[rank]] + tail)
+            if address not in seen:
+                seen.add(address)
+                keys.append(address)
+    octet_count = [0] * 256
+    for key in keys:
+        octet_count[key[0]] += 1
+    keys.sort(key=lambda k: -octet_count[k[0]])
+    return keys
 
 
 class TestDense:
@@ -64,6 +89,13 @@ class TestIpgeo:
 
     def test_deterministic(self):
         assert realworld.ipgeo_keys(100, rng(9)) == realworld.ipgeo_keys(100, rng(9))
+
+    @pytest.mark.parametrize("n_keys, seed", [(300, 1), (40_000, 1), (40_000, 42)])
+    def test_matches_the_per_key_reference(self, n_keys, seed):
+        # At 40k keys some addresses are drawn twice, so the later
+        # rounds and the first-occurrence rule are exercised.
+        expected = ipgeo_reference(n_keys, rng(seed))
+        assert realworld.ipgeo_keys(n_keys, rng(seed)) == expected
 
     def test_values_follow_first_octet(self):
         keys = realworld.ipgeo_keys(100, rng())
