@@ -416,7 +416,13 @@ class DcartAccelerator(Engine):
 
         pcu_cycles: List[int] = []
         sou_cycles: List[int] = []
-        batch_outcomes: List[List[BucketOutcome]] = []
+        # Each batch's bucket outcomes are folded as soon as it returns,
+        # so the run holds one op-id and one completion array per batch
+        # rather than every bucket's per-op lists.
+        id_chunks: List[np.ndarray] = []
+        cycle_chunks: List[np.ndarray] = []
+        matches = visited = fetched = used = 0
+        counts = result.node_access_counts
 
         for batch_index, batch in enumerate(
             workload.operations.batches(config.batch_size)
@@ -424,7 +430,20 @@ class DcartAccelerator(Engine):
             execution = session.execute_batch(batch, batch_index)
             pcu_cycles.append(execution.pcu_cycles)
             sou_cycles.append(execution.service_cycles)
-            batch_outcomes.append(execution.outcomes)
+            batch_ids: List[int] = []
+            batch_completions: List[int] = []
+            for outcome in execution.outcomes:
+                matches += outcome.partial_key_matches
+                visited += outcome.nodes_visited
+                fetched += outcome.bytes_fetched
+                used += outcome.bytes_used
+                # One counting pass over the raw visit list per bucket;
+                # the distinct-node set falls out as the Counter's keys.
+                counts.update(outcome.visited_ids)
+                batch_ids += outcome.op_ids
+                batch_completions += outcome.completion_cycles
+            id_chunks.append(np.array(batch_ids, dtype=np.int64))
+            cycle_chunks.append(np.array(batch_completions, dtype=np.int64))
 
         contentions = session.contentions
         global_sync_ops = session.global_sync_ops
@@ -462,7 +481,26 @@ class DcartAccelerator(Engine):
                 batch_waits.append(starts[i] - starts[i - 1])
         else:
             batch_waits = list(pcu_cycles)
-        self._aggregate(result, batch_outcomes, batch_waits, costs)
+        result.partial_key_matches = matches
+        result.nodes_visited = visited
+        result.distinct_nodes_visited = len(counts)
+        result.bytes_fetched = fetched
+        result.bytes_used = used
+        if id_chunks:
+            # op_ids are unique across the run, so a stable argsort on
+            # them reproduces exactly the old (op_id, latency) tuple
+            # sort; cycle counts stay integers until the final float
+            # multiply, which matches the scalar path bit-for-bit.
+            op_ids = np.concatenate(id_chunks)
+            completion = np.concatenate([
+                chunk + wait for chunk, wait in zip(cycle_chunks, batch_waits)
+            ])
+            order = np.argsort(op_ids, kind="stable")
+            result.latencies_ns = (
+                completion[order] * costs.cycle_seconds
+            ) * 1e9
+        else:
+            result.latencies_ns = np.zeros(0)
         result.cache_hit_rate = tree_buffer.hit_rate
         result.elapsed_seconds = elapsed
         result.lock_contentions = contentions
@@ -531,55 +569,3 @@ class DcartAccelerator(Engine):
             )
         sample = workload.loaded_keys[:CALIBRATION_SAMPLE]
         return PrefixExtractor.calibrate(sample, self.config.n_buckets)
-
-    def _aggregate(
-        self,
-        result: RunResult,
-        batch_outcomes: List[List[BucketOutcome]],
-        batch_waits: List[int],
-        costs,
-    ) -> None:
-        id_chunks: List[np.ndarray] = []
-        cycle_chunks: List[np.ndarray] = []
-        matches = visited = fetched = used = 0
-        counts = result.node_access_counts
-        for batch_index, outcomes in enumerate(batch_outcomes):
-            # Latency of an op = waiting for its batch's SOUs to start
-            # (combine time plus queueing behind earlier batches, per
-            # Timeline.batch_start_cycles — see run()), plus its
-            # completion offset within its SOU's queue.
-            start = batch_waits[batch_index]
-            for outcome in outcomes:
-                matches += outcome.partial_key_matches
-                visited += outcome.nodes_visited
-                fetched += outcome.bytes_fetched
-                used += outcome.bytes_used
-                # One counting pass over the raw visit list per bucket;
-                # the distinct-node set falls out as the Counter's keys.
-                counts.update(outcome.visited_ids)
-                if outcome.op_ids:
-                    id_chunks.append(
-                        np.asarray(outcome.op_ids, dtype=np.int64)
-                    )
-                    cycle_chunks.append(
-                        np.asarray(outcome.completion_cycles, dtype=np.int64)
-                        + start
-                    )
-        result.partial_key_matches = matches
-        result.nodes_visited = visited
-        result.distinct_nodes_visited = len(counts)
-        result.bytes_fetched = fetched
-        result.bytes_used = used
-        if id_chunks:
-            # op_ids are unique across the run, so a stable argsort on
-            # them reproduces exactly the old (op_id, latency) tuple
-            # sort; cycle counts stay integers until the final float
-            # multiply, which matches the scalar path bit-for-bit.
-            op_ids = np.concatenate(id_chunks)
-            completion = np.concatenate(cycle_chunks)
-            order = np.argsort(op_ids, kind="stable")
-            result.latencies_ns = (
-                completion[order] * costs.cycle_seconds
-            ) * 1e9
-        else:
-            result.latencies_ns = np.zeros(0)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Iterable, List, Optional
 
 from repro.art.nodes import Leaf
@@ -37,7 +36,6 @@ from repro.core.dispatcher import DispatchedBucket
 from repro.core.shortcut_table import ShortcutTable
 from repro.core.tree_buffer import ValueAwareTreeBuffer
 from repro.engines.base import apply_operation
-from repro.errors import ConfigError
 from repro.model.costs import FpgaCosts
 from repro.workloads.ops import Operation, OpKind
 
@@ -179,20 +177,26 @@ class ShortcutOperatingUnit:
         tb = self.tree_buffer
         fetch_node = tb.fetch
         fvalue = float(bucket.value)
-        # When the Tree_buffer is the (default) value-aware one, its
-        # fetch is fully inlined at the three call sites below — probe,
-        # hit refresh, and miss admit-with-eviction mirror
-        # ValueAwareTreeBuffer.fetch statement for statement, and the
-        # golden determinism test holds the two to identical state.  The
-        # normalised value is loop-invariant per bucket (one value, one
-        # decay multiplier), so the division happens once here.
+        # The hit branch of ValueAwareTreeBuffer.fetch is inlined at the
+        # three fetch sites below: a resident node moves to the end of
+        # its value group with a fresh touch stamp, or to the group of
+        # this bucket's value; a miss is one fetch() call, which owns
+        # admission and eviction.  Hits are counted here and flushed
+        # once per bucket.  The normalised value is loop-invariant per
+        # bucket (one value, one decay multiplier).  Groups are looked up
+        # per touch, never held across ops: an eviction or invalidation
+        # may delete one mid-bucket.  The LRU ablation has no groups, so
+        # every one of its fetches is a call.
         value_aware = type(tb) is ValueAwareTreeBuffer
         if value_aware:
-            tb_resident = tb._resident
-            tb_resident_get = tb_resident.get
-            tb_heap = tb._heap
-            tb_capacity = tb.capacity_bytes
+            tb_norm_get = tb._norm.get
+            tb_groups = tb._groups
+            tb_tick = tb._tick
+            tb_regroup = tb._regroup
             norm = fvalue / tb._mult
+        else:
+            tb_norm_get = {}.get
+        tb_hits = 0
         shortcut_miss_stall = self._shortcut_miss_stall
         tree_miss_stall = self._tree_miss_stall
         structure_cycles = self.costs.structure_op_cycles
@@ -263,55 +267,18 @@ class ShortcutOperatingUnit:
                         size = 16 + used
                         lines = -(-size // CACHE_LINE_BYTES)
                         addr = node.address
-                        if not value_aware:
+                        cur = tb_norm_get(addr)
+                        if cur is None:
                             hit = fetch_node(addr, size, fvalue)
                         else:
-                            tb_entry = tb_resident_get(addr)
-                            if tb_entry is not None:
-                                tb.hits += 1
-                                seq = tb._seq + 1
-                                tb._seq = seq
-                                tb_resident[addr] = (norm, seq, tb_entry[2])
-                                heappush(tb_heap, (norm, seq, addr))
-                                hit = True
+                            tb_hits += 1
+                            if cur == norm:
+                                group = tb_groups[cur]
+                                group.move_to_end(addr)
+                                group[addr] = tb_tick()
                             else:
-                                tb.misses += 1
-                                if size > tb_capacity:
-                                    raise ConfigError(
-                                        f"node of {size} B exceeds "
-                                        f"Tree_buffer capacity"
-                                    )
-                                admitted = True
-                                while tb.used_bytes + size > tb_capacity:
-                                    victim_addr = None
-                                    while tb_heap:
-                                        victim = heappop(tb_heap)
-                                        cur = tb_resident_get(victim[2])
-                                        if (
-                                            cur is not None
-                                            and cur[0] == victim[0]
-                                            and cur[1] == victim[1]
-                                        ):
-                                            victim_addr = victim[2]
-                                            break
-                                    if victim_addr is None:
-                                        break
-                                    if victim[0] > norm:
-                                        heappush(tb_heap, victim)
-                                        tb.rejected_inserts += 1
-                                        admitted = False
-                                        break
-                                    tb.used_bytes -= tb_resident.pop(
-                                        victim_addr
-                                    )[2]
-                                    tb.evictions += 1
-                                if admitted:
-                                    tb.used_bytes += size
-                                    seq = tb._seq + 1
-                                    tb._seq = seq
-                                    tb_resident[addr] = (norm, seq, size)
-                                    heappush(tb_heap, (norm, seq, addr))
-                                hit = False
+                                tb_regroup(addr, cur, norm)
+                            hit = True
                         if hit:
                             fast_cycles = 0
                         else:
@@ -343,66 +310,18 @@ class ShortcutOperatingUnit:
                                     )
                                 p_lines = -(-p_span // CACHE_LINE_BYTES)
                                 addr = parent.address
-                                if not value_aware:
+                                cur = tb_norm_get(addr)
+                                if cur is None:
                                     hit = fetch_node(addr, p_size, fvalue)
                                 else:
-                                    tb_entry = tb_resident_get(addr)
-                                    if tb_entry is not None:
-                                        tb.hits += 1
-                                        seq = tb._seq + 1
-                                        tb._seq = seq
-                                        tb_resident[addr] = (
-                                            norm, seq, tb_entry[2],
-                                        )
-                                        heappush(tb_heap, (norm, seq, addr))
-                                        hit = True
+                                    tb_hits += 1
+                                    if cur == norm:
+                                        group = tb_groups[cur]
+                                        group.move_to_end(addr)
+                                        group[addr] = tb_tick()
                                     else:
-                                        tb.misses += 1
-                                        if p_size > tb_capacity:
-                                            raise ConfigError(
-                                                f"node of {p_size} B exceeds"
-                                                f" Tree_buffer capacity"
-                                            )
-                                        admitted = True
-                                        while (
-                                            tb.used_bytes + p_size
-                                            > tb_capacity
-                                        ):
-                                            victim_addr = None
-                                            while tb_heap:
-                                                victim = heappop(tb_heap)
-                                                cur = tb_resident_get(
-                                                    victim[2]
-                                                )
-                                                if (
-                                                    cur is not None
-                                                    and cur[0] == victim[0]
-                                                    and cur[1] == victim[1]
-                                                ):
-                                                    victim_addr = victim[2]
-                                                    break
-                                            if victim_addr is None:
-                                                break
-                                            if victim[0] > norm:
-                                                heappush(tb_heap, victim)
-                                                tb.rejected_inserts += 1
-                                                admitted = False
-                                                break
-                                            tb.used_bytes -= tb_resident.pop(
-                                                victim_addr
-                                            )[2]
-                                            tb.evictions += 1
-                                        if admitted:
-                                            tb.used_bytes += p_size
-                                            seq = tb._seq + 1
-                                            tb._seq = seq
-                                            tb_resident[addr] = (
-                                                norm, seq, p_size,
-                                            )
-                                            heappush(
-                                                tb_heap, (norm, seq, addr)
-                                            )
-                                        hit = False
+                                        tb_regroup(addr, cur, norm)
+                                    hit = True
                                 if not hit:
                                     offchip_lines += p_lines
                                     fast_cycles += tree_miss_stall
@@ -434,55 +353,18 @@ class ShortcutOperatingUnit:
                 for t_node_id, addr, t_size, t_used, t_kind in record.touches:
                     fetch = t_size if t_size < 16 + t_used else 16 + t_used
                     lines = -(-fetch // CACHE_LINE_BYTES)
-                    if not value_aware:
+                    cur = tb_norm_get(addr)
+                    if cur is None:
                         hit = fetch_node(addr, t_size, fvalue)
                     else:
-                        tb_entry = tb_resident_get(addr)
-                        if tb_entry is not None:
-                            tb.hits += 1
-                            seq = tb._seq + 1
-                            tb._seq = seq
-                            tb_resident[addr] = (norm, seq, tb_entry[2])
-                            heappush(tb_heap, (norm, seq, addr))
-                            hit = True
+                        tb_hits += 1
+                        if cur == norm:
+                            group = tb_groups[cur]
+                            group.move_to_end(addr)
+                            group[addr] = tb_tick()
                         else:
-                            tb.misses += 1
-                            if t_size > tb_capacity:
-                                raise ConfigError(
-                                    f"node of {t_size} B exceeds "
-                                    f"Tree_buffer capacity"
-                                )
-                            admitted = True
-                            while tb.used_bytes + t_size > tb_capacity:
-                                victim_addr = None
-                                while tb_heap:
-                                    victim = heappop(tb_heap)
-                                    cur = tb_resident_get(victim[2])
-                                    if (
-                                        cur is not None
-                                        and cur[0] == victim[0]
-                                        and cur[1] == victim[1]
-                                    ):
-                                        victim_addr = victim[2]
-                                        break
-                                if victim_addr is None:
-                                    break
-                                if victim[0] > norm:
-                                    heappush(tb_heap, victim)
-                                    tb.rejected_inserts += 1
-                                    admitted = False
-                                    break
-                                tb.used_bytes -= tb_resident.pop(
-                                    victim_addr
-                                )[2]
-                                tb.evictions += 1
-                            if admitted:
-                                tb.used_bytes += t_size
-                                seq = tb._seq + 1
-                                tb._seq = seq
-                                tb_resident[addr] = (norm, seq, t_size)
-                                heappush(tb_heap, (norm, seq, addr))
-                            hit = False
+                            tb_regroup(addr, cur, norm)
+                        hit = True
                     if not hit:
                         offchip_lines += lines
                         stall_cycles += tree_miss_stall
@@ -527,6 +409,8 @@ class ShortcutOperatingUnit:
         if shortcuts is not None:
             sc_buf.hits += sc_buf_hits
             sc_buf.misses += sc_buf_misses
+        if value_aware:
+            tb.hits += tb_hits
         outcome.n_ops = len(ops)
         outcome.cycles = clock
         outcome.nodes_visited = len(visited_ids)

@@ -10,24 +10,38 @@ exceeds the current minimum, evicting that minimum — so the hot subtree
 is pinned for the whole batch and cache thrashing on high-value nodes is
 impossible by construction.
 
-Implementation: a dict for O(1) probes plus a lazy min-heap of
-``(value, address)`` entries; superseded heap entries are skipped on pop.
+Implementation: residents live in *groups*, one per distinct normalised
+value (see below), each an ``OrderedDict`` of ``address -> touch stamp``
+in recency order, least recent first.  A min-heap holds the group values,
+each pushed once, when its group is created; a value whose group has
+since emptied is skipped when an eviction reaches it.  The victim is the
+first node of the lowest group: lowest value, then least recent.  A hit
+at an unchanged value moves the node to the end of its group, a hit at
+a new value to the end of that value's group, so the state grows with
+the resident nodes and their distinct values, never with the number of
+touches.
 
-Decay is *lazy*: ageing every resident value each batch would rebuild
-the whole heap, so the buffer instead keeps one cumulative decay
-multiplier and stores every value *normalised* by the multiplier in
-force when it was written.  Effective value = stored / multiplier at
-write time x multiplier now; ordering among normalised values is
-invariant under decay (all effective values scale together), so
-``decay()`` is O(1) and eviction order is exactly what the eager
-rebuild produced.  With the default factor 0.5 every scaling step is a
-power of two, hence exact in binary floating point.
+Decay is *lazy*: ageing every resident value each batch would re-sort
+every node, so the buffer instead keeps one cumulative decay multiplier
+and stores every value *normalised* by the multiplier in force when it
+was written.  Effective value = stored / multiplier at write time x
+multiplier now; ordering among normalised values is invariant under
+decay (all effective values scale together), so ``decay()`` is O(1) and
+eviction order is exactly what an eager rescale would give.  With the
+default factor 0.5 every scaling step is a power of two, hence exact in
+binary floating point.  Before the multiplier underflows it is folded
+into the group values; two values that fold to the same float (deep
+underflow, some 1,500 half-life decays after their last touch) merge
+into one group in the order of their nodes' touch stamps.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from itertools import count
+from operator import itemgetter
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.errors import ConfigError
 
@@ -54,11 +68,17 @@ class ValueAwareTreeBuffer:
         if capacity_bytes <= 0:
             raise ConfigError(f"capacity must be positive: {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
-        # addr -> (normalised value, seq, size); heap of (norm, seq, addr),
-        # lazy.  Effective value of an entry = norm * _mult.
-        self._resident: Dict[int, Tuple[float, int, int]] = {}
-        self._heap: List[Tuple[float, int, int]] = []
-        self._seq = 0
+        #: address -> normalised value; effective value = norm * _mult.
+        self._norm: Dict[int, float] = {}
+        #: normalised value -> {address: stamp of its last touch}, least
+        #: recent first.  Within a group the order alone decides; the
+        #: stamps order two groups that renormalisation merges.
+        self._groups: Dict[float, OrderedDict[int, int]] = {}
+        #: Min-heap of group values; may still hold values of emptied groups.
+        self._values: List[float] = []
+        #: address -> node size in bytes.
+        self._size: Dict[int, int] = {}
+        self._tick = count().__next__
         #: Cumulative decay multiplier (product of all decay factors).
         self._mult = 1.0
         self.used_bytes = 0
@@ -67,184 +87,103 @@ class ValueAwareTreeBuffer:
         self.evictions = 0
         self.rejected_inserts = 0
 
-    def __len__(self) -> int:
-        return len(self._resident)
-
-    def __contains__(self, address: int) -> bool:
-        return address in self._resident
-
-    def _set(self, address: int, norm: float, size: int) -> None:
-        self._seq += 1
-        self._resident[address] = (norm, self._seq, size)
-        heappush(self._heap, (norm, self._seq, address))
-
-    def lookup(self, address: int) -> bool:
-        """Probe the buffer for a node fetch (refreshes recency)."""
-        entry = self._resident.get(address)
-        if entry is not None:
-            self.hits += 1
-            self._set(address, entry[0], entry[2])
-            return True
-        self.misses += 1
-        return False
-
-    def probe(self, address: int, value: float) -> bool:
-        """Fused ``lookup`` + ``set_value`` for the SOU fetch path.
-
-        On a hit the resident entry is refreshed (recency) and re-valued
-        in one heap push instead of two; hit/miss accounting and the
-        relative recency order match the unfused pair exactly.
-        """
-        entry = self._resident.get(address)
-        if entry is None:
-            self.misses += 1
-            return False
-        self.hits += 1
-        self._seq += 1
-        seq = self._seq
-        norm = value / self._mult
-        self._resident[address] = (norm, seq, entry[2])
-        heappush(self._heap, (norm, seq, address))
-        return True
-
     def fetch(self, address: int, size_bytes: int, value: float) -> bool:
-        """Fused ``probe`` + ``admit``-on-miss: one node fetch, one call.
+        """Fetch one node at ``value``; True on a buffer hit.
 
-        The SOU's per-touch sequence is always "probe; if miss, admit" —
-        fusing them saves a call and a residency lookup per touch on the
-        innermost path.  Returns True on a buffer hit; accounting, heap
-        contents, and eviction decisions are exactly the unfused pair's.
+        A hit refreshes the node's recency and value.  A miss admits the
+        node: free space admits unconditionally; a full buffer evicts
+        lowest-value (then least-recent) residents until it fits, unless
+        the lowest resident value exceeds the newcomer's (§III-E's
+        Value_x > Value_low rule, with >= so same-value nodes rotate
+        instead of freezing the buffer).  The SOU inlines the hit branch
+        and calls this only on a miss.
         """
-        resident = self._resident
-        heap = self._heap
         norm = value / self._mult
-        entry = resident.get(address)
-        if entry is not None:
+        current = self._norm.get(address)
+        if current is not None:
             self.hits += 1
-            seq = self._seq + 1
-            self._seq = seq
-            resident[address] = (norm, seq, entry[2])
-            heappush(heap, (norm, seq, address))
+            if current == norm:
+                group = self._groups[norm]
+                group.move_to_end(address)
+                group[address] = self._tick()
+            else:
+                self._regroup(address, current, norm)
             return True
         self.misses += 1
-        capacity = self.capacity_bytes
         if size_bytes <= 0:
             raise ConfigError(f"node size must be positive: {size_bytes}")
-        if size_bytes > capacity:
+        if size_bytes > self.capacity_bytes:
             raise ConfigError(
                 f"node of {size_bytes} B exceeds Tree_buffer capacity"
             )
-        while self.used_bytes + size_bytes > capacity:
-            victim_addr = None
-            while heap:
-                victim = heappop(heap)
-                current = resident.get(victim[2])
-                if (
-                    current is not None
-                    and current[0] == victim[0]
-                    and current[1] == victim[1]
-                ):
-                    victim_addr = victim[2]
-                    break
-            if victim_addr is None:
-                break
-            if victim[0] > norm:
-                heappush(heap, victim)
+        groups = self._groups
+        values = self._values
+        while self.used_bytes + size_bytes > self.capacity_bytes:
+            lowest = values[0]
+            group = groups.get(lowest)
+            if group is None:
+                heappop(values)  # its group emptied after the push
+                continue
+            if lowest > norm:
+                # The newcomer is strictly colder than everything
+                # resident (Value_x < Value_low): do not thrash.
                 self.rejected_inserts += 1
                 return False
-            self.used_bytes -= resident.pop(victim_addr)[2]
+            victim = group.popitem(last=False)[0]
+            if not group:
+                del groups[lowest]
+                heappop(values)
+            del self._norm[victim]
+            self.used_bytes -= self._size.pop(victim)
             self.evictions += 1
         self.used_bytes += size_bytes
-        seq = self._seq + 1
-        self._seq = seq
-        resident[address] = (norm, seq, size_bytes)
-        heappush(heap, (norm, seq, address))
+        self._size[address] = size_bytes
+        self._norm[address] = norm
+        group = groups.get(norm)
+        if group is None:
+            group = self._new_group(norm)
+        group[address] = self._tick()
         return False
 
-    def value_of(self, address: int) -> Optional[float]:
-        entry = self._resident.get(address)
-        return entry[0] * self._mult if entry else None
+    def _regroup(self, address: int, old: float, new: float) -> None:
+        """Move a resident node from value ``old`` to the end of ``new``."""
+        groups = self._groups
+        group = groups[old]
+        del group[address]
+        if not group:
+            del groups[old]
+        self._norm[address] = new
+        group = groups.get(new)
+        if group is None:
+            group = self._new_group(new)
+        group[address] = self._tick()
 
-    def set_value(self, address: int, value: float) -> None:
-        """Re-estimate a resident node's value (new batch, new buckets)."""
-        entry = self._resident.get(address)
-        if entry is None:
-            return
-        self._set(address, value / self._mult, entry[2])
-
-    def admit(self, address: int, size_bytes: int, value: float) -> bool:
-        """Offer a fetched node to the buffer; returns True if cached.
-
-        Free space admits unconditionally; a full buffer admits only
-        when ``value`` is at least the current lowest resident value,
-        evicting lowest-value (then least-recent) residents to make room
-        (SIII-E's Value_x > Value_low rule, with >= so same-value nodes
-        rotate instead of freezing the buffer).
-        """
-        capacity = self.capacity_bytes
-        if size_bytes <= 0:
-            raise ConfigError(f"node size must be positive: {size_bytes}")
-        if size_bytes > capacity:
-            raise ConfigError(
-                f"node of {size_bytes} B exceeds Tree_buffer capacity"
-            )
-        resident = self._resident
-        heap = self._heap
-        norm = value / self._mult
-        existing = resident.get(address)
-        if existing is not None:
-            self.used_bytes += size_bytes - existing[2]
-            e_norm = existing[0]
-            if e_norm < norm:
-                e_norm = norm
-            self._seq += 1
-            seq = self._seq
-            resident[address] = (e_norm, seq, size_bytes)
-            heappush(heap, (e_norm, seq, address))
-            return True
-
-        while self.used_bytes + size_bytes > capacity:
-            # Inline _pop_lowest: lowest live (value, recency) entry.
-            victim_addr = None
-            while heap:
-                victim = heappop(heap)
-                current = resident.get(victim[2])
-                if (
-                    current is not None
-                    and current[0] == victim[0]
-                    and current[1] == victim[1]
-                ):
-                    victim_addr = victim[2]
-                    break
-            if victim_addr is None:
-                break
-            if victim[0] > norm:
-                # The newcomer is strictly colder than everything
-                # resident (Value_x <= Value_low): do not thrash.
-                heappush(heap, victim)
-                self.rejected_inserts += 1
-                return False
-            self.used_bytes -= resident.pop(victim_addr)[2]
-            self.evictions += 1
-
-        self.used_bytes += size_bytes
-        self._seq += 1
-        seq = self._seq
-        resident[address] = (norm, seq, size_bytes)
-        heappush(heap, (norm, seq, address))
-        return True
+    def _new_group(self, norm: float) -> OrderedDict[int, int]:
+        """An empty group for ``norm``, its value on the heap."""
+        groups = self._groups
+        group = groups[norm] = OrderedDict()
+        if len(self._values) > 2 * len(groups):
+            # Mostly values of emptied groups: keep the live ones.
+            self._values = sorted(groups)
+        else:
+            heappush(self._values, norm)
+        return group
 
     def invalidate(self, address: int) -> bool:
         """Drop a node (it was freed by a split/merge/grow)."""
-        entry = self._resident.pop(address, None)
-        if entry is None:
+        norm = self._norm.pop(address, None)
+        if norm is None:
             return False
-        self.used_bytes -= entry[2]
+        group = self._groups[norm]
+        del group[address]
+        if not group:
+            del self._groups[norm]
+        self.used_bytes -= self._size.pop(address)
         return True
 
     def resident_addresses(self) -> List[int]:
         """Addresses currently cached (fault-injection storm targets)."""
-        return list(self._resident.keys())
+        return list(self._norm)
 
     def decay(self, factor: float = 0.5) -> None:
         """Age every resident value (called once per batch).
@@ -261,24 +200,38 @@ class ValueAwareTreeBuffer:
         if factor == 1.0:
             return
         # Lazy: scale the shared multiplier instead of every entry.
-        # Normalised values (and hence heap order) are untouched.
+        # Normalised values (and hence eviction order) are untouched.
         self._mult *= factor
         if self._mult < _MIN_MULT:
             self._renormalise()
 
     def _renormalise(self) -> None:
-        """Fold the multiplier into the stored values before it underflows.
+        """Fold the multiplier into the group values before it underflows.
 
-        Every normalised value scales by the same power-of-two-ish
-        constant, so relative order — and with it eviction order — is
-        preserved; this runs once per ~500 half-life decays.
+        Every value scales by the same constant, so relative order — and
+        with it eviction order — is preserved, except where distinct
+        values fold to one float; their groups merge by touch stamp,
+        least recent first.  Runs once per ~500 half-life decays.
         """
         mult = self._mult
-        self._heap = []
-        for address, (norm, seq, size) in self._resident.items():
-            folded = norm * mult
-            self._resident[address] = (folded, seq, size)
-            heappush(self._heap, (folded, seq, address))
+        folded: Dict[float, List[OrderedDict[int, int]]] = {}
+        for norm, group in self._groups.items():
+            folded.setdefault(norm * mult, []).append(group)
+        self._groups.clear()
+        for value, parts in folded.items():
+            if len(parts) == 1:
+                group = parts[0]
+            else:
+                group = OrderedDict(
+                    sorted(
+                        (entry for part in parts for entry in part.items()),
+                        key=itemgetter(1),
+                    )
+                )
+            self._groups[value] = group
+            for address in group:
+                self._norm[address] = value
+        self._values = sorted(self._groups)
         self._mult = 1.0
 
     @property
@@ -294,7 +247,7 @@ class ValueAwareTreeBuffer:
         registry.counter("tree_buffer.misses", self.misses)
         registry.counter("tree_buffer.evictions", self.evictions)
         registry.counter("tree_buffer.rejected_inserts", self.rejected_inserts)
-        registry.gauge("tree_buffer.resident_nodes", len(self._resident))
+        registry.gauge("tree_buffer.resident_nodes", len(self._norm))
         registry.gauge("tree_buffer.used_bytes", self.used_bytes)
         registry.gauge("tree_buffer.capacity_bytes", self.capacity_bytes)
         registry.gauge("tree_buffer.hit_rate", self.hit_rate)
@@ -315,33 +268,13 @@ class LruTreeBuffer:
         self._lru = LruBuffer(capacity_bytes)
         self.capacity_bytes = capacity_bytes
 
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    def __contains__(self, address: int) -> bool:
-        return address in self._lru
-
-    def lookup(self, address: int) -> bool:
-        return self._lru.lookup(address)
-
-    def probe(self, address: int, value: float) -> bool:
-        """Fused lookup + set_value; LRU ignores the value."""
-        return self._lru.lookup(address)
-
     def fetch(self, address: int, size_bytes: int, value: float) -> bool:
-        """Fused probe + admit-on-miss (see the value-aware buffer)."""
+        """Fetch one node; True on a hit, a miss inserts it (value ignored)."""
         lru = self._lru
         if lru.lookup(address):
             return True
         lru.insert(address, size_bytes)
         return False
-
-    def admit(self, address: int, size_bytes: int, value: float) -> bool:
-        self._lru.insert(address, size_bytes)
-        return True
-
-    def set_value(self, address: int, value: float) -> None:
-        """LRU ignores values (interface parity)."""
 
     def decay(self, factor: float = 0.5) -> None:
         """LRU has no values to age (interface parity)."""

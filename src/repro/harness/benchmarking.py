@@ -2,13 +2,14 @@
 
 This is about how fast the *simulator itself* runs, not the modelled
 hardware throughput.  :func:`ab_compare` (``repro bench --ab REV``)
-checks REV out into a temporary ``git worktree`` and runs
-``perfbench/run.py`` on every ``BENCHMARK.json`` workload in both trees,
-pair after pair; :func:`verdict` judges each end-to-end metric by its
-``better`` and ``bound`` there.  ``BENCH_speed.json`` at the repo root
-is the append-only trajectory of recorded comparisons (schema-2
-entries; entries without a ``schema`` key are schema-1 samples of a
-retired timer).  docs/PERFORMANCE.md has the method and the schema.
+checks REV and a snapshot of the checkout out into two sibling git
+worktrees and runs ``perfbench/run.py`` on every ``BENCHMARK.json``
+workload in both trees, pair after pair; :func:`verdict` judges each
+end-to-end metric by its ``better`` and ``bound`` there.
+``BENCH_speed.json`` at the repo root is the append-only trajectory of
+recorded comparisons (schema-2 entries; entries without a ``schema``
+key are schema-1 samples of a retired timer).  docs/PERFORMANCE.md has
+the method and the schema.
 """
 
 from __future__ import annotations
@@ -84,12 +85,14 @@ def peak_rss_bytes() -> int:
     return maxrss * 1024
 
 
-def _git(repo_dir: str, *args: str) -> Optional[str]:
+def _git(
+    repo_dir: str, *args: str, env: Optional[Dict[str, str]] = None
+) -> Optional[str]:
     """Stripped stdout of ``git -C repo_dir ARGS``, or None if it fails."""
     try:
         proc = subprocess.run(
             ["git", "-C", repo_dir, *args],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=env,
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
@@ -315,20 +318,58 @@ def summarize(
     return out
 
 
-@contextmanager
-def worktree(root: str, sha: str) -> Iterator[str]:
-    """Check ``sha`` out into a temporary worktree outside ``root``.
+def snapshot(root: str, index: str) -> str:
+    """Commit the checkout at ``root`` as it stands, leaving it untouched.
 
-    The worktree and its directory are removed on every exit path.
+    ``git add -A`` into a temporary index at ``index`` takes uncommitted
+    edits and untracked, non-ignored files; ``write-tree`` and
+    ``commit-tree`` on HEAD make a commit no ref points to.  The user's
+    index, stash and branches do not change.
+    """
+    env = dict(
+        os.environ, GIT_INDEX_FILE=index,
+        GIT_AUTHOR_NAME="repro bench", GIT_AUTHOR_EMAIL="repro-bench@localhost",
+        GIT_COMMITTER_NAME="repro bench",
+        GIT_COMMITTER_EMAIL="repro-bench@localhost",
+    )
+    tree = None
+    if _git(root, "add", "-A", env=env) is not None:
+        tree = _git(root, "write-tree", env=env)
+    sha = None
+    if tree:
+        sha = _git(
+            root, "commit-tree", tree, "-p", "HEAD", "-m", "repro bench change",
+            env=env,
+        )
+    if not sha:
+        raise ConfigError(f"cannot snapshot the checkout at {root}")
+    return sha
+
+
+@contextmanager
+def ab_trees(root: str, parent_sha: str) -> Iterator[Dict[str, str]]:
+    """``{side: tree}``: sibling worktrees ``<scratch>/parent`` and ``/change``.
+
+    The parent tree checks ``parent_sha`` out; the change tree checks out
+    a :func:`snapshot` of the checkout.  Both paths have the same length,
+    since perfbench's peak RSS moves with the length of the tree's path.
+    Both worktrees and their directory are removed on every exit path.
     """
     scratch = tempfile.mkdtemp(prefix="repro-bench-")
-    path = os.path.join(scratch, "parent")
+    trees = {side: os.path.join(scratch, side) for side in SIDES}
     try:
-        if _git(root, "worktree", "add", "--detach", path, sha) is None:
-            raise ConfigError(f"cannot check {sha[:12]} out into {path}")
-        yield path
+        shas = {
+            "parent": parent_sha,
+            "change": snapshot(root, os.path.join(scratch, "index")),
+        }
+        for side in SIDES:
+            path = trees[side]
+            if _git(root, "worktree", "add", "--detach", path, shas[side]) is None:
+                raise ConfigError(f"cannot check {shas[side][:12]} out into {path}")
+        yield trees
     finally:
-        _git(root, "worktree", "remove", "--force", path)
+        for path in trees.values():
+            _git(root, "worktree", "remove", "--force", path)
         shutil.rmtree(scratch, ignore_errors=True)
         _git(root, "worktree", "prune")
 
@@ -362,8 +403,7 @@ def ab_compare(
         runner = perfbench_runner(bench["command"], bench["run_seconds"])
     workloads = [w["name"] for w in bench["workloads"]]
     change_sha = git_sha(root)
-    with worktree(root, sha) as parent_tree:
-        trees = {"parent": parent_tree, "change": root}
+    with ab_trees(root, sha) as trees:
         runs = run_pairs(trees, workloads, pairs, runner, progress)
     return {
         "schema": 2,

@@ -19,10 +19,14 @@ script = st.lists(
 
 def replay(buffer, actions):
     for slot, size, value in actions:
-        address = 0x1000 + slot * 0x1000
-        if not buffer.lookup(address):
-            buffer.admit(address, size, value)
+        buffer.fetch(0x1000 + slot * 0x1000, size, value)
     return buffer
+
+
+def effective_values(buffer):
+    return {
+        address: norm * buffer._mult for address, norm in buffer._norm.items()
+    }
 
 
 @given(script)
@@ -36,41 +40,53 @@ def test_capacity_never_exceeded(actions):
 @settings(max_examples=80, deadline=None)
 def test_accounting_is_consistent(actions):
     buffer = replay(ValueAwareTreeBuffer(CAPACITY), actions)
-    assert buffer.hits + buffer.misses == len(actions)  # one lookup per action
-    assert len(buffer) >= 0
+    assert buffer.hits + buffer.misses == len(actions)  # one fetch per action
     # used_bytes is the sum of resident sizes.
-    assert buffer.used_bytes == sum(
-        entry[2] for entry in buffer._resident.values()
-    )
+    assert buffer.used_bytes == sum(buffer._size.values())
 
 
 @given(script)
 @settings(max_examples=60, deadline=None)
 def test_resident_set_matches_contains(actions):
+    # Every resident sits in exactly the group of its value, no group is
+    # empty, and every group value is on the heap.
     buffer = replay(ValueAwareTreeBuffer(CAPACITY), actions)
-    for address in list(buffer._resident):
-        assert address in buffer
-        assert buffer.value_of(address) is not None
+    grouped = {
+        address: norm
+        for norm, group in buffer._groups.items()
+        for address in group
+    }
+    assert grouped == buffer._norm
+    assert set(buffer.resident_addresses()) == set(grouped)
+    assert set(buffer._size) == set(grouped)
+    assert all(buffer._groups.values())
+    assert set(buffer._groups) <= set(buffer._values)
 
 
 @given(script, st.floats(min_value=0.1, max_value=0.9))
 @settings(max_examples=60, deadline=None)
 def test_decay_scales_every_value(actions, factor):
     buffer = replay(ValueAwareTreeBuffer(CAPACITY), actions)
-    before = {addr: buffer.value_of(addr) for addr in buffer._resident}
+    before = effective_values(buffer)
     buffer.decay(factor)
+    after = effective_values(buffer)
+    assert set(after) == set(before)
     for address, value in before.items():
-        assert buffer.value_of(address) == value * factor
+        assert after[address] == value * factor
 
 
 @given(script)
 @settings(max_examples=60, deadline=None)
 def test_lookup_after_admit_always_hits(actions):
+    # A miss that was not rejected leaves the node resident, so the next
+    # fetch of the same address hits.
     buffer = ValueAwareTreeBuffer(CAPACITY)
     for slot, size, value in actions:
         address = 0x1000 + slot * 0x1000
-        if buffer.admit(address, size, value):
-            assert address in buffer
+        rejected = buffer.rejected_inserts
+        buffer.fetch(address, size, value)
+        if buffer.rejected_inserts == rejected:
+            assert buffer.fetch(address, size, value)
 
 
 @given(script)
@@ -78,3 +94,4 @@ def test_lookup_after_admit_always_hits(actions):
 def test_lru_adapter_shares_invariants(actions):
     buffer = replay(LruTreeBuffer(CAPACITY), actions)
     assert buffer._lru.used_bytes <= CAPACITY
+    assert buffer.hits + buffer.misses == len(actions)

@@ -64,62 +64,71 @@ class TestLruBuffer:
         assert LruBuffer(10).hit_rate == 0.0
 
 
+def resident(buffer):
+    return set(buffer.resident_addresses())
+
+
 class TestValueAwareTreeBuffer:
     def test_admit_and_lookup(self):
         buf = ValueAwareTreeBuffer(1000)
-        assert buf.admit(0x10, 100, value=5.0)
-        assert buf.lookup(0x10)
-        assert not buf.lookup(0x20)
-        assert buf.value_of(0x10) == 5.0
+        assert not buf.fetch(0x10, 100, value=5.0)  # miss admits
+        assert buf.fetch(0x10, 100, value=5.0)  # then hits
+        assert resident(buf) == {0x10}
+        assert buf.hits == 1 and buf.misses == 1 and buf.used_bytes == 100
 
     def test_low_value_rejected_when_full(self):
         buf = ValueAwareTreeBuffer(200)
-        buf.admit(0x10, 100, value=10.0)
-        buf.admit(0x20, 100, value=10.0)
+        buf.fetch(0x10, 100, value=10.0)
+        buf.fetch(0x20, 100, value=10.0)
         # A strictly colder node must NOT displace the hot ones.
-        assert not buf.admit(0x30, 100, value=1.0)
-        assert 0x10 in buf and 0x20 in buf
-        assert buf.rejected_inserts == 1
+        assert not buf.fetch(0x30, 100, value=1.0)
+        assert resident(buf) == {0x10, 0x20}
+        assert buf.rejected_inserts == 1 and buf.evictions == 0
 
     def test_high_value_evicts_lowest(self):
         buf = ValueAwareTreeBuffer(200)
-        buf.admit(0x10, 100, value=1.0)
-        buf.admit(0x20, 100, value=10.0)
-        assert buf.admit(0x30, 100, value=5.0)
-        assert 0x10 not in buf  # the lowest value went
-        assert 0x20 in buf and 0x30 in buf
+        buf.fetch(0x10, 100, value=1.0)
+        buf.fetch(0x20, 100, value=10.0)
+        buf.fetch(0x30, 100, value=5.0)
+        assert resident(buf) == {0x20, 0x30}  # the lowest value went
         assert buf.evictions == 1
 
     def test_equal_value_evicts_least_recent(self):
         buf = ValueAwareTreeBuffer(200)
-        buf.admit(0x10, 100, value=5.0)
-        buf.admit(0x20, 100, value=5.0)
-        buf.lookup(0x10)  # refresh
-        assert buf.admit(0x30, 100, value=5.0)
-        assert 0x20 not in buf and 0x10 in buf
+        buf.fetch(0x10, 100, value=5.0)
+        buf.fetch(0x20, 100, value=5.0)
+        buf.fetch(0x10, 100, value=5.0)  # hit: refresh
+        buf.fetch(0x30, 100, value=5.0)
+        assert resident(buf) == {0x10, 0x30}
 
-    def test_set_value_changes_eviction_order(self):
+    def test_hit_at_new_value_moves_node(self):
         buf = ValueAwareTreeBuffer(200)
-        buf.admit(0x10, 100, value=1.0)
-        buf.admit(0x20, 100, value=10.0)
-        buf.set_value(0x10, 100.0)
-        buf.admit(0x30, 100, value=50.0)
-        assert 0x20 not in buf and 0x10 in buf
+        buf.fetch(0x10, 100, value=1.0)
+        buf.fetch(0x20, 100, value=10.0)
+        buf.fetch(0x10, 100, value=100.0)  # hit re-values 0x10
+        buf.fetch(0x30, 100, value=50.0)
+        assert resident(buf) == {0x10, 0x30}
 
     def test_decay_halves_values(self):
-        buf = ValueAwareTreeBuffer(1000)
-        buf.admit(0x10, 100, value=8.0)
+        # 8 decayed once is 4: a newcomer at 4 displaces it, one at 3.5
+        # is colder and is rejected.
+        buf = ValueAwareTreeBuffer(100)
+        buf.fetch(0x10, 100, value=8.0)
         buf.decay(0.5)
-        assert buf.value_of(0x10) == pytest.approx(4.0)
+        assert not buf.fetch(0x20, 100, value=3.5)
+        assert resident(buf) == {0x10} and buf.rejected_inserts == 1
+        buf.fetch(0x20, 100, value=4.0)
+        assert resident(buf) == {0x20} and buf.evictions == 1
 
     def test_decay_lets_stale_entries_drain(self):
         buf = ValueAwareTreeBuffer(200)
-        buf.admit(0x10, 100, value=100.0)
-        buf.admit(0x20, 100, value=100.0)
+        buf.fetch(0x10, 100, value=100.0)
+        buf.fetch(0x20, 100, value=100.0)
         for _ in range(10):
             buf.decay(0.5)
         # Old "hot" entries have decayed below a modest newcomer.
-        assert buf.admit(0x30, 100, value=5.0)
+        buf.fetch(0x30, 100, value=5.0)
+        assert 0x30 in resident(buf)
 
     def test_decay_validates_factor(self):
         with pytest.raises(ConfigError):
@@ -128,27 +137,20 @@ class TestValueAwareTreeBuffer:
 
     def test_invalidate(self):
         buf = ValueAwareTreeBuffer(1000)
-        buf.admit(0x10, 100, value=1.0)
+        buf.fetch(0x10, 100, value=1.0)
         assert buf.invalidate(0x10)
         assert not buf.invalidate(0x10)
-        assert buf.used_bytes == 0
-
-    def test_readmit_keeps_max_value(self):
-        buf = ValueAwareTreeBuffer(1000)
-        buf.admit(0x10, 100, value=9.0)
-        buf.admit(0x10, 100, value=2.0)
-        assert buf.value_of(0x10) == 9.0
-        assert buf.used_bytes == 100
+        assert buf.used_bytes == 0 and resident(buf) == set()
+        assert not buf.fetch(0x10, 100, value=1.0)  # gone: a miss again
 
     def test_oversized_node_rejected(self):
         with pytest.raises(ConfigError):
-            ValueAwareTreeBuffer(100).admit(0x10, 101, 1.0)
+            ValueAwareTreeBuffer(100).fetch(0x10, 101, 1.0)
 
     def test_hit_rate(self):
         buf = ValueAwareTreeBuffer(1000)
-        buf.admit(0x10, 100, 1.0)
-        buf.lookup(0x10)
-        buf.lookup(0x20)
+        buf.fetch(0x10, 100, 1.0)
+        buf.fetch(0x10, 100, 1.0)
         assert buf.hit_rate == pytest.approx(0.5)
 
     def test_hot_set_survives_cold_scan(self):
@@ -156,30 +158,28 @@ class TestValueAwareTreeBuffer:
         buf = ValueAwareTreeBuffer(10 * 64)
         hot = list(range(0, 5 * 1000, 1000))
         for addr in hot:
-            buf.admit(addr, 64, value=100.0)
+            buf.fetch(addr, 64, value=100.0)
         for i in range(100):  # cold scan of 100 distinct nodes
-            buf.admit(10_000 + i * 64, 64, value=1.0)
-        for addr in hot:
-            assert addr in buf
+            buf.fetch(10_000 + i * 64, 64, value=1.0)
+        assert set(hot) <= resident(buf)
 
     def test_lru_counterpart_thrashes_on_cold_scan(self):
         buf = LruTreeBuffer(10 * 64)
         hot = list(range(0, 5 * 1000, 1000))
         for addr in hot:
-            buf.admit(addr, 64, value=100.0)
+            buf.fetch(addr, 64, value=100.0)
         for i in range(100):
-            buf.admit(10_000 + i * 64, 64, value=1.0)
-        assert all(addr not in buf for addr in hot)
+            buf.fetch(10_000 + i * 64, 64, value=1.0)
+        assert not set(hot) & resident(buf)
 
 
 class TestLruTreeBuffer:
     def test_interface_parity(self):
         buf = LruTreeBuffer(1000)
-        assert buf.admit(0x10, 100, value=1.0)
-        assert buf.lookup(0x10)
-        assert not buf.lookup(0x20)
-        buf.set_value(0x10, 5.0)  # no-op
+        assert not buf.fetch(0x10, 100, value=1.0)
+        assert buf.fetch(0x10, 100, value=5.0)
         buf.decay(0.5)  # no-op
         assert buf.invalidate(0x10)
+        assert not buf.invalidate(0x10)
         assert buf.hits == 1 and buf.misses == 1
         assert 0 <= buf.hit_rate <= 1

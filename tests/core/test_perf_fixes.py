@@ -1,21 +1,17 @@
 """Tests pinning the perf-PR semantic fixes.
 
-Three behaviours guarded here:
+Behaviours guarded here:
 
 * ``hbm_bandwidth_cycles`` bills fractional HBM cycles as whole cycles
   (ceil) instead of silently rounding tiny batches to zero.
-* The lazy-decay ``ValueAwareTreeBuffer`` evicts in exactly the order
-  the old eager rebuild-the-heap implementation did.
+* Vectorised bucketing matches the scalar prefix extractor.
 * ``OperationStream`` adopts caller-owned lists without copying, with
   ``copy=True`` as the escape hatch.
 """
 
-import heapq
-
 from hypothesis import given, settings, strategies as st
 
 from repro.core.accelerator import hbm_bandwidth_cycles
-from repro.core.tree_buffer import ValueAwareTreeBuffer
 from repro.workloads.ops import Operation, OperationStream, OpKind
 
 
@@ -37,84 +33,6 @@ class TestBandwidthRounding:
     def test_ceil_not_floor(self):
         # 2001 bytes -> 1000.5 cycles -> 1001, where int() gave 1000.
         assert hbm_bandwidth_cycles(2001, 1.0, 500e6) == 1001
-
-
-class EagerDecayBuffer(ValueAwareTreeBuffer):
-    """Reference implementation: the pre-PR eager rebuild-on-decay.
-
-    Subclasses the lazy buffer but overrides ``decay`` with the original
-    O(n) loop (scale every entry, rebuild the heap), so any divergence
-    in eviction behaviour between the two shows up as a state mismatch.
-    """
-
-    def decay(self, factor: float = 0.5) -> None:
-        if factor == 1.0:
-            return
-        self._heap = []
-        for address, (value, seq, size) in list(self._resident.items()):
-            aged = value * factor
-            self._resident[address] = (aged, seq, size)
-            heapq.heappush(self._heap, (aged, seq, address))
-
-
-# Scripts mix admits, lookups, re-values, and decays.
-action = st.one_of(
-    st.tuples(
-        st.just("admit"),
-        st.integers(min_value=0, max_value=30),
-        st.sampled_from([52, 160, 656]),
-        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-    ),
-    st.tuples(st.just("lookup"), st.integers(min_value=0, max_value=30)),
-    st.tuples(
-        st.just("set_value"),
-        st.integers(min_value=0, max_value=30),
-        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-    ),
-    st.tuples(st.just("decay"), st.sampled_from([0.5, 0.25])),
-)
-
-
-def _apply(buffer, step):
-    kind = step[0]
-    address = 0x1000 + step[1] * 0x1000 if kind != "decay" else None
-    if kind == "admit":
-        return buffer.admit(address, step[2], step[3])
-    if kind == "lookup":
-        return buffer.lookup(address)
-    if kind == "set_value":
-        buffer.set_value(address, step[2])
-        return None
-    buffer.decay(step[1])
-    return None
-
-
-class TestLazyDecayEvictionOrder:
-    @given(st.lists(action, max_size=200))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_eager_reference(self, script):
-        lazy = ValueAwareTreeBuffer(16 * 64)
-        eager = EagerDecayBuffer(16 * 64)
-        for step in script:
-            assert _apply(lazy, step) == _apply(eager, step)
-            # Same residents, same accounting, after every action: the
-            # lazy buffer made exactly the eager buffer's evictions.
-            assert set(lazy._resident) == set(eager._resident)
-            assert lazy.used_bytes == eager.used_bytes
-            assert lazy.evictions == eager.evictions
-            assert lazy.rejected_inserts == eager.rejected_inserts
-
-    def test_many_decays_do_not_underflow(self):
-        buf = ValueAwareTreeBuffer(1000)
-        buf.admit(0x10, 100, value=4.0)
-        for _ in range(3000):  # far past the renormalisation threshold
-            buf.decay(0.5)
-        assert buf.value_of(0x10) == 0.0 or buf.value_of(0x10) >= 0.0
-        # Fresh admits still order correctly after renormalisation.
-        buf.admit(0x20, 100, value=2.0)
-        buf.admit(0x30, 100, value=1.0)
-        assert buf.value_of(0x20) == 2.0
-        assert buf.value_of(0x30) == 1.0
 
 
 class TestVectorisedBucketing:

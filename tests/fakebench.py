@@ -66,19 +66,18 @@ def perfbench_stdout(digest="d1", correct=True, failed=0, **metrics):
 class FakeRunner:
     """Stands in for perfbench: per-side output of :func:`perfbench_stdout`.
 
-    The change side is the checkout at ``root``; any other tree is the
-    parent, which must be a worktree outside it holding perfbench.
+    Each side runs in its own worktree outside the checkout at ``root``,
+    named after the side and holding perfbench; ``trees`` records them.
     """
 
     def __init__(self, root, change=None, parent=None):
         self.root = str(root)
         self.out = {"change": change or {}, "parent": parent or {}}
-        self.trees = set()
+        self.trees = {}
 
     def __call__(self, tree, workload):
-        side = "change" if tree == self.root else "parent"
-        if side == "parent":
-            assert os.path.isfile(os.path.join(tree, "perfbench", "run.py"))
-            assert not tree.startswith(self.root)
-            self.trees.add(tree)
+        side = os.path.basename(tree)
+        assert os.path.isfile(os.path.join(tree, "perfbench", "run.py"))
+        assert not tree.startswith(self.root)
+        self.trees.setdefault(side, set()).add(tree)
         return parse_run(0, perfbench_stdout(**self.out[side]), "")

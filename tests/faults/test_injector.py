@@ -91,7 +91,7 @@ class TestBufferStorm:
     def test_storm_invalidates_fraction(self, buffer_cls):
         buffer = buffer_cls(1 << 20)
         for address in range(100):
-            buffer.admit(address, 64, 1.0)
+            buffer.fetch(address, 64, 1.0)
         injector = make_injector([BufferStorm(0, 0.5)])
         injector.start_batch(0, None, None, buffer)
         assert injector.storm_invalidations == 50
@@ -100,7 +100,7 @@ class TestBufferStorm:
     def test_full_storm_empties_buffer(self):
         buffer = ValueAwareTreeBuffer(1 << 20)
         for address in range(10):
-            buffer.admit(address, 64, 1.0)
+            buffer.fetch(address, 64, 1.0)
         injector = make_injector([BufferStorm(0, 1.0)])
         injector.start_batch(0, None, None, buffer)
         assert buffer.resident_addresses() == []

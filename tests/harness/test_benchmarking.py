@@ -285,8 +285,44 @@ class TestAbCompare:
     def test_worktree_is_gone_after_a_pass(self, repo):
         runner = FakeRunner(repo)
         ab_compare("HEAD", 1, runner=runner, root=str(repo))
-        (tree,) = runner.trees
-        assert not os.path.exists(os.path.dirname(tree))
+        assert sorted(runner.trees) == ["change", "parent"]
+        for (tree,) in runner.trees.values():
+            assert not os.path.exists(os.path.dirname(tree))
+        assert worktree_count(repo) == 1
+
+    def test_sides_run_in_sibling_trees_of_equal_length(self, repo):
+        # Peak RSS moves with the length of the tree's path, so neither
+        # side may run from a shorter one.
+        runner = FakeRunner(repo)
+        ab_compare("HEAD", 2, runner=runner, root=str(repo))
+        (parent,) = runner.trees["parent"]
+        (change,) = runner.trees["change"]
+        assert len(parent) == len(change)
+        assert os.path.dirname(parent) == os.path.dirname(change)
+
+    def test_uncommitted_work_reaches_the_change_tree_only(self, repo):
+        with open(repo / "perfbench" / "run.py", "w") as handle:
+            handle.write("edited\n")
+        with open(repo / "untracked.txt", "w") as handle:
+            handle.write("new\n")
+        git(repo, "add", "perfbench/run.py")  # one staged, one not
+        status = git(repo, "status", "--porcelain")
+        branches = git(repo, "branch", "--list")
+        seen = {}
+
+        def runner(tree, workload):
+            side = os.path.basename(tree)
+            with open(os.path.join(tree, "perfbench", "run.py")) as handle:
+                edited = handle.read()
+            untracked = os.path.exists(os.path.join(tree, "untracked.txt"))
+            seen[side] = (edited, untracked)
+            return parse_run(0, perfbench_stdout(), "")
+
+        ab_compare("HEAD", 1, runner=runner, root=str(repo))
+        assert seen == {"parent": ("", False), "change": ("edited\n", True)}
+        assert git(repo, "status", "--porcelain") == status
+        assert git(repo, "branch", "--list") == branches
+        assert git(repo, "stash", "list") == ""
         assert worktree_count(repo) == 1
 
     def test_worktree_is_gone_after_a_runner_exception(self, repo):
