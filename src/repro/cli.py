@@ -895,7 +895,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_cluster(args) -> int:
     from repro.cluster import ClusterConfig, ClusterCoordinator
-    from repro.errors import FaultError
+    from repro.errors import FaultError, SimulationError, TreeError
     from repro.faults import FaultSchedule, ReplicationLinkSlowdown
     from repro.harness import resilience
 
@@ -937,7 +937,6 @@ def _cmd_cluster(args) -> int:
             schedule=schedule,
         )
         report = coordinator.run(batch_size=args.batch_size)
-        coordinator.validate_trees()
     except ConfigError as exc:
         print(f"bad cluster setup: {exc}", file=sys.stderr)
         return 2
@@ -979,6 +978,13 @@ def _cmd_cluster(args) -> int:
                 f"{migration['cycles']} cyc)"
             )
 
+    try:
+        coordinator.validate_trees()
+        # After the report: the replicas' catch-up drains their lag.
+        coordinator.check_replicas()
+    except (SimulationError, TreeError) as exc:
+        print(f"cluster: {exc}", file=sys.stderr)
+        return 1
     if args.fault == "shard-failstop" and not report["failovers"]:
         print(
             "cluster: the fail-stopped shard never failed over",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.art.tree import AdaptiveRadixTree
 from repro.art.validate import validate_tree
@@ -46,7 +46,7 @@ from repro.cluster.rebalancer import SkewRebalancer, shard_busy_cycles
 from repro.cluster.replication import ReplicaShard
 from repro.core.accelerator import AcceleratorSession, DcartAccelerator
 from repro.core.config import DCARTConfig
-from repro.durability.wal import encode_batch_frames, is_loggable
+from repro.durability.wal import encode_batch_frames, loggable_ops
 from repro.errors import ConfigError, FaultError, SimulationError
 from repro.faults import FaultSchedule
 from repro.model.costs import DEFAULT_CLUSTER_COSTS, ClusterCosts
@@ -173,11 +173,13 @@ class _Shard:
         self.ops_executed = 0
         self.batches_executed = 0
         self.busy_snapshot = 0
-        self.session = self._open_session(self._build_tree())
+        build_tree = self._tree_builder()
+        self.session = self._open_session(build_tree())
         if cluster.replicas:
+            # The replica builds its own copy the first time it is read.
             self.replica = ReplicaShard(
                 shard_id,
-                self._build_tree(),
+                build_tree,
                 cluster.costs,
                 clock_hz,
                 cluster.seed,
@@ -202,10 +204,15 @@ class _Shard:
             seed=self._base.seed,
         )
 
-    def _build_tree(self) -> AdaptiveRadixTree:
-        return DcartAccelerator(config=self._config()).build_tree(
-            self.workload()
-        )
+    def _tree_builder(self) -> Callable[[], AdaptiveRadixTree]:
+        """A call that bulk-loads the shard's keys as they are now.
+
+        It keeps this moment's keys and config however late it runs: a
+        replica makes its tree on its first read, and a migration
+        rebinds ``keys``.
+        """
+        config, workload = self._config(), self.workload()
+        return lambda: DcartAccelerator(config=config).build_tree(workload)
 
     def _open_session(self, tree: AdaptiveRadixTree) -> AcceleratorSession:
         accelerator = DcartAccelerator(config=self._config())
@@ -439,11 +446,11 @@ class ClusterCoordinator:
                 if self.schedule is not None
                 else 1.0
             )
-            n_loggable = sum(1 for op in sub if is_loggable(op))
+            mutating = loggable_ops(sub)
             shard.replica.ship(  # reprolint: disable=CYC02 -- ready cycle is tracked in the replica inbox; the return is informational
                 batch_index,
-                encode_batch_frames(batch_index, sub),
-                n_loggable,
+                encode_batch_frames(batch_index, mutating),
+                len(mutating),
                 self.clock,
                 slowdown,
             )
@@ -649,6 +656,28 @@ class ClusterCoordinator:
         """ART invariant validation over every primary tree."""
         for shard in self.shards:
             validate_tree(shard.tree).raise_if_failed()
+
+    def check_replicas(self) -> None:
+        """Catch every surviving replica up and hold it to its primary.
+
+        Each replica's tree must pass ART validation and map exactly
+        the keys and values of its primary's; raises
+        :class:`~repro.errors.TreeError` or :class:`SimulationError`
+        otherwise.  The catch-up drains the inboxes :meth:`report`
+        reads the lag from, so check after the report is built.
+        """
+        for shard in self.shards:
+            replica = shard.replica
+            if replica is None:
+                continue
+            replica.catch_up()
+            tree = replica.tree
+            validate_tree(tree).raise_if_failed()
+            if dict(tree.items()) != dict(shard.tree.items()):
+                raise SimulationError(
+                    f"the replica of shard {shard.shard_id} does not "
+                    "match its primary"
+                )
 
     def report(
         self, completed: int, n_batches: int

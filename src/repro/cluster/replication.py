@@ -14,13 +14,22 @@ ReplicationLinkSlowdown` in force), and :meth:`ReplicaShard.advance`
 applies whatever has become ready as the cluster clock passes it.  The
 gap between shipped and applied is the replication lag that failover's
 catch-up replay has to close — and pay for.
+
+*Applied* is modelled state: ``applied_through`` and ``ops_applied``
+move when a group applies, but the group's frames only join a replay
+backlog.  The replica's tree is built the first time something reads
+it — :meth:`ReplicaShard.catch_up` at a promotion or a migration
+quiesce, or :attr:`ReplicaShard.tree` — and the backlog is decoded and
+replayed into it then, in ship order.  A replica that is read holds
+the tree an apply-on-arrival replica would; one that never is costs
+only its frame bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Deque
+from typing import Callable, Deque, Optional
 from collections import deque
 
 from repro.art.tree import AdaptiveRadixTree
@@ -29,7 +38,7 @@ from repro.errors import SimulationError
 from repro.model.costs import ClusterCosts
 
 
-@dataclass
+@dataclass(slots=True)
 class _ShippedGroup:
     """One batch's framed record group in flight to the replica."""
 
@@ -40,31 +49,36 @@ class _ShippedGroup:
 
 
 class ReplicaShard:
-    """A shard's replica: a live tree trailing the primary's WAL stream.
+    """A shard's replica: a tree trailing the primary's WAL stream.
 
-    ``seed`` drives the per-group lag jitter; two replicas constructed
-    with the same ``(seed, shard_id)`` see identical lag, so cluster
-    runs stay bit-reproducible.
+    ``build_tree`` makes the replica's starting tree (the shard's bulk
+    load); it runs once, on the first read of :attr:`tree`.  ``seed``
+    drives the per-group lag jitter; two replicas constructed with the
+    same ``(seed, shard_id)`` see identical lag, so cluster runs stay
+    bit-reproducible.
     """
 
     def __init__(
         self,
         shard_id: int,
-        tree: AdaptiveRadixTree,
+        build_tree: Callable[[], AdaptiveRadixTree],
         costs: ClusterCosts,
         clock_hz: float,
         seed: int,
     ):
         self.shard_id = shard_id
-        self.tree = tree
         self.costs = costs
         self.clock_hz = clock_hz
         # Arithmetic mix keeps the stream independent per shard without
         # relying on randomised string hashing.
         self._rng = Random(seed * 1_000_003 + shard_id)
         self._inbox: Deque[_ShippedGroup] = deque()
+        #: Applied groups not yet replayed into the tree, in ship order.
+        self._backlog: Deque[_ShippedGroup] = deque()
+        self._build_tree = build_tree
+        self._tree: Optional[AdaptiveRadixTree] = None
         self.shipped_through = -1  #: newest batch index acked into the inbox
-        self.applied_through = -1  #: newest batch index applied to the tree
+        self.applied_through = -1  #: newest batch index applied
         self.ops_shipped = 0
         self.ops_applied = 0
         self.bytes_shipped = 0
@@ -121,10 +135,12 @@ class ReplicaShard:
         return applied
 
     def catch_up(self) -> int:
-        """Apply the whole inbox now (failover); returns ops replayed."""
+        """Apply the whole inbox now and bring the tree up to date
+        (failover, migration quiesce); returns the ops the inbox held."""
         replayed = 0
         while self._inbox:
             replayed += self._apply(self._inbox.popleft())
+        self._replay()
         return replayed
 
     def _apply(self, group: _ShippedGroup) -> int:
@@ -136,14 +152,43 @@ class ReplicaShard:
                 f"{group.batch_index} out of order "
                 f"(already at {self.applied_through})"
             )
-        ops = 0
-        for record in decode_frames(group.frames):
-            if isinstance(record, OpRecord):
-                record.apply(self.tree)
-                ops += 1
+        self._backlog.append(group)
         self.applied_through = group.batch_index
-        self.ops_applied += ops
-        return ops
+        self.ops_applied += group.n_ops
+        return group.n_ops
+
+    @property
+    def tree(self) -> AdaptiveRadixTree:
+        """The replica's tree, every applied group replayed into it."""
+        return self._replay()
+
+    def _replay(self) -> AdaptiveRadixTree:
+        """Build the tree if need be, then replay the backlog into it.
+
+        A group is decoded whole before any of its ops applies, so
+        damaged frames raise :class:`SimulationError` with the group
+        still in the backlog and the tree at the group before it.
+        """
+        tree = self._tree
+        if tree is None:
+            tree = self._tree = self._build_tree()
+        backlog = self._backlog
+        while backlog:
+            group = backlog[0]
+            ops = [
+                record
+                for record in decode_frames(group.frames)
+                if isinstance(record, OpRecord)
+            ]
+            if len(ops) != group.n_ops:
+                raise SimulationError(
+                    f"replica {self.shard_id}: batch {group.batch_index} "
+                    f"holds {len(ops)} ops, {group.n_ops} were shipped"
+                )
+            for record in ops:
+                record.apply(tree)
+            backlog.popleft()
+        return tree
 
     # ------------------------------------------------------------------
 

@@ -37,7 +37,7 @@ from repro.durability.recover import WAL_FILENAME
 from repro.durability.wal import (
     CommitRecord,
     WriteAheadLog,
-    is_loggable,
+    loggable_ops,
     op_record,
 )
 from repro.errors import ConfigError, SimulatedCrash
@@ -130,7 +130,7 @@ class DurabilityManager:
         """
         if self.wal is None:
             raise ConfigError("DurabilityManager.log_batch before attach()")
-        mutating = [op for op in operations if is_loggable(op)]
+        mutating = loggable_ops(operations)
         if not mutating:
             return 0.0
         wal = self.wal

@@ -65,6 +65,12 @@ REC_COMMIT = 3
 #: WAL op encoding of the mutating :class:`OpKind` members.
 _OP_TO_CODE = {OpKind.WRITE: 1, OpKind.DELETE: 2}
 _CODE_TO_OP = {code: kind for kind, code in _OP_TO_CODE.items()}
+# The per-op paths test a kind by identity: a lookup in ``_OP_TO_CODE``
+# hashes the member through the Python-level ``Enum.__hash__``.
+_WRITE = OpKind.WRITE
+_DELETE = OpKind.DELETE
+_WRITE_CODE = _OP_TO_CODE[_WRITE]
+_DELETE_CODE = _OP_TO_CODE[_DELETE]
 
 # ---------------------------------------------------------------------------
 # value codec
@@ -241,35 +247,52 @@ def decode_record(payload: bytes) -> WalRecord:
 
 def op_record(op: Operation) -> OpRecord:
     """The WAL form of a workload operation (mutating kinds only)."""
-    if op.kind not in _OP_TO_CODE:
+    if not is_loggable(op):
         raise SimulationError(f"op kind {op.kind} is not WAL-loggable")
     return OpRecord(op.kind, op.op_id, bytes(op.key), op.value)
 
 
 def is_loggable(op: Operation) -> bool:
     """Whether the op mutates the tree (reads/scans are not logged)."""
-    return op.kind in _OP_TO_CODE
+    kind = op.kind
+    return kind is _WRITE or kind is _DELETE
+
+
+def loggable_ops(operations: Iterable[Operation]) -> List[Operation]:
+    """The ops of ``operations`` that a WAL group logs, in order."""
+    write, delete = _WRITE, _DELETE
+    return [op for op in operations if op.kind is write or op.kind is delete]
 
 
 def frame_ops(
-    out: bytearray, sizes: List[int], operations: Iterable[Operation]
+    out: bytearray,
+    sizes: List[int],
+    operations: Iterable[Operation],
+    skip_unloggable: bool = False,
 ) -> None:
     """Append one framed OP record per op to ``out``, its size to ``sizes``.
 
     The group encoder both the writer and :func:`encode_batch_frames`
     use; each frame is byte-identical to ``frame(encode_record(
-    op_record(op)))``.  Raises :class:`SimulationError` for a
-    non-mutating op or an unencodable value; the frames of the ops
+    op_record(op)))``.  A non-mutating op is passed over when
+    ``skip_unloggable`` is set and raises :class:`SimulationError`
+    otherwise, as an unencodable value does; the frames of the ops
     before it are already in ``out``.
     """
     pack_frame = _FRAME.pack
     pack_header = _OP_HEADER.pack
     crc32 = zlib.crc32
-    codes = _OP_TO_CODE
+    write, delete = _WRITE, _DELETE
     for op in operations:
-        code = codes.get(op.kind)
-        if code is None:
-            raise SimulationError(f"op kind {op.kind} is not WAL-loggable")
+        kind = op.kind
+        if kind is write:
+            code = _WRITE_CODE
+        elif kind is delete:
+            code = _DELETE_CODE
+        elif skip_unloggable:
+            continue
+        else:
+            raise SimulationError(f"op kind {kind} is not WAL-loggable")
         key = op.key
         payload = (
             pack_header(REC_OP, code, op.op_id, len(key))
@@ -291,10 +314,10 @@ def encode_batch_frames(batch_index: int, operations: List[Operation]) -> bytes:
     replica's catch-up replay decodes the same wire format recovery
     does.  Non-mutating ops are skipped, as in :meth:`log_op` usage.
     """
-    loggable = [op for op in operations if is_loggable(op)]
+    sizes: List[int] = []
     out = bytearray(frame(_BEGIN.pack(REC_BEGIN, batch_index)))
-    frame_ops(out, [], loggable)
-    out += frame(_COMMIT.pack(REC_COMMIT, batch_index, len(loggable)))
+    frame_ops(out, sizes, operations, skip_unloggable=True)
+    out += frame(_COMMIT.pack(REC_COMMIT, batch_index, len(sizes)))
     return bytes(out)
 
 

@@ -386,10 +386,11 @@ class ServingSimulator:
 
     def _calibrate(self) -> float:
         if self.cluster_config is not None:
-            # The cluster's own closed-loop drain: routing, replication
-            # shipping, and rebalance probes all bill into the capacity
-            # the offered-load fractions scale from (no faults — the
-            # capacity is the healthy cluster's).
+            # The cluster's own closed-loop drain: routing and any
+            # rebalance probes bill into the capacity the offered-load
+            # fractions scale from; replication does not (a shipped
+            # group's ready cycle paces its replica, never the cluster
+            # clock).  No faults: the capacity is the healthy cluster's.
             report = ClusterCoordinator(
                 self.workload,
                 self.cluster_config,

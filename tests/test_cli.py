@@ -373,6 +373,41 @@ class TestDurabilityCommands:
         assert "2/2 EXACT" in out
 
 
+class TestClusterCommand:
+    ARGS = ["cluster", "--keys", "800", "--ops", "6000", "--batch-size", "512",
+            "--fault", "shard-failstop"]
+
+    def test_failover_run_report(self, capsys, tmp_path):
+        path = str(tmp_path / "cluster.json")
+        assert main(self.ARGS + ["--json", path]) == 0
+        with open(path) as handle:
+            report = json.load(handle)
+        assert report["schema"] == "cluster-run/v1"
+        assert len(report["failovers"]) == 1
+        assert report["completed_ops"] == report["n_ops"]
+        replication = report["replication"]
+        assert 0 < replication["ops_applied"] <= replication["ops_shipped"]
+
+    def test_diverged_replica_exits_1_with_one_line(self, capsys, monkeypatch):
+        from repro.cluster import ClusterCoordinator
+
+        run = ClusterCoordinator.run
+
+        def run_then_diverge(self, *args, **kwargs):
+            report = run(self, *args, **kwargs)
+            replica = next(s.replica for s in self.shards if s.replica is not None)
+            key, _ = next(iter(replica.tree.items()))
+            replica.tree.upsert(key, "stray")
+            return report
+
+        monkeypatch.setattr(ClusterCoordinator, "run", run_then_diverge)
+        assert main(self.ARGS) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "does not match its primary" in err
+
+
 class TestFiguresCommand:
     def test_table1_only(self, capsys):
         assert main(["figures", "--only", "table1"]) == 0
