@@ -11,6 +11,8 @@ the miss-ratio curve — then cross-check against the actual value-aware
 buffer at a few capacities, and print a full engine comparison.
 """
 
+import numpy as np
+
 from repro import DCARTConfig, DcartAccelerator, make_workload
 from repro.art import record_traversal
 from repro.engines.base import apply_operation
@@ -28,8 +30,11 @@ def trace_node_accesses(workload) -> ReuseDistanceTracer:
 
     tree = SmartEngine().build_tree(workload)
     tracer = ReuseDistanceTracer()
-    for op in workload.operations:
-        record = apply_operation(tree, op)
+    stream = workload.operations
+    for kind, key, value, scan_count in zip(
+        *stream.gather(np.arange(len(stream)))
+    ):
+        record = apply_operation(tree, kind, key, value, scan_count)
         for touch in record.touches:
             tracer.access(touch.address, touch.fetch_bytes)
     return tracer

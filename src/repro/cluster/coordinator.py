@@ -38,6 +38,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.art.tree import AdaptiveRadixTree
 from repro.art.validate import validate_tree
 from repro.cluster.partition import DEFAULT_BUCKETS, PARTITION_NAMES, Partitioner
@@ -50,7 +52,7 @@ from repro.durability.wal import encode_batch_frames, loggable_ops
 from repro.errors import ConfigError, FaultError, SimulationError
 from repro.faults import FaultSchedule
 from repro.model.costs import DEFAULT_CLUSTER_COSTS, ClusterCosts
-from repro.workloads.ops import Operation, OperationStream, Workload
+from repro.workloads.ops import IdArray, OperationStream, Workload
 
 #: JSON report schema identifier for ``repro cluster`` (asserted by CI).
 CLUSTER_SCHEMA = "cluster-run/v1"
@@ -327,9 +329,9 @@ class ClusterCoordinator:
         self.quiesce_ops_total = 0
         self.failovers: List[FailoverRecord] = []
         self.deferred_ops_peak = 0
-        #: Hinted handoff: ops routed to a dark shard, drained at its
-        #: failover.  shard_id -> ops in admission order.
-        self._handoff: Dict[int, List[Operation]] = {}
+        #: Hinted handoff: ids of ops routed to a dark shard, drained at
+        #: its failover.  shard_id -> op ids in admission order.
+        self._handoff: Dict[int, List[int]] = {}
         #: Fail-stop cycles/batches for RTO math, keyed by shard.
         self._death_marks: Dict[int, Tuple[int, int]] = {}
 
@@ -338,9 +340,10 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
 
     def execute_batch(
-        self, ops: List[Operation], batch_index: int
+        self, ids: IdArray, batch_index: int
     ) -> ClusterBatchResult:
-        """Route, execute, replicate, and supervise one cluster batch."""
+        """Route, execute, replicate, and supervise the cluster batch of
+        the ops ``ids`` of the workload's stream."""
         costs = self.costs
         batch_start = self.clock
         completions: List[Tuple[int, int]] = []
@@ -354,15 +357,16 @@ class ClusterCoordinator:
                 self._death_marks[event.shard_id] = (self.clock, batch_index)
 
         # 2. Route: key -> bucket -> shard, billed across the router's
-        #    parallel lanes.
-        route_cycles = costs.route_batch_cycles(len(ops))
-        by_shard: Dict[int, List[Operation]] = {}
-        for op in ops:
-            bucket = self.partitioner.bucket_of(op.key)
+        #    parallel lanes.  The batch's keys are gathered once.
+        route_cycles = costs.route_batch_cycles(len(ids))
+        by_shard: Dict[int, List[int]] = {}
+        keys = self.workload.operations.keys[ids].tolist()
+        for op_id, key in zip(ids.tolist(), keys):
+            bucket = self.partitioner.bucket_of(key)
             if self.rebalancer is not None:
                 self.rebalancer.record_route(bucket)
             shard_id = self.partitioner.bucket_map[bucket]
-            by_shard.setdefault(shard_id, []).append(op)
+            by_shard.setdefault(shard_id, []).append(op_id)
 
         # 3. Execute sub-batches on live shards; defer ops aimed at dark
         #    ones (hinted handoff).  Shards run in parallel: the batch's
@@ -379,7 +383,8 @@ class ClusterCoordinator:
                 deferred += len(sub)
                 continue
             sub_cycles = self._execute_on(
-                shard, sub, batch_index, route_cycles, completions
+                shard, np.array(sub, dtype=np.int64), batch_index,
+                route_cycles, completions,
             )
             shard_cycles = max(shard_cycles, sub_cycles)
         pending = sum(len(q) for q in self._handoff.values())
@@ -423,21 +428,20 @@ class ClusterCoordinator:
     def _execute_on(
         self,
         shard: _Shard,
-        sub: List[Operation],
+        sub: IdArray,
         batch_index: int,
         base_offset: int,
         completions: List[Tuple[int, int]],
     ) -> int:
-        """Execute ``sub`` on a live shard; ship its WAL group; returns
-        the sub-batch's cycles.  Completion offsets are relative to the
-        cluster batch start (``base_offset`` = cycles already serial
-        before the shard phase)."""
-        execution = shard.session.execute_batch(sub, batch_index)
-        for outcome in execution.outcomes:
-            for op_id, cyc in zip(outcome.op_ids, outcome.completion_cycles):
-                completions.append(
-                    (op_id, base_offset + execution.pcu_cycles + cyc)
-                )
+        """Execute the ops ``sub`` on a live shard; ship its WAL group;
+        returns the sub-batch's cycles.  Completion offsets are relative
+        to the cluster batch start (``base_offset`` = cycles already
+        serial before the shard phase)."""
+        stream = self.workload.operations
+        execution = shard.session.execute_batch(stream, sub, batch_index)
+        completions.extend(
+            execution.completions(base_offset + execution.pcu_cycles)
+        )
         shard.ops_executed += len(sub)
         shard.batches_executed += 1
         if shard.replica is not None:
@@ -446,10 +450,10 @@ class ClusterCoordinator:
                 if self.schedule is not None
                 else 1.0
             )
-            mutating = loggable_ops(sub)
+            mutating = loggable_ops(stream, sub)
             shard.replica.ship(  # reprolint: disable=CYC02 -- ready cycle is tracked in the replica inbox; the return is informational
                 batch_index,
-                encode_batch_frames(batch_index, mutating),
+                encode_batch_frames(batch_index, stream, mutating),
                 len(mutating),
                 self.clock,
                 slowdown,
@@ -482,15 +486,14 @@ class ClusterCoordinator:
             admin += len(handoff) * costs.handoff_cycles_per_op
             self.clock += admin
             admin_before_replay = admin
-            replay = shard.session.execute_batch(handoff, batch_index)
-            offset_base = self.clock - batch_start
-            for outcome in replay.outcomes:
-                for op_id, cyc in zip(
-                    outcome.op_ids, outcome.completion_cycles
-                ):
-                    completions.append(
-                        (op_id, offset_base + replay.pcu_cycles + cyc)
-                    )
+            replay = shard.session.execute_batch(
+                self.workload.operations,
+                np.array(handoff, dtype=np.int64),
+                batch_index,
+            )
+            completions.extend(replay.completions(
+                self.clock - batch_start + replay.pcu_cycles
+            ))
             shard.ops_executed += len(handoff)
             shard.batches_executed += 1
             replay_cycles = replay.pcu_cycles + replay.service_cycles
@@ -636,10 +639,10 @@ class ClusterCoordinator:
         completed = 0
         n_batches = 0
         deferred = 0
-        for batch_index, batch in enumerate(
+        for batch_index, ids in enumerate(
             self.workload.operations.batches(size)
         ):
-            result = self.execute_batch(batch, batch_index)
+            result = self.execute_batch(ids, batch_index)
             completed += len(result.completions)
             deferred += result.deferred_ops
             n_batches += 1

@@ -26,14 +26,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.art.stats import CACHE_LINE_BYTES
 from repro.art.tree import AdaptiveRadixTree
 from repro.core.batching import overlap_timeline
-from repro.core.bucket_table import BucketTables
+from repro.core.bucket_table import BucketOps, BucketTables
 from repro.core.config import DCARTConfig, SHORTCUT_ENTRY_BYTES
 from repro.core.dispatcher import DispatchedBucket, Dispatcher
 from repro.core.pcu import PrefixCombiningUnit
@@ -46,7 +46,7 @@ from repro.model.costs import DEFAULT_FPGA_COSTS
 from repro.model.platform import FPGA_PLATFORM, Platform
 from repro.obs.metrics import MetricsRegistry, extra_view
 from repro.obs.trace import BatchSample
-from repro.workloads.ops import Operation, Workload
+from repro.workloads.ops import IS_WRITE, IdArray, OperationStream, Workload
 
 #: Keys sampled from the loaded set for prefix calibration.
 CALIBRATION_SAMPLE = 4096
@@ -105,6 +105,16 @@ class BatchExecution:
     durability_cycles: int
     outcomes: List[BucketOutcome]
     per_sou: Dict[int, int]
+
+    def completions(self, offset: int = 0) -> List[Tuple[int, int]]:
+        """``(op_id, offset + completion cycle)`` of every executed op."""
+        out: List[Tuple[int, int]] = []
+        for outcome in self.outcomes:
+            out.extend(zip(
+                outcome.op_ids.tolist(),
+                [offset + cycle for cycle in outcome.completion_cycles],
+            ))
+        return out
 
 
 class AcceleratorSession:
@@ -177,9 +187,10 @@ class AcceleratorSession:
     # ------------------------------------------------------------------
 
     def execute_batch(
-        self, batch: List[Operation], batch_index: int
+        self, stream: OperationStream, ids: IdArray, batch_index: int
     ) -> BatchExecution:
-        """Combine, dispatch, and execute one batch; bill its cycles."""
+        """Combine, dispatch, and execute the batch ``ids`` of ``stream``;
+        bill its cycles."""
         config = self.config
         costs = self.costs
         injector = self.injector
@@ -191,18 +202,18 @@ class AcceleratorSession:
                 durability=durability,
             )
         if config.enable_combining:
-            pcu_outcome = self.pcu.combine_batch(batch)
+            pcu_outcome = self.pcu.combine_batch(stream, ids)
             dispatched = self.dispatcher.dispatch(self.tables)
             pcu_cycles = pcu_outcome.cycles
         else:
-            dispatched = self._round_robin(batch)
+            dispatched = self._round_robin(stream, ids)
             pcu_cycles = 0
 
         # Write-ahead: the combined batch reaches the log (and its
         # COMMIT fsync point) before any SOU may mutate the tree.
         batch_durability_cycles = 0
         if durability is not None:
-            wal_seconds = durability.log_batch(batch_index, batch)
+            wal_seconds = durability.log_batch(batch_index, stream, ids)
             batch_durability_cycles += int(wal_seconds * costs.clock_hz)
 
         outcomes = [self.sous[b.sou_id].process_bucket(b) for b in dispatched]
@@ -231,7 +242,7 @@ class AcceleratorSession:
         if not config.enable_combining:
             # Without combining, same-node writes land on different
             # SOUs and must synchronise like any shared write.
-            extra = self._uncombined_conflicts(batch)
+            extra = self._uncombined_conflicts(stream, ids)
             self.contentions += extra
             batch_sync_cycles += extra * costs.global_sync_cycles
         self.global_sync_ops += len(sync_targets)
@@ -275,7 +286,7 @@ class AcceleratorSession:
         if self.tracer is not None:
             self.tracer.record_batch(BatchSample(
                 batch_index=batch_index,
-                n_ops=len(batch),
+                n_ops=len(ids),
                 pcu_cycles=pcu_cycles,
                 per_sou_cycles=dict(per_sou),
                 compute_cycles=compute_cycles,
@@ -285,11 +296,11 @@ class AcceleratorSession:
                 durability_cycles=batch_durability_cycles,
             ))
         if injector is not None:
-            injector.end_batch(batch_index, len(batch), batch_cycles, per_sou)
+            injector.end_batch(batch_index, len(ids), batch_cycles, per_sou)
         self.batches_executed += 1
         return BatchExecution(
             batch_index=batch_index,
-            n_ops=len(batch),
+            n_ops=len(ids),
             pcu_cycles=pcu_cycles,
             service_cycles=batch_cycles,
             compute_cycles=compute_cycles,
@@ -303,21 +314,20 @@ class AcceleratorSession:
 
     # ------------------------------------------------------------------
 
-    def _round_robin(self, batch: List[Operation]) -> List[DispatchedBucket]:
+    def _round_robin(
+        self, stream: OperationStream, ids: IdArray
+    ) -> List[DispatchedBucket]:
         """No-combining ablation: arrival order, round-robin over SOUs.
 
         Routing still goes through the dispatcher so fail-stopped units
         are skipped (their slices fail over like any bucket would).
         """
         dispatcher = self.dispatcher
-        per_sou: List[List[Operation]] = [[] for _ in range(self.config.n_sous)]
-        for i, op in enumerate(batch):
-            per_sou[i % self.config.n_sous].append(op)
+        n_sous = self.config.n_sous
         dispatcher.failovers_last_batch = 0
         out: List[DispatchedBucket] = []
-        for i, ops in enumerate(per_sou):
-            if not ops:
-                continue
+        for i in range(min(n_sous, len(ids))):
+            ops = BucketOps.gather(stream, ids[i::n_sous])
             sou_id = dispatcher.route(i)
             if sou_id != i:
                 dispatcher.failovers += 1
@@ -330,14 +340,16 @@ class AcceleratorSession:
         return out
 
     @staticmethod
-    def _uncombined_conflicts(batch: List[Operation]) -> int:
+    def _uncombined_conflicts(stream: OperationStream, ids: IdArray) -> int:
         """Same-key write collisions within an uncombined batch."""
+        keys = stream.keys[ids].tolist()
+        writes = IS_WRITE[stream.kind_codes[ids]].tolist()
         writers: Counter = Counter()
         touched: Counter = Counter()
-        for op in batch:
-            touched[op.key] += 1
-            if op.kind.is_write:
-                writers[op.key] += 1
+        for key, is_write in zip(keys, writes):
+            touched[key] += 1
+            if is_write:
+                writers[key] += 1
         return sum(
             touched[key] - 1 for key, count in writers.items() if touched[key] > 1
         )
@@ -419,18 +431,16 @@ class DcartAccelerator(Engine):
         # Each batch's bucket outcomes are folded as soon as it returns,
         # so the run holds one op-id and one completion array per batch
         # rather than every bucket's per-op lists.
-        id_chunks: List[np.ndarray] = []
+        id_chunks: List[IdArray] = []
         cycle_chunks: List[np.ndarray] = []
         matches = visited = fetched = used = 0
         counts = result.node_access_counts
 
-        for batch_index, batch in enumerate(
-            workload.operations.batches(config.batch_size)
-        ):
-            execution = session.execute_batch(batch, batch_index)
+        stream = workload.operations
+        for batch_index, ids in enumerate(stream.batches(config.batch_size)):
+            execution = session.execute_batch(stream, ids, batch_index)
             pcu_cycles.append(execution.pcu_cycles)
             sou_cycles.append(execution.service_cycles)
-            batch_ids: List[int] = []
             batch_completions: List[int] = []
             for outcome in execution.outcomes:
                 matches += outcome.partial_key_matches
@@ -440,9 +450,8 @@ class DcartAccelerator(Engine):
                 # One counting pass over the raw visit list per bucket;
                 # the distinct-node set falls out as the Counter's keys.
                 counts.update(outcome.visited_ids)
-                batch_ids += outcome.op_ids
                 batch_completions += outcome.completion_cycles
-            id_chunks.append(np.array(batch_ids, dtype=np.int64))
+            id_chunks.extend(outcome.op_ids for outcome in execution.outcomes)
             cycle_chunks.append(np.array(batch_completions, dtype=np.int64))
 
         contentions = session.contentions

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.art.nodes import Node256
 from repro.errors import ConfigError
 from repro.model.costs import DEFAULT_FPGA_COSTS, FpgaCosts
 
@@ -68,6 +69,13 @@ class DCARTConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        # Every fetched node is admitted whole, so the Tree_buffer must
+        # hold the largest one; a smaller buffer fails mid-run otherwise.
+        if self.tree_buffer_bytes < Node256.size_bytes:
+            raise ConfigError(
+                f"tree_buffer_bytes ({self.tree_buffer_bytes}) is smaller "
+                f"than the largest node, a Node256 of {Node256.size_bytes} B"
+            )
         if self.batch_size is None:
             self.batch_size = self.scan_buffer_bytes // OP_RECORD_BYTES
         if self.batch_size <= 0:

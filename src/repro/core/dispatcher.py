@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Set
 
-from repro.core.bucket_table import BucketTables
+from repro.core.bucket_table import BucketOps, BucketTables
 from repro.errors import ConfigError, SouFailedError
 from repro.log import get_logger
-from repro.workloads.ops import Operation
 
 LOG = get_logger("dispatcher")
 
@@ -39,7 +38,7 @@ class DispatchedBucket:
 
     bucket_id: int
     sou_id: int
-    operations: List[Operation]
+    operations: BucketOps
     value: int  # node-value estimate for the Tree_buffer
 
     @property
@@ -114,7 +113,7 @@ class Dispatcher:
                 DispatchedBucket(
                     bucket_id=bucket_id,
                     sou_id=sou_id,
-                    operations=list(operations),
+                    operations=operations,
                     value=len(operations),
                 )
             )

@@ -17,11 +17,10 @@ with the cycle accounting so a batch is combined in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.bucket_table import BucketTables
 from repro.model.costs import FpgaCosts
-from repro.workloads.ops import Operation
+from repro.workloads.ops import IdArray, OperationStream
 
 CACHE_LINE_BYTES = 64
 
@@ -44,21 +43,24 @@ class PrefixCombiningUnit:
         self.total_cycles = 0
         self.total_ops = 0
 
-    def combine_batch(self, operations: Sequence[Operation]) -> PcuBatchOutcome:
-        """Combine one batch; the tables are cleared first (new batch)."""
+    def combine_batch(
+        self, stream: OperationStream, ids: IdArray
+    ) -> PcuBatchOutcome:
+        """Combine the batch ``ids``; the tables are cleared first."""
         spilled_before = self.tables.spilled_bytes
         self.tables.clear()
-        self.tables.combine(operations)
+        self.tables.combine(stream, ids)
         spilled = self.tables.spilled_bytes - spilled_before
 
+        n_ops = len(ids)
         cycles = self.costs.pcu_pipeline_fill_cycles
-        cycles += int(len(operations) * self.costs.pcu_cycles_per_op)
+        cycles += int(n_ops * self.costs.pcu_cycles_per_op)
         spill_lines = -(-spilled // CACHE_LINE_BYTES)
         cycles += spill_lines * self.costs.bucket_flush_cycles_per_line
 
         self.total_cycles += cycles
-        self.total_ops += len(operations)
-        return PcuBatchOutcome(n_ops=len(operations), cycles=cycles, spilled_bytes=spilled)
+        self.total_ops += n_ops
+        return PcuBatchOutcome(n_ops=n_ops, cycles=cycles, spilled_bytes=spilled)
 
     def report_metrics(self, registry) -> None:
         """Write the PCU's run totals into a MetricsRegistry."""

@@ -26,7 +26,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence
+
+import numpy as np
 
 from repro.art.nodes import Leaf
 from repro.art.stats import CACHE_LINE_BYTES, TraversalRecord
@@ -37,7 +39,7 @@ from repro.core.shortcut_table import ShortcutTable
 from repro.core.tree_buffer import ValueAwareTreeBuffer
 from repro.engines.base import apply_operation
 from repro.model.costs import FpgaCosts
-from repro.workloads.ops import Operation, OpKind
+from repro.workloads.ops import IdArray, OpKind
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
@@ -76,7 +78,8 @@ class BucketOutcome:
     coalesced_contended_groups: int = 0
     # Completion cycle (within this bucket) of every op, for latency.
     completion_cycles: List[int] = field(default_factory=list)
-    op_ids: List[int] = field(default_factory=list)
+    #: Ids of the bucket's ops, aligned with ``completion_cycles``.
+    op_ids: IdArray = field(default_factory=lambda: np.zeros(0, np.int64))
     # Node ids in visit order; the accelerator folds every bucket's list
     # into one Counter at aggregation time (one counting pass over the
     # run instead of a per-bucket count plus a per-bucket merge).
@@ -149,8 +152,11 @@ class ShortcutOperatingUnit:
         holds this loop to bit-identical results.
         """
         ops = bucket.operations
-        outcome = BucketOutcome(bucket_id=bucket.bucket_id, sou_id=self.sou_id)
-        outcome.coalesced_contended_groups = count_contended_groups(ops)
+        keys, kinds = ops.keys, ops.kinds
+        outcome = BucketOutcome(
+            bucket_id=bucket.bucket_id, sou_id=self.sou_id, op_ids=ops.op_ids
+        )
+        outcome.coalesced_contended_groups = count_contended_groups(keys, kinds)
         injector = self.injector
         slowdown = (
             injector.slowdown_factor(self.sou_id)
@@ -222,10 +228,10 @@ class ShortcutOperatingUnit:
         structure_mods = 0
         shortcuts_generated = 0
 
-        for op in ops:
+        for key, kind, value, scan_count in zip(
+            keys, kinds, ops.values, ops.scan_counts
+        ):
             stall_cycles = 0
-            key = op.key
-            kind = op.kind
             served = False
 
             entry = None
@@ -288,7 +294,7 @@ class ShortcutOperatingUnit:
                         bytes_fetched += lines * CACHE_LINE_BYTES
                         bytes_used += used
                         if kind is write_kind:
-                            node.value = op.value
+                            node.value = value
                             parent_address = entry.parent_address
                             parent = (
                                 node_at(parent_address)
@@ -347,7 +353,7 @@ class ShortcutOperatingUnit:
 
             if not served:
                 # Full traversal (Traverse_Tree the long way).
-                record = apply_operation(tree, op)
+                record = apply_operation(tree, kind, key, value, scan_count)
                 traversals += 1
                 shortcut_misses += 1
                 for t_node_id, addr, t_size, t_used, t_kind in record.touches:
@@ -405,13 +411,12 @@ class ShortcutOperatingUnit:
             clock += cycles
             completions_append(clock)
 
-        outcome.op_ids = [op.op_id for op in ops]
         if shortcuts is not None:
             sc_buf.hits += sc_buf_hits
             sc_buf.misses += sc_buf_misses
         if value_aware:
             tb.hits += tb_hits
-        outcome.n_ops = len(ops)
+        outcome.n_ops = len(keys)
         outcome.cycles = clock
         outcome.nodes_visited = len(visited_ids)
         outcome.bytes_fetched = bytes_fetched
@@ -545,21 +550,22 @@ class ShortcutOperatingUnit:
         return modifies_shared_ancestor(record, self.shared_depth_bytes)
 
 
-def count_contended_groups(operations: Iterable[Operation]) -> int:
+def count_contended_groups(
+    keys: Sequence[bytes], kinds: Sequence[OpKind]
+) -> int:
     """Coalesced same-key groups (>=2 ops, >=1 write) in one bucket.
 
-    Under the CTT model each such group serialises behind a *single*
-    lock acquisition, so it registers one contention where an
+    ``keys`` and ``kinds`` are the bucket's ops, aligned.  Under the CTT
+    model each such group serialises behind a *single* lock
+    acquisition, so it registers one contention where an
     operation-centric engine would register ``k - 1``.
     """
-    if not isinstance(operations, list):
-        operations = list(operations)
-    counts = Counter([op.key for op in operations])
-    if len(counts) == len(operations):
+    counts = Counter(keys)
+    if len(counts) == len(keys):
         return 0  # every key unique: nothing coalesces
     write, delete = OpKind.WRITE, OpKind.DELETE
     writers = {
-        op.key for op in operations if op.kind is write or op.kind is delete
+        key for key, kind in zip(keys, kinds) if kind is write or kind is delete
     }
     return sum(1 for key, count in counts.items() if count > 1 and key in writers)
 

@@ -29,7 +29,7 @@ commit, mid-checkpoint payload, or mid-checkpoint manifest.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.art.tree import AdaptiveRadixTree
 from repro.durability import checkpoint as ckpt
@@ -43,7 +43,7 @@ from repro.durability.wal import (
 from repro.errors import ConfigError, SimulatedCrash
 from repro.log import get_logger
 from repro.model.costs import DEFAULT_DURABILITY_COSTS, DurabilityCosts
-from repro.workloads.ops import Operation
+from repro.workloads.ops import IdArray, OperationStream
 
 LOG = get_logger("durability")
 
@@ -122,16 +122,18 @@ class DurabilityManager:
         )
         return seconds
 
-    def log_batch(self, batch_index: int, operations: List[Operation]) -> float:
-        """WAL one batch ahead of execution; returns modelled seconds.
+    def log_batch(
+        self, batch_index: int, stream: OperationStream, ids: IdArray
+    ) -> float:
+        """WAL the batch ``ids`` ahead of execution; returns modelled seconds.
 
         Batches with no mutating ops are not logged at all (a read-only
         batch needs no durability barrier and costs nothing).
         """
         if self.wal is None:
             raise ConfigError("DurabilityManager.log_batch before attach()")
-        mutating = loggable_ops(operations)
-        if not mutating:
+        mutating = loggable_ops(stream, ids)
+        if not len(mutating):
             return 0.0
         wal = self.wal
         seconds_before = wal.modelled_seconds
@@ -141,8 +143,8 @@ class DurabilityManager:
         if armed == CRASH_WAL_MID_APPEND:
             # Append a prefix of the group, then die mid-record.
             keep_ops = self._armed_detail % max(1, len(mutating))
-            wal.log_ops(mutating[:keep_ops])
-            torn = op_record(mutating[keep_ops])
+            wal.log_ops(stream, mutating[:keep_ops])
+            torn = op_record(stream, int(mutating[keep_ops]))
             kept = wal.append_torn(torn, keep_bytes=4 + self._armed_detail % 7)
             self._disarm()
             wal.abandon_batch()
@@ -151,7 +153,7 @@ class DurabilityManager:
                 {"point": CRASH_WAL_MID_APPEND, "batch": batch_index,
                  "ops_appended": keep_ops, "torn_record_bytes": kept},
             )
-        wal.log_ops(mutating)
+        wal.log_ops(stream, mutating)
         if armed == CRASH_WAL_PRE_COMMIT:
             self._disarm()
             wal.abandon_batch()

@@ -40,12 +40,12 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.log import get_logger
 from repro.model.costs import DEFAULT_DURABILITY_COSTS, DurabilityCosts
-from repro.workloads.ops import OpKind, Operation
+from repro.workloads.ops import IS_WRITE, OP_KINDS, IdArray, OperationStream, OpKind
 
 LOG = get_logger("durability")
 
@@ -65,12 +65,8 @@ REC_COMMIT = 3
 #: WAL op encoding of the mutating :class:`OpKind` members.
 _OP_TO_CODE = {OpKind.WRITE: 1, OpKind.DELETE: 2}
 _CODE_TO_OP = {code: kind for kind, code in _OP_TO_CODE.items()}
-# The per-op paths test a kind by identity: a lookup in ``_OP_TO_CODE``
-# hashes the member through the Python-level ``Enum.__hash__``.
-_WRITE = OpKind.WRITE
-_DELETE = OpKind.DELETE
-_WRITE_CODE = _OP_TO_CODE[_WRITE]
-_DELETE_CODE = _OP_TO_CODE[_DELETE]
+#: A stream's kind code -> its WAL op code; 0 for the kinds not logged.
+_WAL_CODE_OF = tuple(_OP_TO_CODE.get(kind, 0) for kind in OP_KINDS)
 
 # ---------------------------------------------------------------------------
 # value codec
@@ -200,10 +196,11 @@ def encode_record(record: WalRecord) -> bytes:
     if isinstance(record, BeginRecord):
         return _BEGIN.pack(REC_BEGIN, record.batch)
     if isinstance(record, OpRecord):
+        code = _OP_TO_CODE.get(record.op_kind)
+        if code is None:
+            raise SimulationError(f"op kind {record.op_kind} is not WAL-loggable")
         return (
-            _OP_HEADER.pack(
-                REC_OP, _OP_TO_CODE[record.op_kind], record.op_id, len(record.key)
-            )
+            _OP_HEADER.pack(REC_OP, code, record.op_id, len(record.key))
             + record.key
             + encode_value(record.value)
         )
@@ -245,36 +242,31 @@ def decode_record(payload: bytes) -> WalRecord:
     raise SimulationError(f"unknown WAL record kind {kind}")
 
 
-def op_record(op: Operation) -> OpRecord:
-    """The WAL form of a workload operation (mutating kinds only)."""
-    if not is_loggable(op):
-        raise SimulationError(f"op kind {op.kind} is not WAL-loggable")
-    return OpRecord(op.kind, op.op_id, bytes(op.key), op.value)
+def op_record(stream: OperationStream, op_id: int) -> OpRecord:
+    """The WAL form of the stream's op ``op_id`` (mutating kinds only)."""
+    kind = OP_KINDS[stream.kind_codes[op_id]]
+    if not kind.is_write:
+        raise SimulationError(f"op kind {kind} is not WAL-loggable")
+    return OpRecord(kind, op_id, bytes(stream.keys[op_id]), stream.values[op_id])
 
 
-def is_loggable(op: Operation) -> bool:
-    """Whether the op mutates the tree (reads/scans are not logged)."""
-    kind = op.kind
-    return kind is _WRITE or kind is _DELETE
-
-
-def loggable_ops(operations: Iterable[Operation]) -> List[Operation]:
-    """The ops of ``operations`` that a WAL group logs, in order."""
-    write, delete = _WRITE, _DELETE
-    return [op for op in operations if op.kind is write or op.kind is delete]
+def loggable_ops(stream: OperationStream, ids: IdArray) -> IdArray:
+    """The ids of ``ids`` that a WAL group logs (the mutating ops), in order."""
+    return ids[IS_WRITE[stream.kind_codes[ids]]]
 
 
 def frame_ops(
     out: bytearray,
     sizes: List[int],
-    operations: Iterable[Operation],
+    stream: OperationStream,
+    ids: IdArray,
     skip_unloggable: bool = False,
 ) -> None:
-    """Append one framed OP record per op to ``out``, its size to ``sizes``.
+    """Append one framed OP record per op ``ids`` to ``out``, its size to ``sizes``.
 
     The group encoder both the writer and :func:`encode_batch_frames`
     use; each frame is byte-identical to ``frame(encode_record(
-    op_record(op)))``.  A non-mutating op is passed over when
+    op_record(stream, op_id)))``.  A non-mutating op is passed over when
     ``skip_unloggable`` is set and raises :class:`SimulationError`
     otherwise, as an unencodable value does; the frames of the ops
     before it are already in ``out``.
@@ -282,41 +274,41 @@ def frame_ops(
     pack_frame = _FRAME.pack
     pack_header = _OP_HEADER.pack
     crc32 = zlib.crc32
-    write, delete = _WRITE, _DELETE
-    for op in operations:
-        kind = op.kind
-        if kind is write:
-            code = _WRITE_CODE
-        elif kind is delete:
-            code = _DELETE_CODE
-        elif skip_unloggable:
-            continue
-        else:
-            raise SimulationError(f"op kind {kind} is not WAL-loggable")
-        key = op.key
-        payload = (
-            pack_header(REC_OP, code, op.op_id, len(key))
-            + key
-            + encode_value(op.value)
-        )
+    wal_codes = _WAL_CODE_OF
+    for op_id, kind_code, key, value in zip(
+        ids.tolist(),
+        stream.kind_codes[ids].tolist(),
+        stream.keys[ids].tolist(),
+        stream.values[ids].tolist(),
+    ):
+        code = wal_codes[kind_code]
+        if not code:
+            if skip_unloggable:
+                continue
+            raise SimulationError(
+                f"op kind {OP_KINDS[kind_code]} is not WAL-loggable"
+            )
+        payload = pack_header(REC_OP, code, op_id, len(key)) + key + encode_value(value)
         size = len(payload)
         out += pack_frame(size, crc32(payload))
         out += payload
         sizes.append(_FRAME.size + size)
 
 
-def encode_batch_frames(batch_index: int, operations: List[Operation]) -> bytes:
-    """One batch's complete framed record group, as raw log bytes.
+def encode_batch_frames(
+    batch_index: int, stream: OperationStream, ids: IdArray
+) -> bytes:
+    """The complete framed record group of the batch ``ids``, as raw log bytes.
 
     ``BEGIN / op* / COMMIT`` with every record length+CRC framed —
     byte-identical to what :class:`WriteAheadLog` writes for the batch.
     The cluster replication link ships exactly these bytes, so a
     replica's catch-up replay decodes the same wire format recovery
-    does.  Non-mutating ops are skipped, as in :meth:`log_op` usage.
+    does.  Non-mutating ops are skipped.
     """
     sizes: List[int] = []
     out = bytearray(frame(_BEGIN.pack(REC_BEGIN, batch_index)))
-    frame_ops(out, sizes, operations, skip_unloggable=True)
+    frame_ops(out, sizes, stream, ids, skip_unloggable=True)
     out += frame(_COMMIT.pack(REC_COMMIT, batch_index, len(sizes)))
     return bytes(out)
 
@@ -460,14 +452,17 @@ class WriteAheadLog:
         self._open_batch = batch_index
         self.append(BeginRecord(batch_index))
 
-    def log_op(self, op: Operation) -> None:
-        self.log_ops((op,))
-
-    def log_ops(self, operations: Iterable[Operation]) -> None:
-        """Add one OP record per (mutating) op to the open batch."""
+    def log_op(self, record: OpRecord) -> None:
+        """Add one OP record to the open batch."""
         if self._open_batch is None:
             raise SimulationError("log_op outside a WAL batch")
-        frame_ops(self._held, self._held_sizes, operations)
+        self.append(record)
+
+    def log_ops(self, stream: OperationStream, ids: IdArray) -> None:
+        """Add one OP record per (mutating) op ``ids`` to the open batch."""
+        if self._open_batch is None:
+            raise SimulationError("log_op outside a WAL batch")
+        frame_ops(self._held, self._held_sizes, stream, ids)
 
     def commit_batch(self, n_ops: int) -> None:
         """Append COMMIT and cross the batch's fsync point."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import abc
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.art.stats import TraversalRecord
 from repro.art.tree import AdaptiveRadixTree
 from repro.errors import KeyNotFoundError, SimulationError
 from repro.model.platform import Platform
-from repro.workloads.ops import OpKind, Operation, Workload
+from repro.workloads.ops import CHUNK_OPS, OpKind, Workload
 
 
 @dataclass
@@ -122,7 +123,13 @@ class RunResult:
         )
 
 
-def apply_operation(tree: AdaptiveRadixTree, op: Operation) -> TraversalRecord:
+def apply_operation(
+    tree: AdaptiveRadixTree,
+    kind: OpKind,
+    key: bytes,
+    value: Optional[object] = None,
+    scan_count: int = 0,
+) -> TraversalRecord:
     """Execute one operation on the tree, returning its traversal trace.
 
     WRITE is upsert semantics (§ops module): an existing key gets a value
@@ -133,27 +140,25 @@ def apply_operation(tree: AdaptiveRadixTree, op: Operation) -> TraversalRecord:
     # Equivalent to `with record_traversal(tree, ...)` but without the
     # generator-based context manager: this runs once per simulated op,
     # and the enter/exit generator frames were measurable on profiles.
-    kind = op.kind
-    record = TraversalRecord(op_kind=kind.value, key=op.key)
+    record = TraversalRecord(op_kind=kind.value, key=key)
     previous = tree._recorder
     tree._recorder = record
     try:
         if kind is OpKind.READ:
-            tree.get(op.key)
+            tree.get(key)
         elif kind is OpKind.WRITE:
-            tree.upsert(op.key, op.value)
+            tree.upsert(key, value)
         elif kind is OpKind.DELETE:
             try:
-                tree.delete(op.key)
+                tree.delete(key)
             except KeyNotFoundError:
                 record.outcome = "miss"
         elif kind is OpKind.SCAN:
-            low = op.key
-            for count, _ in enumerate(tree.range_scan(low, b"\xff" * 16)):
-                if count + 1 >= max(1, op.scan_count):
+            for count, _ in enumerate(tree.range_scan(key, b"\xff" * 16)):
+                if count + 1 >= max(1, scan_count):
                     break
         else:  # pragma: no cover - OpKind is closed
-            raise SimulationError(f"unhandled operation kind: {op.kind}")
+            raise SimulationError(f"unhandled operation kind: {kind}")
     finally:
         tree._recorder = previous
     return record
@@ -208,4 +213,8 @@ class Engine(abc.ABC):
         tree: AdaptiveRadixTree, workload: Workload
     ) -> List[TraversalRecord]:
         """Apply every operation, returning the per-op traces in order."""
-        return [apply_operation(tree, op) for op in workload.operations]
+        stream = workload.operations
+        records: List[TraversalRecord] = []
+        for ids in stream.batches(CHUNK_OPS):
+            records.extend(map(apply_operation, repeat(tree), *stream.gather(ids)))
+        return records

@@ -26,6 +26,8 @@ import numpy as np
 from repro.art.nodes import Leaf
 from repro.art.stats import CACHE_LINE_BYTES, lines_for
 from repro.art.tree import AdaptiveRadixTree
+from repro.core.bucket_table import BucketTables
+from repro.core.config import OP_RECORD_BYTES
 from repro.core.prefixing import PrefixExtractor
 from repro.engines.base import Engine, RunResult, TimeBreakdown, apply_operation
 from repro.memsim.cache import SetAssociativeCache
@@ -36,7 +38,7 @@ from repro.model.costs import (
     SoftwareCttCosts,
 )
 from repro.model.platform import CPU_PLATFORM, Platform
-from repro.workloads.ops import OpKind, Operation, Workload
+from repro.workloads.ops import OpKind, Workload
 
 CALIBRATION_SAMPLE = 4096
 N_BUCKETS = 16
@@ -71,6 +73,10 @@ class DcartCEngine(Engine):
         extractor = PrefixExtractor.calibrate(
             workload.loaded_keys[:CALIBRATION_SAMPLE], N_BUCKETS
         )
+        # The PCU's bucketing in software; its spill accounting is unused.
+        tables = BucketTables(
+            extractor, N_BUCKETS, costs.window * OP_RECORD_BYTES
+        )
         llc = SetAssociativeCache(costs.llc_bytes, ways=16)
         shortcuts: Dict[bytes, Tuple[int, Optional[int]]] = {}
 
@@ -85,29 +91,38 @@ class DcartCEngine(Engine):
         latencies: List[Tuple[int, float]] = []
         shortcut_hits = 0
 
-        for batch in workload.operations.batches(costs.window):
+        from repro.core.sou import count_contended_groups
+
+        stream = workload.operations
+        for ids in stream.batches(costs.window):
             # Combine phase (parallelised scan; still pure overhead).
-            combine_ns = len(batch) * (ctt.combine_ns + ctt.dispatch_ns) / min(
-                costs.n_threads, max(1, len(batch))
+            combine_ns = len(ids) * (ctt.combine_ns + ctt.dispatch_ns) / min(
+                costs.n_threads, max(1, len(ids))
             )
-            buckets: List[List[Operation]] = [[] for _ in range(N_BUCKETS)]
-            for op in batch:
-                buckets[extractor.bucket(op.key)].append(op)
+            tables.clear()
+            tables.combine(stream, ids)
 
             bucket_ns = [0.0] * N_BUCKETS
             sync_targets: List[int] = []
             coalesced_groups = 0
-            for bucket_id, bucket_ops in enumerate(buckets):
-                from repro.core.sou import count_contended_groups
-
-                coalesced_groups += count_contended_groups(bucket_ops)
+            for bucket_id, bucket in enumerate(tables.buckets):
+                coalesced_groups += count_contended_groups(
+                    bucket.keys, bucket.kinds
+                )
                 clock = 0.0
-                for op in bucket_ops:
+                for op_id, kind, key, value, scan_count in zip(
+                    bucket.op_ids.tolist(),
+                    bucket.kinds,
+                    bucket.keys,
+                    bucket.values,
+                    bucket.scan_counts,
+                ):
                     op_ns, op_stats = self._process_op(
-                        op, tree, shortcuts, llc, extractor.byte_offset
+                        kind, key, value, scan_count,
+                        tree, shortcuts, llc, extractor.byte_offset,
                     )
                     clock += op_ns
-                    latencies.append((op.op_id, combine_ns + clock))
+                    latencies.append((op_id, combine_ns + clock))
                     matches += op_stats["matches"]
                     visited += op_stats["visited"]
                     seen_nodes |= op_stats["seen"]
@@ -126,7 +141,7 @@ class DcartCEngine(Engine):
             # Residual cross-bucket synchronisation: each shared-ancestor
             # lock contends with the other concurrently running bucket
             # workers, plus direct collisions on the same target.
-            active_buckets = sum(1 for ops in buckets if ops)
+            active_buckets = tables.nonempty_buckets()
             target_counts = Counter(sync_targets)
             batch_contentions = sum(c - 1 for c in target_counts.values() if c > 1)
             batch_contentions += len(sync_targets) * max(0, active_buckets - 1)
@@ -189,7 +204,10 @@ class DcartCEngine(Engine):
 
     def _process_op(
         self,
-        op: Operation,
+        kind: OpKind,
+        key: bytes,
+        value: Optional[object],
+        scan_count: int,
         tree: AdaptiveRadixTree,
         shortcuts: Dict[bytes, Tuple[int, Optional[int]]],
         llc: SetAssociativeCache,
@@ -226,13 +244,13 @@ class DcartCEngine(Engine):
             )
 
         op_ns = ctt.shortcut_lookup_ns
-        entry = shortcuts.get(op.key)
-        if entry is not None and op.kind is not OpKind.DELETE:
+        entry = shortcuts.get(key)
+        if entry is not None and kind is not OpKind.DELETE:
             node = tree.node_at(entry[0])
-            if isinstance(node, Leaf) and node.key == op.key:
+            if isinstance(node, Leaf) and node.key == key:
                 traverse_ns = fetch(node)
-                if op.kind is OpKind.WRITE:
-                    node.value = op.value
+                if kind is OpKind.WRITE:
+                    node.value = value
                     parent = (
                         tree.node_at(entry[1]) if entry[1] is not None else None
                     )
@@ -242,9 +260,9 @@ class DcartCEngine(Engine):
                 stats["other_ns"] = ctt.shortcut_lookup_ns + costs.leaf_op_ns
                 stats["shortcut_hit"] = 1
                 return op_ns + traverse_ns + costs.leaf_op_ns, stats
-            shortcuts.pop(op.key, None)
+            shortcuts.pop(key, None)
 
-        record = apply_operation(tree, op)
+        record = apply_operation(tree, kind, key, value, scan_count)
         traverse_ns = 0.0
         for touch in record.touches:
             hits, misses = llc.access(touch.address, touch.fetch_bytes)
@@ -269,10 +287,10 @@ class DcartCEngine(Engine):
             )
             stats["target"] = record.target_node_id or -1
         if record.outcome in ("hit", "updated") and record.target_address is not None:
-            shortcuts[op.key] = (record.target_address, record.parent_address)
+            shortcuts[key] = (record.target_address, record.parent_address)
             other_ns += ctt.shortcut_maintain_ns
         elif record.outcome == "deleted":
-            shortcuts.pop(op.key, None)
+            shortcuts.pop(key, None)
 
         stats["traverse_ns"] = traverse_ns
         stats["other_ns"] = other_ns

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.art.tree import AdaptiveRadixTree
 from repro.art.validate import ValidationReport, validate_tree
 from repro.core.accelerator import DcartAccelerator
@@ -249,17 +251,17 @@ def committed_prefix_tree(
     tree = AdaptiveRadixTree()
     for position, key in enumerate(workload.loaded_keys):
         tree.insert(key, position)
-    for batch_index, batch in enumerate(workload.operations.batches(batch_size)):
-        if batch_index > committed_through:
-            break
-        for op in batch:
-            if op.kind is OpKind.WRITE:
-                tree.upsert(op.key, op.value)
-            elif op.kind is OpKind.DELETE:
-                try:
-                    tree.delete(op.key)
-                except KeyNotFoundError:
-                    pass
+    stream = workload.operations
+    committed = np.arange(min(len(stream), (committed_through + 1) * batch_size))
+    kinds, keys, values, _ = stream.gather(committed)
+    for kind, key, value in zip(kinds, keys, values):
+        if kind is OpKind.WRITE:
+            tree.upsert(key, value)
+        elif kind is OpKind.DELETE:
+            try:
+                tree.delete(key)
+            except KeyNotFoundError:
+                pass
     return tree
 
 

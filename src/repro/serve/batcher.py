@@ -18,15 +18,15 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import ConfigError
-from repro.workloads.ops import Operation
 
 
 @dataclass
 class FormedBatch:
     """One closed batch, ready for the accelerator session."""
 
-    ops: List[Operation]
-    #: Arrival cycle of each op, aligned with ``ops``.
+    #: Ids of the batch's ops in the workload's stream, in arrival order.
+    op_ids: List[int]
+    #: Arrival cycle of each op, aligned with ``op_ids``.
     arrival_cycles: List[int]
     #: Cycle at which the former closed the batch (size reached or
     #: deadline hit); execution cannot start earlier.
@@ -40,7 +40,7 @@ class BatchFormer:
 
     batch_size: int
     deadline_cycles: int
-    _ops: List[Operation] = field(default_factory=list)
+    _op_ids: List[int] = field(default_factory=list)
     _arrivals: List[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -56,7 +56,7 @@ class BatchFormer:
     @property
     def pending(self) -> int:
         """Admitted ops waiting for their batch to close."""
-        return len(self._ops)
+        return len(self._op_ids)
 
     @property
     def deadline_at(self) -> Optional[int]:
@@ -65,11 +65,11 @@ class BatchFormer:
             return None
         return self._arrivals[0] + self.deadline_cycles
 
-    def offer(self, op: Operation, arrival_cycle: int) -> Optional[FormedBatch]:
+    def offer(self, op_id: int, arrival_cycle: int) -> Optional[FormedBatch]:
         """Add one admitted op; return the batch if this op filled it."""
-        self._ops.append(op)
+        self._op_ids.append(op_id)
         self._arrivals.append(arrival_cycle)
-        if len(self._ops) >= self.batch_size:
+        if len(self._op_ids) >= self.batch_size:
             return self._close(arrival_cycle, by_deadline=False)
         return None
 
@@ -82,7 +82,7 @@ class BatchFormer:
 
     def flush(self, now_cycle: int) -> Optional[FormedBatch]:
         """Close whatever is pending (end of the arrival stream)."""
-        if not self._ops:
+        if not self._op_ids:
             return None
         deadline = self.deadline_at
         close = min(now_cycle, deadline) if deadline is not None else now_cycle
@@ -90,11 +90,11 @@ class BatchFormer:
 
     def _close(self, close_cycle: int, by_deadline: bool) -> FormedBatch:
         batch = FormedBatch(
-            ops=self._ops,
+            op_ids=self._op_ids,
             arrival_cycles=self._arrivals,
             close_cycle=close_cycle,
             closed_by_deadline=by_deadline,
         )
-        self._ops = []
+        self._op_ids = []
         self._arrivals = []
         return batch

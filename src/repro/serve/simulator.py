@@ -26,6 +26,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.core.accelerator import DcartAccelerator
 from repro.core.config import DCARTConfig
@@ -36,7 +38,7 @@ from repro.serve.admission import AdmissionPolicy, make_admission
 from repro.serve.arrivals import make_arrivals
 from repro.serve.batcher import BatchFormer, FormedBatch
 from repro.serve.slo import SloTracker, rto_cycles
-from repro.workloads.ops import Operation, Workload
+from repro.workloads.ops import IdArray, Workload
 
 #: JSON report schema identifier (asserted by CI's serve-smoke job).
 SERVE_SCHEMA = "serve-sweep/v1"
@@ -191,15 +193,17 @@ class _DcartBackend:
         self.session = accelerator.open_session(workload, tree)
 
     def execute(
-        self, ops: List[Operation], batch_index: int
+        self, ids: IdArray, batch_index: int
     ) -> Tuple[int, int, List[Tuple[int, int]]]:
         """(pcu_cycles, service_cycles, [(op_id, completion offset)])."""
-        execution = self.session.execute_batch(ops, batch_index)
-        completions: List[Tuple[int, int]] = []
-        for outcome in execution.outcomes:
-            for op_id, cyc in zip(outcome.op_ids, outcome.completion_cycles):
-                completions.append((op_id, execution.pcu_cycles + cyc))
-        return execution.pcu_cycles, execution.service_cycles, completions
+        execution = self.session.execute_batch(
+            self.workload.operations, ids, batch_index
+        )
+        return (
+            execution.pcu_cycles,
+            execution.service_cycles,
+            execution.completions(execution.pcu_cycles),
+        )
 
     def drain(self, batch_index: int) -> Tuple[int, List[Tuple[int, int]]]:
         """Single-machine batches never defer completions."""
@@ -263,9 +267,9 @@ class _ClusterBackend:
         )
 
     def execute(
-        self, ops: List[Operation], batch_index: int
+        self, ids: IdArray, batch_index: int
     ) -> Tuple[int, int, List[Tuple[int, int]]]:
-        result = self.coordinator.execute_batch(ops, batch_index)
+        result = self.coordinator.execute_batch(ids, batch_index)
         return (
             result.route_cycles,
             result.shard_cycles + result.admin_cycles,
@@ -305,13 +309,13 @@ class _CalibratedBackend:
         self.cycles_per_op = clock_hz / ops_per_s
 
     def execute(
-        self, ops: List[Operation], batch_index: int
+        self, ids: IdArray, batch_index: int
     ) -> Tuple[int, int, List[Tuple[int, int]]]:
         completions = [
-            (op.op_id, int(math.ceil((j + 1) * self.cycles_per_op)))
-            for j, op in enumerate(ops)
+            (op_id, int(math.ceil((j + 1) * self.cycles_per_op)))
+            for j, op_id in enumerate(ids.tolist())
         ]
-        service_cycles = int(math.ceil(len(ops) * self.cycles_per_op))
+        service_cycles = int(math.ceil(len(ids) * self.cycles_per_op))
         return 0, service_cycles, completions
 
     def drain(self, batch_index: int) -> Tuple[int, List[Tuple[int, int]]]:
@@ -482,10 +486,10 @@ class ServingSimulator:
             raise ConfigError(f"offered load must be positive: {offered_load}")
         serve = self.serve
         rate = offered_load * self.capacity_ops_per_s()
-        ops = list(self.workload.operations)
+        n_ops = self.workload.n_ops
         arrivals = make_arrivals(
             serve.arrival, burst_factor=serve.burst_factor
-        ).arrival_cycles(len(ops), rate, self.clock_hz, seed)
+        ).arrival_cycles(n_ops, rate, self.clock_hz, seed)
         admission = self._make_admission(seed)
         deadline_cycles = max(
             1, int(serve.deadline_us * 1e-6 * self.clock_hz)
@@ -543,18 +547,16 @@ class ServingSimulator:
             if batch_index in pending_faults:
                 pending_faults.discard(batch_index)
                 fault_cycles.append(start)
-            arrival_by_id.update(
-                zip((op.op_id for op in batch.ops), batch.arrival_cycles)
-            )
+            arrival_by_id.update(zip(batch.op_ids, batch.arrival_cycles))
             try:
                 pcu, service, completions = backend.execute(
-                    batch.ops, batch_index
+                    np.array(batch.op_ids, dtype=np.int64), batch_index
                 )
             except SimulatedCrash:
                 crashes += 1
-                lost += len(batch.ops)
-                for op in batch.ops:
-                    arrival_by_id.pop(op.op_id, None)
+                lost += len(batch.op_ids)
+                for op_id in batch.op_ids:
+                    arrival_by_id.pop(op_id, None)
                 down = backend.recover_after_crash()
                 downtime_cycles += down
                 server_free = start + down
@@ -568,11 +570,10 @@ class ServingSimulator:
             if batch.closed_by_deadline:
                 deadline_batches += 1
             batch_index += 1
-            backlog.append((start, len(batch.ops)))
-            backlog_ops += len(batch.ops)
+            backlog.append((start, len(batch.op_ids)))
+            backlog_ops += len(batch.op_ids)
 
-        for op, arrival in zip(ops, arrivals):
-            now = int(arrival)
+        for op_id, now in enumerate(arrivals.tolist()):
             expired = former.poll(now)
             if expired is not None:
                 execute(expired)
@@ -582,7 +583,7 @@ class ServingSimulator:
             queue_peak = max(queue_peak, depth)
             if admission.admit(now, depth):
                 admitted += 1
-                full = former.offer(op, now)
+                full = former.offer(op_id, now)
                 if full is not None:
                     execute(full)
             else:
@@ -617,7 +618,7 @@ class ServingSimulator:
             seed=seed,
             offered_load=offered_load,
             rate_ops_per_s=rate,
-            offered_ops=len(ops),
+            offered_ops=n_ops,
             admitted_ops=admitted,
             shed_ops=shed,
             lost_ops=lost,

@@ -25,7 +25,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.workloads import realworld, synthetic
 from repro.workloads.mixes import DEFAULT_MIX, OperationMix, mix_for_write_ratio
-from repro.workloads.ops import OpKind, Operation, OperationStream, Workload
+from repro.workloads.ops import KIND_CODE, OperationStream, OpKind, Workload
 
 WORKLOAD_NAMES = ("IPGEO", "DICT", "EA", "DE", "RS", "RD")
 
@@ -200,24 +200,22 @@ def _generate_operations(
     is_scan = rng.random(n_ops) < scan_ratio
     scan_counts = rng.integers(1, scan_length + 1, size=n_ops)
 
-    # Columnar assembly: every field is resolved for the whole stream by
-    # numpy and the columns are zipped into Operations.  Keys, kinds and
-    # values are object arrays, whose iteration yields the Python objects
-    # themselves; turning them into lists first cost a few MiB of peak
-    # RSS.  The first len(reserve) inserting writes, in stream order,
-    # take the reserve keys; every other op keeps its loaded key.
+    # The stream's columns come straight from these arrays.  The first
+    # len(reserve) inserting writes, in stream order, take the reserve
+    # keys; every other op keeps its loaded key.  A write's value is its
+    # op id, so only writes get an int object.
     keys = np.empty(n_loaded, dtype=object)
     keys[:] = loaded
     keys = keys[permutation[ranks]]
     inserts = np.flatnonzero(is_write & is_insert)[: len(reserve)]
     keys[inserts] = reserve[: len(inserts)]
-    kind_table = np.array([OpKind.WRITE, OpKind.READ, OpKind.SCAN], dtype=object)
-    kinds = kind_table[np.where(is_write, 0, np.where(is_scan, 2, 1))]
-    # A write's value is its op_id: the same int objects as op_ids, so
-    # the stream does not hold each id twice.
-    op_ids = list(range(n_ops))
-    values = np.where(is_write, np.array(op_ids, dtype=object), None)
-    # A list, so scan counts are Python ints, not numpy scalars.
-    counts = np.where(is_scan & ~is_write, scan_counts, 0).tolist()
-    operations = list(map(Operation, op_ids, kinds, keys, values, counts))
-    return OperationStream(operations)
+    kind_codes = np.where(
+        is_write,
+        KIND_CODE[OpKind.WRITE],
+        np.where(is_scan, KIND_CODE[OpKind.SCAN], KIND_CODE[OpKind.READ]),
+    ).astype(np.int8)
+    values = np.full(n_ops, None, dtype=object)
+    writes = np.flatnonzero(is_write)
+    values[writes] = writes.tolist()
+    counts = np.where(is_scan & ~is_write, scan_counts, 0).astype(np.int64)
+    return OperationStream.from_columns(kind_codes, keys, values, counts)

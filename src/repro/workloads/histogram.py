@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.workloads.ops import Operation
+from repro.workloads.ops import OperationStream
 
 
 class PrefixHistogram:
@@ -32,12 +32,13 @@ class PrefixHistogram:
 
     @classmethod
     def from_operations(
-        cls, operations: Iterable[Operation], byte_offset: int = 0
+        cls, operations: OperationStream, byte_offset: int = 0
     ) -> "PrefixHistogram":
+        """Counts over the key column of a stream."""
         counts = [0] * 256
-        for op in operations:
-            if byte_offset < len(op.key):
-                counts[op.key[byte_offset]] += 1
+        for key in operations.keys.tolist():
+            if byte_offset < len(key):
+                counts[key[byte_offset]] += 1
         return cls(counts, byte_offset)
 
     @property

@@ -17,8 +17,10 @@ from __future__ import annotations
 import json
 from typing import IO, Iterator, Tuple, Union
 
+import numpy as np
+
 from repro.errors import WorkloadError
-from repro.workloads.ops import OpKind, Operation, OperationStream, Workload
+from repro.workloads.ops import CHUNK_OPS, KIND_CODE, OperationStream, OpKind, Workload
 
 FORMAT_VERSION = 1
 
@@ -41,13 +43,17 @@ def save_workload(workload: Workload, path_or_file: Union[str, IO]) -> None:
     out.write(json.dumps(header) + "\n")
     for key in workload.loaded_keys:
         out.write(json.dumps({"load": key.hex()}) + "\n")
-    for op in workload.operations:
-        record = {"id": op.op_id, "op": op.kind.value, "key": op.key.hex()}
-        if op.value is not None:
-            record["value"] = op.value
-        if op.scan_count:
-            record["scan"] = op.scan_count
-        out.write(json.dumps(record) + "\n")
+    stream = workload.operations
+    for ids in stream.batches(CHUNK_OPS):
+        for op_id, kind, key, value, scan_count in zip(
+            ids.tolist(), *stream.gather(ids)
+        ):
+            record = {"id": op_id, "op": kind.value, "key": key.hex()}
+            if value is not None:
+                record["value"] = value
+            if scan_count:
+                record["scan"] = scan_count
+            out.write(json.dumps(record) + "\n")
 
 
 def _lines(handle: IO) -> Iterator[Tuple[int, str]]:
@@ -89,8 +95,10 @@ def load_workload(path_or_file: Union[str, IO]) -> Workload:
     """Read a workload written by :func:`save_workload`.
 
     Malformed input of any kind — a missing file, invalid UTF-8, a line
-    that is not a JSON object, a bad hex key, a record missing a field —
-    raises :class:`WorkloadError` naming the offending line.
+    that is not a JSON object, a bad hex key, a record missing a field,
+    an ``id`` that is not the op's position among the op records, a
+    ``scan`` that is not a non-negative integer — raises
+    :class:`WorkloadError` naming the offending line.
     """
     if isinstance(path_or_file, str):
         try:
@@ -114,13 +122,16 @@ def load_workload(path_or_file: Union[str, IO]) -> Workload:
         )
 
     loaded_keys = []
-    operations = []
+    kind_codes = []
+    keys = []
+    values = []
+    scan_counts = []
     for line_number, line in lines:
         if not line.strip():
             continue
         record = _record(line_number, line)
         if "load" in record:
-            if operations:
+            if keys:
                 raise WorkloadError(
                     f"line {line_number}: load key after operations began"
                 )
@@ -132,24 +143,40 @@ def load_workload(path_or_file: Union[str, IO]) -> Workload:
                 ) from None
             continue
         try:
-            operations.append(
-                Operation(
-                    op_id=record["id"],
-                    kind=OpKind(record["op"]),
-                    key=bytes.fromhex(record["key"]),
-                    value=record.get("value"),
-                    scan_count=record.get("scan", 0),
-                )
-            )
+            op_id = record["id"]
+            kind = OpKind(record["op"])
+            key = bytes.fromhex(record["key"])
         except (KeyError, TypeError, ValueError):
             raise WorkloadError(
                 f"line {line_number}: bad operation record"
             ) from None
+        # type(...) is int: a bool is an int to isinstance().
+        if type(op_id) is not int or op_id != len(keys):
+            raise WorkloadError(
+                f"line {line_number}: op id {op_id!r} is not the op's "
+                f"position {len(keys)}"
+            )
+        scan_count = record.get("scan", 0)
+        if type(scan_count) is not int or not 0 <= scan_count < 2**63:
+            raise WorkloadError(
+                f"line {line_number}: scan count {scan_count!r} is not a "
+                "non-negative 64-bit integer"
+            )
+        kind_codes.append(KIND_CODE[kind])
+        keys.append(key)
+        values.append(record.get("value"))
+        scan_counts.append(scan_count)
+    n = len(keys)
     return Workload(
         name=header["name"],
         key_family=header.get("key_family", "unknown"),
         loaded_keys=loaded_keys,
-        operations=OperationStream(operations),
+        operations=OperationStream.from_columns(
+            np.array(kind_codes, dtype=np.int8),
+            np.fromiter(keys, dtype=object, count=n),
+            np.fromiter(values, dtype=object, count=n),
+            np.array(scan_counts, dtype=np.int64),
+        ),
         seed=header.get("seed", 0),
         description=header.get("description", ""),
         metadata=header.get("metadata", {}),

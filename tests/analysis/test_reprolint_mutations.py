@@ -109,8 +109,8 @@ def test_cyc02_catches_discarded_route_billing(scratch):
     with mutated(
         scratch,
         os.path.join("cluster", "coordinator.py"),
-        "        route_cycles = costs.route_batch_cycles(len(ops))",
-        "        costs.route_batch_cycles(len(ops))",
+        "        route_cycles = costs.route_batch_cycles(len(ids))",
+        "        costs.route_batch_cycles(len(ids))",
     ):
         hits = _findings(scratch, "CYC02", "coordinator.py")
         assert any("route_batch_cycles" in d.message for d in hits)

@@ -53,10 +53,10 @@ def _run(schedule=None):
     )
     batches = []
     completed = 0
-    for batch_index, batch in enumerate(
+    for batch_index, ids in enumerate(
         workload.operations.batches(BATCH)
     ):
-        result = coordinator.execute_batch(batch, batch_index)
+        result = coordinator.execute_batch(ids, batch_index)
         completed += len(result.completions)
         batches.append(result)
     tail = coordinator.drain(len(batches))

@@ -14,6 +14,7 @@ from repro.model.costs import DEFAULT_CLUSTER_COSTS
 from repro.serve.simulator import ServeConfig, ServingSimulator
 from repro.workloads import make_workload
 from repro.workloads.ops import Operation, OpKind
+from tests.opstreams import all_ids, stream_of
 from tests.digest import structure_digest
 
 CLOCK_HZ = 230e6
@@ -25,12 +26,18 @@ def _replica(seed=1, shard_id=0, build_tree=AdaptiveRadixTree):
     )
 
 
+def _frames(batch_index, ops):
+    """The shipped group of the rows ``ops`` (renumbered by position)."""
+    stream = stream_of(ops)
+    return encode_batch_frames(batch_index, stream, all_ids(stream))
+
+
 def _writes(batch_index, pairs):
     ops = [
         Operation(op_id=i, kind=OpKind.WRITE, key=key, value=value)
         for i, (key, value) in enumerate(pairs)
     ]
-    return encode_batch_frames(batch_index, ops), len(ops)
+    return _frames(batch_index, ops), len(ops)
 
 
 class TestShipping:
@@ -105,7 +112,7 @@ class TestCatchUp:
             Operation(op_id=1, kind=OpKind.DELETE, key=b"k"),
             Operation(op_id=2, kind=OpKind.DELETE, key=b"never-there"),
         ]
-        frames = encode_batch_frames(0, ops)
+        frames = _frames(0, ops)
         replica.ship(0, frames, 3, 0)
         replica.catch_up()
         assert dict(replica.tree.items()) == {}
@@ -205,7 +212,7 @@ def test_replica_read_at_the_end_equals_one_read_after_every_advance(batches):
                 reference[key] = value
             else:
                 reference.pop(key, None)  # absent keys too
-        frames = encode_batch_frames(batch_index, ops)
+        frames = _frames(batch_index, ops)
         for replica in (at_end, every):
             replica.ship(batch_index, frames, len(ops), clock)
         clock += step

@@ -208,3 +208,51 @@ class TestHbmBandwidthCycles:
         throttled = hbm_bandwidth_cycles(4096, 0.5, 230e6)
         blackout = hbm_bandwidth_cycles(4096, 0.0, 230e6)
         assert blackout > throttled
+
+
+class TestNoOperationRows:
+    """Run paths read the stream's columns; none builds an ``Operation``."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from repro.workloads.ops import Operation
+
+        calls = []
+        original = Operation.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Operation, "__init__", counting_init)
+        return calls
+
+    def test_closed_loop_run_builds_no_operation(self, built, tmp_path):
+        from repro.durability import DurabilityManager
+
+        workload = make_workload("IPGEO", n_keys=2_000, n_ops=20_000, seed=3)
+        config = DCARTConfig(batch_size=4096)
+        DcartAccelerator(config=config).run(workload)
+        DcartAccelerator(
+            config=config, durability=DurabilityManager(str(tmp_path))
+        ).run(workload)
+        assert built == []
+        workload.operations[0]  # a row asked for is built: the hook counts
+        assert built == [1]
+
+    def test_clustered_serving_builds_no_operation(self, built):
+        from repro.cluster import ClusterConfig
+        from repro.faults import FaultSchedule
+        from repro.serve import ServeConfig, ServingSimulator
+
+        workload = make_workload("IPGEO", n_keys=1_000, n_ops=5_000, seed=3)
+        server = ServingSimulator(
+            workload,
+            ServeConfig(batch_size=256),
+            schedule=FaultSchedule.fail_shards(1, 3, n_shards=2, at_batch=4),
+            cluster_config=ClusterConfig(n_shards=2, replicas=1),
+            capacity_ops_per_s=1.0e7,
+        )
+        row = server.run(0.5, seed=3)
+        assert row.completed_ops + row.shed_ops == workload.n_ops
+        assert built == []

@@ -8,19 +8,18 @@ from repro.core.prefixing import PrefixExtractor
 from repro.errors import ConfigError, SouFailedError
 from repro.faults import FaultSchedule
 from repro.workloads.ops import OpKind, Operation
+from tests.opstreams import all_ids, stream_of
 
 
 def make_tables(n_buckets=4, ops_per_bucket=(1, 0, 2, 3)):
     extractor = PrefixExtractor(n_buckets=n_buckets)
     tables = BucketTables(extractor, n_buckets, buffer_bytes=1 << 20)
-    op_id = 0
-    for bucket_id, n_ops in enumerate(ops_per_bucket):
-        for i in range(n_ops):
-            tables.buckets[bucket_id].append(
-                Operation(op_id, OpKind.READ, bytes([bucket_id, i]))
-            )
-            tables.total_ops += 1
-            op_id += 1
+    stream = stream_of(
+        Operation(0, OpKind.READ, bytes([bucket_id, i]))
+        for bucket_id, n_ops in enumerate(ops_per_bucket)
+        for i in range(n_ops)
+    )
+    tables.combine(stream, all_ids(stream))
     return tables
 
 

@@ -5,14 +5,11 @@ Behaviours guarded here:
 * ``hbm_bandwidth_cycles`` bills fractional HBM cycles as whole cycles
   (ceil) instead of silently rounding tiny batches to zero.
 * Vectorised bucketing matches the scalar prefix extractor.
-* ``OperationStream`` adopts caller-owned lists without copying, with
-  ``copy=True`` as the escape hatch.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.accelerator import hbm_bandwidth_cycles
-from repro.workloads.ops import Operation, OperationStream, OpKind
 
 
 class TestBandwidthRounding:
@@ -48,34 +45,3 @@ class TestVectorisedBucketing:
         extractor = PrefixExtractor(byte_offset=offset, n_buckets=n_buckets)
         batch = extractor.buckets_for(keys)
         assert list(batch) == [extractor.bucket(key) for key in keys]
-
-
-class TestOperationStreamCopy:
-    def _ops(self):
-        return [
-            Operation(op_id=i, kind=OpKind.READ, key=bytes([i]))
-            for i in range(4)
-        ]
-
-    def test_list_adopted_without_copy(self):
-        ops = self._ops()
-        stream = OperationStream(ops)
-        assert stream._operations is ops
-
-    def test_copy_flag_forces_copy(self):
-        ops = self._ops()
-        stream = OperationStream(ops, copy=True)
-        assert stream._operations is not ops
-        assert list(stream) == ops
-
-    def test_iterators_are_materialised(self):
-        ops = self._ops()
-        stream = OperationStream(iter(ops))
-        assert list(stream) == ops
-        assert len(stream) == 4
-
-    def test_tuple_is_materialised(self):
-        ops = tuple(self._ops())
-        stream = OperationStream(ops)
-        assert isinstance(stream._operations, list)
-        assert list(stream) == list(ops)

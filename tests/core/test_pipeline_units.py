@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.art.nodes import Node256
 from repro.core.batching import overlap_timeline
 from repro.core.bucket_table import BucketTables
 from repro.core.config import DCARTConfig, OP_RECORD_BYTES
@@ -11,6 +12,7 @@ from repro.core.prefixing import PrefixExtractor
 from repro.errors import ConfigError, SimulationError
 from repro.model.costs import FpgaCosts
 from repro.workloads.ops import OpKind, Operation
+from tests.opstreams import all_ids, stream_of
 
 
 def ops(count, first_byte=0):
@@ -18,6 +20,12 @@ def ops(count, first_byte=0):
         Operation(i, OpKind.READ, bytes([first_byte, i % 251, 2, 3]))
         for i in range(count)
     ]
+
+
+def batch(rows):
+    """``(stream, ids)`` of the rows as one batch (renumbered by position)."""
+    stream = stream_of(rows)
+    return stream, all_ids(stream)
 
 
 class TestConfig:
@@ -49,6 +57,11 @@ class TestConfig:
             DCARTConfig(n_sous=16, n_buckets=24)  # neither divides
         with pytest.raises(ConfigError):
             DCARTConfig(tree_buffer_bytes=0)
+        # Smaller than the largest node: rejected when built, not when
+        # the first Node256 is fetched mid-run.
+        with pytest.raises(ConfigError, match="Node256 of 2064 B"):
+            DCARTConfig(tree_buffer_bytes=2048)
+        assert DCARTConfig(tree_buffer_bytes=Node256.size_bytes)
         with pytest.raises(ConfigError):
             DCARTConfig(batch_size=0)
 
@@ -64,34 +77,34 @@ class TestPcu:
 
     def test_one_cycle_per_op_plus_fill(self):
         pcu = self.make()
-        outcome = pcu.combine_batch(ops(100))
+        outcome = pcu.combine_batch(*batch(ops(100)))
         assert outcome.cycles == 3 + 100
         assert outcome.spilled_bytes == 0
 
     def test_spill_adds_cycles(self):
         pcu = self.make(buffer_bytes=OP_RECORD_BYTES * 10)
-        big = pcu.combine_batch(ops(100))
-        small = self.make().combine_batch(ops(100))
+        big = pcu.combine_batch(*batch(ops(100)))
+        small = self.make().combine_batch(*batch(ops(100)))
         assert big.spilled_bytes == 90 * OP_RECORD_BYTES
         assert big.cycles > small.cycles
 
     def test_totals_accumulate(self):
         pcu = self.make()
-        pcu.combine_batch(ops(10))
-        pcu.combine_batch(ops(20))
+        pcu.combine_batch(*batch(ops(10)))
+        pcu.combine_batch(*batch(ops(20)))
         assert pcu.total_ops == 30
         assert pcu.total_cycles == 2 * 3 + 30
 
     def test_combining_is_functional(self):
         pcu = self.make()
-        pcu.combine_batch(ops(32, first_byte=5))
+        pcu.combine_batch(*batch(ops(32, first_byte=5)))
         assert len(pcu.tables.buckets[5]) == 32
 
 
 class TestDispatcher:
     def test_static_assignment(self):
         tables = BucketTables(PrefixExtractor(), 16, 1 << 20)
-        tables.combine(ops(10, first_byte=3) + ops(5, first_byte=0x13))
+        tables.combine(*batch(ops(10, first_byte=3) + ops(5, first_byte=0x13)))
         dispatched = Dispatcher(16).dispatch(tables)
         assert len(dispatched) == 1  # both prefixes -> bucket 3
         assert dispatched[0].sou_id == 3
@@ -100,21 +113,21 @@ class TestDispatcher:
 
     def test_empty_buckets_skipped(self):
         tables = BucketTables(PrefixExtractor(), 16, 1 << 20)
-        tables.combine(ops(4, first_byte=1))
+        tables.combine(*batch(ops(4, first_byte=1)))
         dispatched = Dispatcher(16).dispatch(tables)
         assert [b.bucket_id for b in dispatched] == [1]
 
     def test_more_buckets_than_sous_wrap(self):
         tables = BucketTables(PrefixExtractor(n_buckets=16), 16, 1 << 20)
         for byte in range(16):
-            tables.combine(ops(1, first_byte=byte))
+            tables.combine(*batch(ops(1, first_byte=byte)))
         dispatched = Dispatcher(4).dispatch(tables)
         sous = {b.sou_id for b in dispatched}
         assert sous == {0, 1, 2, 3}
 
     def test_per_sou_load(self):
         tables = BucketTables(PrefixExtractor(), 16, 1 << 20)
-        tables.combine(ops(10, first_byte=0) + ops(6, first_byte=1))
+        tables.combine(*batch(ops(10, first_byte=0) + ops(6, first_byte=1)))
         dispatcher = Dispatcher(16)
         load = dispatcher.per_sou_load(dispatcher.dispatch(tables))
         assert load[0] == 10 and load[1] == 6

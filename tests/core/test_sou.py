@@ -14,6 +14,7 @@ from repro.core.sou import (
 from repro.core.tree_buffer import ValueAwareTreeBuffer
 from repro.model.costs import FpgaCosts
 from repro.workloads.ops import OpKind, Operation
+from tests.opstreams import bucket_of
 
 
 def make_sou(tree, shortcuts=None, buffer_bytes=1 << 20):
@@ -36,7 +37,9 @@ def tree():
 
 
 def bucket(ops):
-    return DispatchedBucket(bucket_id=0, sou_id=0, operations=ops, value=len(ops))
+    return DispatchedBucket(
+        bucket_id=0, sou_id=0, operations=bucket_of(ops), value=len(ops)
+    )
 
 
 class TestFunctionalCorrectness:
@@ -163,7 +166,7 @@ class TestTiming:
         outcome = sou.process_bucket(bucket(ops))
         assert outcome.completion_cycles == sorted(outcome.completion_cycles)
         assert outcome.completion_cycles[-1] == outcome.cycles
-        assert outcome.op_ids == [op.op_id for op in ops]
+        assert outcome.op_ids.tolist() == [op.op_id for op in ops]
 
 
 class TestSharedAncestorDetection:
@@ -176,7 +179,8 @@ class TestSharedAncestorDetection:
             Operation(3, OpKind.READ, key_b),
         ]
         # key_a: 2 ops with a writer -> 1 group; key_b: read-only -> none.
-        assert count_contended_groups(ops) == 1
+        keys, kinds = [op.key for op in ops], [op.kind for op in ops]
+        assert count_contended_groups(keys, kinds) == 1
 
     def test_modifies_shared_ancestor_at_root(self):
         tree = AdaptiveRadixTree()

@@ -8,6 +8,7 @@ from repro.core.prefixing import PrefixExtractor
 from repro.core.shortcut_table import ShortcutTable
 from repro.errors import ConfigError
 from repro.workloads.ops import OpKind, Operation
+from tests.opstreams import all_ids, stream_of
 
 
 def op(i, first_byte, kind=OpKind.READ):
@@ -63,25 +64,31 @@ class TestShortcutTable:
         assert len(table) == 5
 
 
+def combine(tables, ops):
+    """Combine the rows ``ops`` as one batch (renumbered by position)."""
+    stream = stream_of(ops)
+    tables.combine(stream, all_ids(stream))
+
+
 class TestBucketTables:
     def make(self, n_buckets=16, buffer_bytes=1024):
         return BucketTables(PrefixExtractor(0, n_buckets), n_buckets, buffer_bytes)
 
     def test_combine_routes_by_prefix(self):
         tables = self.make(n_buckets=16)
-        tables.combine([op(0, 0x00), op(1, 0x10), op(2, 0x01), op(3, 0x00)])
+        combine(tables, [op(0, 0x00), op(1, 0x10), op(2, 0x01), op(3, 0x00)])
         assert len(tables.buckets[0]) == 3  # 0x00 and 0x10 both -> bucket 0
         assert len(tables.buckets[1]) == 1
         assert tables.total_ops == 4
 
     def test_same_key_same_bucket(self):
         tables = self.make()
-        tables.combine([op(0, 0x67), op(1, 0x67, OpKind.WRITE)])
+        combine(tables, [op(0, 0x67), op(1, 0x67, OpKind.WRITE)])
         assert len(tables.buckets[0x67 % 16]) == 2
 
     def test_clear_starts_new_batch(self):
         tables = self.make()
-        tables.combine([op(0, 1)])
+        combine(tables, [op(0, 1)])
         tables.clear()
         assert tables.total_ops == 0
         assert all(not bucket for bucket in tables.buckets)
@@ -89,17 +96,17 @@ class TestBucketTables:
     def test_spill_accounting(self):
         # Buffer fits 4 op records; combining 10 spills 6 records.
         tables = self.make(buffer_bytes=4 * OP_RECORD_BYTES)
-        tables.combine([op(i, i) for i in range(10)])
+        combine(tables, [op(i, i) for i in range(10)])
         assert tables.spilled_bytes == 6 * OP_RECORD_BYTES
 
     def test_no_spill_within_buffer(self):
         tables = self.make(buffer_bytes=1024)
-        tables.combine([op(i, i) for i in range(10)])
+        combine(tables, [op(i, i) for i in range(10)])
         assert tables.spilled_bytes == 0
 
     def test_occupancy_and_imbalance(self):
         tables = self.make(n_buckets=4)
-        tables.combine([op(i, 0) for i in range(6)] + [op(9, 1), op(10, 2)])
+        combine(tables, [op(i, 0) for i in range(6)] + [op(9, 1), op(10, 2)])
         assert tables.occupancy() == [6, 1, 1, 0]
         assert tables.imbalance == pytest.approx(6 / 2)
         assert tables.nonempty_buckets() == 3

@@ -13,6 +13,7 @@ import json
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +27,8 @@ from repro.durability.wal import (
     frame,
 )
 from repro.errors import SimulationError
-from repro.workloads.ops import OpKind, Operation
+from repro.workloads.ops import Operation, OperationStream, OpKind
+from tests.opstreams import all_ids, stream_of
 
 # ---------------------------------------------------------------------------
 # reference: one record at a time
@@ -111,7 +113,7 @@ tree_keys = st.binary(min_size=3, max_size=3)
 operations = st.lists(
     st.builds(
         Operation,
-        op_id=st.integers(min_value=0, max_value=2**64 - 1),
+        op_id=st.just(0),  # renumbered by position in the stream
         kind=st.sampled_from([OpKind.WRITE, OpKind.DELETE, OpKind.READ]),
         key=st.binary(min_size=1, max_size=16),
         value=values,
@@ -148,20 +150,29 @@ def test_build_payload_matches_per_item_framing(mapping, n_dense, batch_index):
     )
 
 
-@given(batch_index=st.integers(min_value=0, max_value=2**32 - 1), ops=operations)
+@given(batch_index=st.integers(min_value=0, max_value=2**32 - 1), ops=operations,
+       data=st.data())
 @settings(max_examples=80, deadline=None)
-def test_encode_batch_frames_matches_per_record_framing(batch_index, ops):
-    assert encode_batch_frames(batch_index, ops) == ref_group(batch_index, ops)
+def test_encode_batch_frames_matches_per_record_framing(batch_index, ops, data):
+    # Any ids of the stream, in any order: a cluster sub-batch is a
+    # subset of its batch.
+    stream = stream_of(ops)
+    order = data.draw(st.permutations(range(len(ops))))
+    ids = np.array(order[: data.draw(st.integers(0, len(ops)))], dtype=np.int64)
+    rows = [stream[i] for i in ids.tolist()]
+    assert encode_batch_frames(batch_index, stream, ids) == ref_group(batch_index, rows)
 
 
 def test_tuple_value_raises_from_both_encoders(tmp_path):
-    bad = Operation(op_id=1, kind=OpKind.WRITE, key=b"k", value=(1, 2))
+    bad = OperationStream(
+        [Operation(op_id=0, kind=OpKind.WRITE, key=b"k", value=(1, 2))]
+    )
     with pytest.raises(SimulationError, match="tuple"):
-        encode_batch_frames(0, [bad])
+        encode_batch_frames(0, bad, all_ids(bad))
     with WriteAheadLog(str(tmp_path / "wal.log")) as wal:
         wal.begin_batch(0)
         with pytest.raises(SimulationError, match="tuple"):
-            wal.log_ops([bad])
+            wal.log_ops(bad, all_ids(bad))
     with pytest.raises(SimulationError, match="tuple"):
         build_payload(tree_of({b"abc": 1, b"abd": (1, 2)}), 0)
 
@@ -221,7 +232,8 @@ def test_damaged_checkpoint_payload_raises_only_simulation_error(
        index=st.integers(min_value=0))
 @settings(max_examples=150, deadline=None)
 def test_damaged_wal_group_raises_only_simulation_error(ops, flips, cut, index):
-    group = encode_batch_frames(3, ops)
+    stream = stream_of(ops)
+    group = encode_batch_frames(3, stream, all_ids(stream))
     decodes_or_simulation_error(decode_frames, damaged(group, flips, cut))
     decodes_or_simulation_error(decode_frames, reframed(group, index, flips, cut))
 

@@ -27,14 +27,15 @@ from repro.durability.wal import (
     FILE_HEADER,
     BeginRecord,
     CommitRecord,
+    OpRecord,
     encode_record,
     frame,
-    op_record,
 )
 from repro.errors import SimulatedCrash
 from repro.model.costs import DEFAULT_DURABILITY_COSTS
 from repro.workloads import make_workload
 from repro.workloads.ops import OpKind, Operation
+from tests.opstreams import batched
 
 
 class PerRecordLog:
@@ -66,18 +67,23 @@ class PerRecordLog:
         self.modelled_seconds += self.costs.wal_seconds(0, n_fsyncs=1)
 
     def log_batch(self, batch_index, operations, crash=None):
-        """The group ``log_batch`` writes; ``crash`` is the diagnostics
-        of the :class:`SimulatedCrash` it raised, if it raised one."""
-        mutating = [op for op in operations if op.kind is not OpKind.READ]
+        """The group ``log_batch`` writes for the rows ``operations``;
+        ``crash`` is the diagnostics of the :class:`SimulatedCrash` it
+        raised, if it raised one."""
+        mutating = [
+            OpRecord(op.kind, op.op_id, op.key, op.value)
+            for op in operations
+            if op.kind is not OpKind.READ
+        ]
         if not mutating:
             return
         self.append(BeginRecord(batch_index))
         point = crash["point"] if crash else None
         appended = crash.get("ops_appended") if crash else None
-        for op in mutating[:appended]:
-            self.append(op_record(op))
+        for record in mutating[:appended]:
+            self.append(record)
         if point == CRASH_WAL_MID_APPEND:
-            torn = op_record(mutating[appended])
+            torn = mutating[appended]
             self.append_torn(torn, crash["torn_record_bytes"])
         elif point == CRASH_WAL_TORN_COMMIT:
             commit = CommitRecord(batch_index, len(mutating))
@@ -97,12 +103,16 @@ def same_log(directory, wal, reference, reference_path):
     assert wal.modelled_seconds == reference.modelled_seconds
 
 
+def rows(stream, ids):
+    return [stream[i] for i in ids.tolist()]
+
+
 values = st.one_of(st.none(), st.integers(-(2**70), 2**70), st.text(max_size=6))
 batches = st.lists(
     st.lists(
         st.builds(
             Operation,
-            op_id=st.integers(min_value=0, max_value=2**40),
+            op_id=st.just(0),  # renumbered by position in the stream
             kind=st.sampled_from([OpKind.WRITE, OpKind.DELETE, OpKind.READ]),
             key=st.binary(min_size=1, max_size=8),
             value=values,
@@ -121,9 +131,10 @@ def test_log_batch_matches_per_record_writes(tmp_path_factory, batches):
     manager = DurabilityManager(directory)
     manager.attach(AdaptiveRadixTree())
     reference = PerRecordLog(reference_path)
-    for batch_index, ops in enumerate(batches):
-        manager.log_batch(batch_index, ops)
-        reference.log_batch(batch_index, ops)
+    stream, batch_ids = batched(batches)
+    for batch_index, ids in enumerate(batch_ids):
+        manager.log_batch(batch_index, stream, ids)
+        reference.log_batch(batch_index, rows(stream, ids))
     same_log(directory, manager.wal, reference, reference_path)
     manager.close()
     reference.file.close()
@@ -132,7 +143,7 @@ def test_log_batch_matches_per_record_writes(tmp_path_factory, batches):
 def ops_for(batch_index, n):
     return [
         Operation(
-            op_id=batch_index * 100 + i,
+            op_id=0,  # renumbered by position in the stream
             kind=OpKind.DELETE if i % 4 == 3 else OpKind.WRITE,
             key=bytes([batch_index, i]),
             value=None if i % 4 == 3 else i * 1000 - 7,
@@ -151,14 +162,17 @@ def test_crash_points_leave_per_record_bytes(tmp_path, point, detail):
     manager = DurabilityManager(directory)
     manager.attach(AdaptiveRadixTree())
     reference = PerRecordLog(reference_path)
+    stream, batch_ids = batched([ops_for(0, 5), ops_for(1, 5), ops_for(2, 9)])
     for batch_index in range(2):
-        manager.log_batch(batch_index, ops_for(batch_index, 5))
-        reference.log_batch(batch_index, ops_for(batch_index, 5))
+        manager.log_batch(batch_index, stream, batch_ids[batch_index])
+        reference.log_batch(batch_index, rows(stream, batch_ids[batch_index]))
     manager.arm_crash(point, detail)
     with pytest.raises(SimulatedCrash) as crash:
-        manager.log_batch(2, ops_for(2, 9))
+        manager.log_batch(2, stream, batch_ids[2])
     assert crash.value.diagnostics["point"] == point
-    reference.log_batch(2, ops_for(2, 9), crash=crash.value.diagnostics)
+    reference.log_batch(
+        2, rows(stream, batch_ids[2]), crash=crash.value.diagnostics
+    )
     same_log(directory, manager.wal, reference, reference_path)
     manager.close()
     reference.file.close()

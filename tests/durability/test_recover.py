@@ -11,6 +11,7 @@ from repro.durability.checkpoint import list_checkpoints
 from repro.durability.recover import select_checkpoint, wal_path
 from repro.errors import KeyNotFoundError, RecoveryError, SimulatedCrash
 from repro.workloads.ops import OpKind, Operation
+from tests.opstreams import batched
 
 
 def write_op(op_id, key, value=None):
@@ -32,8 +33,9 @@ def durable_run(directory, batches, checkpoint_every=2, base_keys=10):
         tree.insert(key(i), i)
     manager = DurabilityManager(directory, checkpoint_every=checkpoint_every)
     manager.attach(tree)
-    for batch_index, ops in enumerate(batches):
-        manager.log_batch(batch_index, ops)
+    stream, batch_ids = batched(batches)
+    for batch_index, (ops, ids) in enumerate(zip(batches, batch_ids)):
+        manager.log_batch(batch_index, stream, ids)
         for op in ops:
             if op.kind is OpKind.WRITE:
                 tree.upsert(op.key, op.value)
@@ -109,13 +111,14 @@ class TestRecover:
         tree = AdaptiveRadixTree()
         manager = DurabilityManager(directory, checkpoint_every=100)
         manager.attach(tree)
-        manager.log_batch(0, BATCHES[0])
+        stream, batch_ids = batched([BATCHES[0], [write_op(2, key(999), "ghost")]])
+        manager.log_batch(0, stream, batch_ids[0])
         for op in BATCHES[0]:
             tree.upsert(op.key, op.value)
         # Batch 1 begins but the machine dies before COMMIT.
         manager.arm_crash("wal-pre-commit")
         with pytest.raises(SimulatedCrash):
-            manager.log_batch(1, [write_op(9, key(999), "ghost")])
+            manager.log_batch(1, stream, batch_ids[1])
         manager.close()
 
         result = recover(directory)

@@ -11,6 +11,7 @@ recorded commit-end offsets.
 import struct
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,7 @@ from repro.durability import WriteAheadLog, recover, scan_wal
 from repro.durability.recover import wal_path
 from repro.durability.wal import FILE_HEADER
 from repro.errors import RecoveryError
-from repro.workloads.ops import OpKind, Operation
+from repro.workloads.ops import Operation, OperationStream, OpKind
 
 BATCH_SIZE = 5
 
@@ -55,6 +56,7 @@ def apply_reference(reference, op):
 def test_crash_at_any_wal_offset_recovers_committed_prefix(specs, fraction):
     ops = [to_operation(i, spec) for i, spec in enumerate(specs)]
     batches = [ops[i : i + BATCH_SIZE] for i in range(0, len(ops), BATCH_SIZE)]
+    stream = OperationStream(ops)
 
     with tempfile.TemporaryDirectory(prefix="dcart-prop-") as directory:
         path = wal_path(directory)
@@ -62,8 +64,8 @@ def test_crash_at_any_wal_offset_recovers_committed_prefix(specs, fraction):
         with WriteAheadLog(path) as wal:
             for batch_index, batch in enumerate(batches):
                 wal.begin_batch(batch_index)
-                for op in batch:
-                    wal.log_op(op)
+                start = batch_index * BATCH_SIZE
+                wal.log_ops(stream, np.arange(start, start + len(batch)))
                 wal.commit_batch(len(batch))
                 commit_end.append(wal.bytes_written)
 

@@ -3,6 +3,7 @@
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.durability.wal import (
@@ -16,20 +17,20 @@ from repro.durability.wal import (
     encode_record,
     encode_value,
     frame,
-    is_loggable,
+    loggable_ops,
     op_record,
     scan_wal,
 )
 from repro.errors import SimulationError
-from repro.workloads.ops import OpKind, Operation
+from repro.workloads.ops import Operation, OperationStream, OpKind
 
 
 def write_op(op_id, key, value=None):
-    return Operation(op_id=op_id, kind=OpKind.WRITE, key=key, value=value)
+    return OpRecord(OpKind.WRITE, op_id, key, value)
 
 
 def delete_op(op_id, key):
-    return Operation(op_id=op_id, kind=OpKind.DELETE, key=key)
+    return OpRecord(OpKind.DELETE, op_id, key)
 
 
 class TestValueCodec:
@@ -75,12 +76,19 @@ class TestRecordCodec:
         assert crc == zlib.crc32(raw[8:])
 
     def test_op_record_rejects_reads(self):
-        read = Operation(op_id=1, kind=OpKind.READ, key=b"k")
-        assert not is_loggable(read)
+        stream = OperationStream([
+            Operation(0, OpKind.READ, b"k"),
+            Operation(1, OpKind.WRITE, b"k", value=5),
+            Operation(2, OpKind.DELETE, b"k"),
+            Operation(3, OpKind.SCAN, b"k", scan_count=2),
+        ])
         with pytest.raises(SimulationError):
-            op_record(read)
-        assert is_loggable(write_op(1, b"k"))
-        assert is_loggable(delete_op(1, b"k"))
+            op_record(stream, 0)
+        with pytest.raises(SimulationError):
+            encode_record(OpRecord(OpKind.READ, 0, b"k"))
+        assert op_record(stream, 1) == write_op(1, b"k", 5)
+        assert op_record(stream, 2) == delete_op(2, b"k")
+        assert loggable_ops(stream, np.arange(4)).tolist() == [1, 2]
 
 
 class TestBatchProtocol:
@@ -165,7 +173,7 @@ class TestTornDetection:
     def test_torn_record_ends_scan_keeps_prefix(self, tmp_path):
         path, wal = self.make_wal(tmp_path)
         wal.begin_batch(3)
-        wal.append_torn(op_record(write_op(9, b"torn", "x")), keep_bytes=5)
+        wal.append_torn(write_op(9, b"torn", "x"), keep_bytes=5)
         wal.close()
         scan = scan_wal(path)
         assert scan.torn

@@ -6,7 +6,7 @@ import pytest
 from repro.art import AdaptiveRadixTree, encode_u64
 from repro.engines.base import RunResult, TimeBreakdown, apply_operation
 from repro.workloads import make_workload
-from repro.workloads.ops import OpKind, Operation
+from repro.workloads.ops import OpKind
 
 
 @pytest.fixture
@@ -19,42 +19,42 @@ def tree():
 
 class TestApplyOperation:
     def test_read_hit(self, tree):
-        rec = apply_operation(tree, Operation(0, OpKind.READ, encode_u64(5)))
+        rec = apply_operation(tree, OpKind.READ, encode_u64(5))
         assert rec.outcome == "hit"
         assert rec.op_kind == "read"
 
     def test_read_miss_is_legal(self, tree):
-        rec = apply_operation(tree, Operation(0, OpKind.READ, encode_u64(10**9)))
+        rec = apply_operation(tree, OpKind.READ, encode_u64(10**9))
         assert rec.outcome == "miss"
         assert rec.depth > 0  # the walk still happened
 
     def test_write_existing_updates(self, tree):
         rec = apply_operation(
-            tree, Operation(0, OpKind.WRITE, encode_u64(5), value="new")
+            tree, OpKind.WRITE, encode_u64(5), value="new"
         )
         assert rec.outcome == "updated"
         assert tree.search(encode_u64(5)) == "new"
 
     def test_write_new_inserts(self, tree):
         rec = apply_operation(
-            tree, Operation(0, OpKind.WRITE, encode_u64(10**9), value="v")
+            tree, OpKind.WRITE, encode_u64(10**9), value="v"
         )
         assert rec.outcome == "inserted"
         assert rec.structure_modified
 
     def test_delete_existing(self, tree):
-        rec = apply_operation(tree, Operation(0, OpKind.DELETE, encode_u64(5)))
+        rec = apply_operation(tree, OpKind.DELETE, encode_u64(5))
         assert rec.outcome == "deleted"
         assert encode_u64(5) not in tree
 
     def test_delete_missing_is_noop(self, tree):
-        rec = apply_operation(tree, Operation(0, OpKind.DELETE, encode_u64(10**9)))
+        rec = apply_operation(tree, OpKind.DELETE, encode_u64(10**9))
         assert rec.outcome == "miss"
         assert len(tree) == 32
 
     def test_scan(self, tree):
         rec = apply_operation(
-            tree, Operation(0, OpKind.SCAN, encode_u64(0), scan_count=5)
+            tree, OpKind.SCAN, encode_u64(0), scan_count=5
         )
         assert rec.depth > 0
 

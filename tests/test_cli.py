@@ -66,6 +66,20 @@ class TestWorkloadCommand:
         assert err.startswith("repro run: line 2:")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("op_line", [
+        '{"id": 0, "op": "scan", "key": "0a", "scan": "x"}',
+        '{"id": 3, "op": "read", "key": "0a"}',
+    ], ids=["scan-not-int", "id-not-position"])
+    def test_replay_of_bad_op_fields_exits_2(self, capsys, tmp_path, op_line):
+        path = tmp_path / "wl.jsonl"
+        path.write_text(
+            '{"name": "X", "format": 1}\n{"load": "0a"}\n' + op_line + "\n"
+        )
+        assert main(["run", "--engine", "DCART", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: line 3:")
+        assert len(err.strip().splitlines()) == 1
+
 
 #: Bad input that no command-specific handler catches: each must end in
 #: one stderr line and exit 2, never a traceback.

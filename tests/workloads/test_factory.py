@@ -1,5 +1,8 @@
 """Tests for workload assembly: mixes, histograms, the factory."""
 
+import gc
+import types
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -138,24 +141,77 @@ class TestOperationStream:
         stream = self.ops([OpKind.READ] * 10)
         batches = list(stream.batches(4))
         assert [len(b) for b in batches] == [4, 4, 2]
-        assert batches[0][0].op_id == 0
+        assert batches[0].tolist() == [0, 1, 2, 3]
+        assert batches[2].tolist() == [8, 9]
 
     def test_batches_rejects_nonpositive(self):
         with pytest.raises(WorkloadError):
             list(self.ops([OpKind.READ]).batches(0))
 
-    def test_head(self):
-        stream = self.ops([OpKind.READ] * 10)
-        assert len(stream.head(3)) == 3
-
     def test_empty_stream_ratio(self):
         assert OperationStream([]).write_ratio == 0.0
+
+    def test_rows_round_trip(self):
+        rows = [
+            Operation(0, OpKind.WRITE, b"a", value=7),
+            Operation(1, OpKind.SCAN, b"b", scan_count=3),
+            Operation(2, OpKind.DELETE, b"a"),
+        ]
+        stream = OperationStream(rows)
+        assert list(stream) == rows
+        assert list(OperationStream(iter(rows))) == rows
+        assert list(OperationStream(tuple(rows))) == rows
+        assert [stream[i] for i in range(3)] == rows
+        assert stream[-1] == rows[-1]
+        with pytest.raises(IndexError):
+            stream[3]
+        assert stream.distinct_keys() == 2
+
+    def test_rows_carry_python_values(self):
+        # numpy scalars would change the rows' repr (numpy 2 prints
+        # np.int64(3)); rows must read as plain Python.
+        stream = make_workload(
+            "IPGEO", n_keys=200, n_ops=400, seed=3, scan_ratio=0.5
+        ).operations
+        for op in (stream[0], *stream):
+            assert type(op.op_id) is int and type(op.scan_count) is int
+            assert isinstance(op.kind, OpKind)
+            assert type(op.key) is bytes
+            assert op.value is None or type(op.value) is int
+
+    def test_iteration_is_lazy(self):
+        stream = self.ops([OpKind.READ] * 10)
+        assert isinstance(iter(stream), types.GeneratorType)
+
+    def test_op_id_must_be_position(self):
+        with pytest.raises(WorkloadError, match="position"):
+            OperationStream([Operation(1, OpKind.READ, b"k")])
+        with pytest.raises(WorkloadError, match="position"):
+            OperationStream([
+                Operation(0, OpKind.READ, b"k"), Operation(0, OpKind.READ, b"k")
+            ])
+
+    def test_generated_write_value_is_its_op_id(self):
+        wl = make_workload("RS", n_keys=300, n_ops=2_000, seed=5)
+        writes = [op for op in wl.operations if op.kind is OpKind.WRITE]
+        assert writes and all(op.value == op.op_id for op in writes)
+
+    def test_generation_builds_no_object_per_op(self):
+        # The stream is columns: generating it must not leave one
+        # GC-tracked object per op behind.
+        n_ops = 200_000
+        gc.collect()
+        before = len(gc.get_objects())
+        workload = make_workload("IPGEO", n_keys=1_000, n_ops=n_ops)
+        gc.collect()
+        assert len(gc.get_objects()) - before < n_ops // 10
+        assert workload.n_ops == n_ops
 
 
 class TestHistogram:
     def test_from_operations_counts_first_byte(self):
         ops = [Operation(i, OpKind.READ, bytes([7, 0, 0, 0])) for i in range(5)]
-        hist = PrefixHistogram.from_operations(ops)
+        hist = PrefixHistogram.from_operations(OperationStream(ops))
         assert hist.counts[7] == 5
         assert hist.total == 5
         assert hist.hottest == (7, 5)

@@ -42,14 +42,13 @@ class TestScanGeneration:
 class TestScanExecution:
     def test_scan_touches_many_nodes(self):
         from repro.art import AdaptiveRadixTree, encode_u64
-        from repro.workloads.ops import Operation
 
         tree = AdaptiveRadixTree()
         for i in range(200):
             tree.insert(encode_u64(i), i)
-        point = apply_operation(tree, Operation(0, OpKind.READ, encode_u64(0)))
+        point = apply_operation(tree, OpKind.READ, encode_u64(0))
         scan = apply_operation(
-            tree, Operation(1, OpKind.SCAN, encode_u64(0), scan_count=50)
+            tree, OpKind.SCAN, encode_u64(0), scan_count=50
         )
         assert scan.depth > 3 * point.depth
 

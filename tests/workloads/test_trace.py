@@ -79,12 +79,31 @@ class TestMalformedInputs:
         b'{"load": "zz"}',                         # non-hex load key
         b'{"op": "read", "key": "0a"}',            # op without id
         b'{"id": 0, "op": "read"}',                # op without key
-    ], ids=["utf8", "json", "not-object", "hex", "no-id", "no-key"])
+        b'{"id": 1, "op": "read", "key": "0a"}',   # id is not the position
+        b'{"id": "0", "op": "read", "key": "0a"}', # id is not an int
+        b'{"id": false, "op": "read", "key": "0a"}',  # a bool is no id
+        b'{"id": 0, "op": "scan", "key": "0a", "scan": "x"}',
+        b'{"id": 0, "op": "scan", "key": "0a", "scan": -1}',
+        b'{"id": 0, "op": "scan", "key": "0a", "scan": true}',
+        b'{"id": 0, "op": "scan", "key": "0a", "scan": 2.5}',
+    ], ids=["utf8", "json", "not-object", "hex", "no-id", "no-key",
+            "id-not-position", "id-str", "id-bool", "scan-str",
+            "scan-negative", "scan-bool", "scan-float"])
     def test_bad_line_names_the_line(self, tmp_path, line):
         path = tmp_path / "wl.jsonl"
         path.write_bytes(b'{"name": "X", "format": 1}\n' + line + b"\n")
         with pytest.raises(WorkloadError, match="^line 2: "):
             load_workload(str(path))
+
+    @pytest.mark.parametrize("second_id", [0, 2], ids=["duplicate", "skipped"])
+    def test_ids_must_count_up_from_zero(self, second_id):
+        text = (
+            '{"name": "X", "format": 1}\n'
+            '{"id": 0, "op": "read", "key": "0a"}\n'
+            f'{{"id": {second_id}, "op": "read", "key": "0a"}}\n'
+        )
+        with pytest.raises(WorkloadError, match="^line 3: op id"):
+            load_workload(io.StringIO(text))
 
     def test_unknown_format_version(self):
         with pytest.raises(WorkloadError):
