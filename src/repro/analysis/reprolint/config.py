@@ -36,10 +36,7 @@ DEFAULT_RULE_SCOPES: Dict[str, Dict[str, List[str]]] = {
     },
     "DET02": {
         "include": [],
-        # obs/trace.py stamps exports with wall-clock time *only* behind
-        # the opt-in ``stamp=True`` flag; everything else in obs/ stays
-        # under the rule.
-        "exclude": ["harness/benchmarking.py", "log.py", "obs/trace.py"],
+        "exclude": ["harness/benchmarking.py", "log.py"],
     },
     "DET03": {
         "include": [

@@ -5,7 +5,11 @@ Commands:
 * ``figures`` — regenerate paper figures/tables and print them
   (``--only fig9 fig11`` to select, ``--keys/--ops`` to scale,
   ``--save DIR`` to also write the tables and raw JSON).
-* ``run`` — one engine on one workload, printing the result summary.
+* ``run`` — one engine on one workload, printing the result summary;
+  ``--metrics PATH`` writes the run's MetricsRegistry as JSON and
+  ``--trace PATH`` (DCART only) writes a Chrome/Perfetto ``trace_event``
+  timeline (PCU / per-SOU / sync / HBM / durability spans per batch)
+  and prints a per-track summary table.
 * ``workload`` — generate a workload and write it as JSON-lines
   (replayable with ``run --replay``).
 * ``chaos`` — fault-injection run (``--fail-sous N``, corruption,
@@ -26,11 +30,6 @@ Commands:
   fraction of closed-loop capacity, admission control, size-or-deadline
   batching, and a latency-vs-offered-load sweep with SLO/knee/RTO
   reporting (``--fault`` fires a chaos event mid-traffic).
-* ``trace`` — run DCART once with the BatchTracer attached and write a
-  Chrome/Perfetto ``trace_event`` JSON timeline (PCU / per-SOU / sync /
-  HBM / durability spans per batch) plus a terminal summary table.
-* ``stats`` — run one engine with a MetricsRegistry attached and
-  pretty-print every counter/gauge (``--json`` for machine output).
 * ``bench`` — simulator speed as a paired A/B comparison: ``--ab REV``
   runs perfbench on every ``BENCHMARK.json`` workload in this checkout
   and in REV (a temporary worktree), ``--pairs N`` times with the first
@@ -71,9 +70,8 @@ Examples:
     python -m repro sweep --engines ART DCART --seeds 1 2 --jobs 4
     python -m repro serve --load-sweep 0.25 0.5 1.0 --json report.json
     python -m repro serve --fault crash --admission drop-tail --json -
-    python -m repro trace IPGEO --keys 2000 --ops 20000 --out trace.json
-    python -m repro stats --engine DCART --workload RS
     python -m repro run --engine DCART --metrics metrics.json
+    python -m repro run --engine DCART --keys 2000 --ops 20000 --trace trace.json
     python -m repro bench --ab HEAD~1 --pairs 5 --record
     python -m repro lint
     python -m repro lint src/repro/core --json -
@@ -148,6 +146,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metrics", default=None, metavar="PATH",
                      help="attach a MetricsRegistry and write it as JSON "
                           "to PATH ('-' for stdout)")
+    run.add_argument("--trace", default=None, metavar="PATH",
+                     help="DCART only: attach a BatchTracer and write a "
+                          "Chrome trace_event timeline to PATH (load it at "
+                          "chrome://tracing or ui.perfetto.dev)")
 
     workload = sub.add_parser("workload", help="generate + save a workload")
     workload.add_argument("--name", choices=WORKLOAD_NAMES, required=True)
@@ -320,35 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="PATH",
                          help="emit the cluster-run/v1 report as JSON")
 
-    trace = sub.add_parser(
-        "trace", help="run DCART and write a Chrome trace_event timeline"
-    )
-    trace.add_argument("workload", nargs="?", choices=WORKLOAD_NAMES,
-                       default="IPGEO")
-    trace.add_argument("--keys", type=int, default=10_000)
-    trace.add_argument("--ops", type=int, default=100_000)
-    trace.add_argument("--seed", type=int, default=1)
-    trace.add_argument("--out", default="trace.json", metavar="PATH",
-                       help="trace file (default: trace.json); load it at "
-                            "chrome://tracing or ui.perfetto.dev")
-    trace.add_argument("--metrics", default=None, metavar="PATH",
-                       help="also write the MetricsRegistry as JSON")
-    trace.add_argument("--no-stamp", action="store_true",
-                       help="omit the wall-clock exported_at metadata "
-                            "(bit-identical output across runs)")
-
-    stats = sub.add_parser(
-        "stats", help="run one engine and print its metrics registry"
-    )
-    stats.add_argument("--engine", choices=ENGINE_NAMES, default="DCART")
-    stats.add_argument("--workload", choices=WORKLOAD_NAMES, default="IPGEO")
-    stats.add_argument("--keys", type=int, default=10_000)
-    stats.add_argument("--ops", type=int, default=100_000)
-    stats.add_argument("--seed", type=int, default=1)
-    stats.add_argument("--json", nargs="?", const="-", default=None,
-                       metavar="PATH",
-                       help="emit the registry as JSON (to PATH, or stdout)")
-
     bench = sub.add_parser(
         "bench",
         help="paired A/B speed comparison with REV over the perfbench "
@@ -470,6 +443,11 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.trace is not None and args.engine != "DCART":
+        raise ConfigError(
+            f"--trace needs --engine DCART: {args.engine} has no batch "
+            "timeline to trace"
+        )
     if args.replay:
         workload = load_workload(args.replay)
         n_keys = workload.n_keys
@@ -485,10 +463,12 @@ def _cmd_run(args) -> int:
     from repro.art.validate import validate_tree
 
     engine = default_engines(n_keys, include=[args.engine])[0]
-    if args.metrics is not None:
+    if args.metrics is not None or args.trace is not None:
         from repro.obs import Telemetry
 
-        engine.telemetry = Telemetry()
+        engine.telemetry = (
+            Telemetry() if args.trace is None else Telemetry.with_tracer()
+        )
     tree = engine.build_tree(workload)
     result = engine.run(workload, tree=tree)
     validation = validate_tree(tree)
@@ -506,6 +486,11 @@ def _cmd_run(args) -> int:
             f"redundancy {100 * result.redundancy_ratio:.1f} %, "
             f"cacheline utilisation {100 * result.cacheline_utilisation:.1f} %"
         )
+        if args.trace is not None:
+            print(engine.telemetry.tracer.summary_table())
+    if args.trace is not None:
+        n_events = engine.telemetry.tracer.write(args.trace)
+        print(f"wrote {n_events} trace events to {args.trace}")
     if not validation.ok:
         print(f"tree validation FAILED: {validation.summary()}", file=sys.stderr)
         return 1
@@ -1001,54 +986,6 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    from repro.art.validate import validate_tree
-    from repro.obs import Telemetry
-
-    workload = make_workload(
-        args.workload, n_keys=args.keys, n_ops=args.ops, seed=args.seed
-    )
-    engine = default_engines(args.keys, include=["DCART"])[0]
-    telemetry = Telemetry.with_tracer()
-    engine.telemetry = telemetry
-    tree = engine.build_tree(workload)
-    result = engine.run(workload, tree=tree)
-    validation = validate_tree(tree)
-    n_events = telemetry.tracer.write(args.out, stamp=not args.no_stamp)
-    print(workload.summary())
-    print(result.summary())
-    print(telemetry.tracer.summary_table())
-    print(f"wrote {n_events} trace events to {args.out}")
-    if args.metrics is not None:
-        _emit_json(telemetry.registry.as_dict(), args.metrics)
-    if not validation.ok:
-        print(f"tree validation FAILED: {validation.summary()}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_stats(args) -> int:
-    from repro.obs import Telemetry
-
-    workload = make_workload(
-        args.workload, n_keys=args.keys, n_ops=args.ops, seed=args.seed
-    )
-    engine = default_engines(args.keys, include=[args.engine])[0]
-    engine.telemetry = Telemetry()
-    result = engine.run(workload)
-    registry = engine.telemetry.registry
-    if args.json is not None:
-        _emit_json(registry.as_dict(), args.json)
-    else:
-        print(workload.summary())
-        print(result.summary())
-        if len(registry) == 0:
-            print(f"(engine {args.engine} reports no metrics)")
-        else:
-            print(registry.render())
-    return 0
-
-
 def _cmd_bench(args) -> int:
     from repro.harness import benchmarking
 
@@ -1188,12 +1125,30 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "serve": _cmd_serve,
     "cluster": _cmd_cluster,
-    "trace": _cmd_trace,
-    "stats": _cmd_stats,
     "bench": _cmd_bench,
     "campaign": _cmd_campaign,
     "lint": _cmd_lint,
 }
+
+
+#: Options naming a file a command writes ('-' and a bare ``--json``
+#: mean stdout).
+_OUTPUT_OPTIONS = ("json", "metrics", "trace", "out", "md", "html", "sarif")
+
+
+def _check_output_dirs(args) -> None:
+    """Fail before any work on an empty output path or a missing directory."""
+    for option in _OUTPUT_OPTIONS:
+        path = getattr(args, option, None)
+        if not isinstance(path, str) or path == "-":
+            continue
+        if not path:
+            raise ConfigError(f"--{option}: empty path")
+        parent = os.path.dirname(path)
+        if parent and not os.path.isdir(parent):
+            raise ConfigError(
+                f"--{option} {path}: directory {parent} does not exist"
+            )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1210,6 +1165,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # count, an out-of-range ratio, a corrupt workload file) is still
     # bad input: one line on stderr and exit 2, never a traceback.
     try:
+        _check_output_dirs(args)
         return _COMMANDS[args.command](args)
     except (ConfigError, WorkloadError) as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)

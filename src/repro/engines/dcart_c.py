@@ -82,6 +82,7 @@ class DcartCEngine(Engine):
 
         matches = visited = 0
         seen_nodes = set()
+        node_access_counts = result.node_access_counts
         bytes_fetched = bytes_used = 0
         dram_lines = 0
         contentions = 0
@@ -91,7 +92,12 @@ class DcartCEngine(Engine):
         latencies: List[Tuple[int, float]] = []
         shortcut_hits = 0
 
-        from repro.core.sou import count_contended_groups
+        from repro.core.sou import count_contended_groups, modifies_shared_ancestor
+
+        lookup_ns = ctt.shortcut_lookup_ns
+        leaf_ns = costs.leaf_op_ns
+        dram_ns = costs.node_fetch_dram_ns
+        cached_ns = costs.node_fetch_cached_ns
 
         stream = workload.operations
         for ids in stream.batches(costs.window):
@@ -117,25 +123,73 @@ class DcartCEngine(Engine):
                     bucket.values,
                     bucket.scan_counts,
                 ):
-                    op_ns, op_stats = self._process_op(
-                        kind, key, value, scan_count,
-                        tree, shortcuts, llc, extractor.byte_offset,
-                    )
-                    clock += op_ns
+                    entry = shortcuts.get(key)
+                    if entry is not None and kind is not OpKind.DELETE:
+                        leaf = tree.node_at(entry[0])
+                        if isinstance(leaf, Leaf) and leaf.key == key:
+                            # Shortcut hit: fetch the leaf, and on a write
+                            # update it and fetch its parent too.
+                            hit_nodes = [leaf]
+                            if kind is OpKind.WRITE:
+                                leaf.value = value
+                                if entry[1] is not None:
+                                    parent = tree.node_at(entry[1])
+                                    if parent is not None:
+                                        hit_nodes.append(parent)
+                            traverse_ns = 0.0
+                            for node in hit_nodes:
+                                used = node.used_bytes_for_descent()
+                                span = min(node.size_bytes, 16 + used)
+                                _, misses = llc.access(node.address, span)
+                                dram_lines += misses
+                                visited += 1
+                                seen_nodes.add(node.node_id)
+                                node_access_counts[node.node_id] += 1
+                                bytes_fetched += lines_for(span) * CACHE_LINE_BYTES
+                                bytes_used += used
+                                traverse_ns += dram_ns if misses else cached_ns
+                            clock += lookup_ns + traverse_ns + leaf_ns
+                            latencies.append((op_id, combine_ns + clock))
+                            traverse_total += traverse_ns
+                            other_total += lookup_ns + leaf_ns
+                            shortcut_hits += 1
+                            continue
+                        shortcuts.pop(key, None)
+
+                    record = apply_operation(tree, kind, key, value, scan_count)
+                    traverse_ns = 0.0
+                    for touch in record.touches:
+                        _, misses = llc.access(touch.address, touch.fetch_bytes)
+                        dram_lines += misses
+                        traverse_ns += dram_ns if misses else cached_ns
+                        if touch.kind != "Leaf":
+                            traverse_ns += costs.key_match_ns
+                            matches += 1
+                        visited += 1
+                        seen_nodes.add(touch.node_id)
+                        node_access_counts[touch.node_id] += 1
+                        bytes_fetched += touch.fetch_lines * CACHE_LINE_BYTES
+                        bytes_used += touch.used_bytes
+
+                    other_ns = lookup_ns + leaf_ns
+                    if record.structure_modified:
+                        other_ns += costs.structure_op_ns
+                        if modifies_shared_ancestor(record, extractor.byte_offset):
+                            sync_targets.append(record.target_node_id or -1)
+                    if (
+                        record.outcome in ("hit", "updated")
+                        and record.target_address is not None
+                    ):
+                        shortcuts[key] = (
+                            record.target_address, record.parent_address
+                        )
+                        other_ns += ctt.shortcut_maintain_ns
+                    elif record.outcome == "deleted":
+                        shortcuts.pop(key, None)
+                    clock += traverse_ns + other_ns
                     latencies.append((op_id, combine_ns + clock))
-                    matches += op_stats["matches"]
-                    visited += op_stats["visited"]
-                    seen_nodes |= op_stats["seen"]
-                    for node_id, count in op_stats["counts"].items():
-                        result.node_access_counts[node_id] += count
-                    bytes_fetched += op_stats["fetched"]
-                    bytes_used += op_stats["used"]
-                    dram_lines += op_stats["dram_lines"]
-                    traverse_total += op_stats["traverse_ns"]
-                    other_total += op_stats["other_ns"]
-                    shortcut_hits += op_stats["shortcut_hit"]
-                    if op_stats["global_sync"]:
-                        sync_targets.append(op_stats["target"])
+                    traverse_total += traverse_ns
+                    other_total += other_ns
                 bucket_ns[bucket_id] = clock
 
             # Residual cross-bucket synchronisation: each shared-ancestor
@@ -199,105 +253,3 @@ class DcartCEngine(Engine):
             }
         )
         return result
-
-    # ------------------------------------------------------------------
-
-    def _process_op(
-        self,
-        kind: OpKind,
-        key: bytes,
-        value: Optional[object],
-        scan_count: int,
-        tree: AdaptiveRadixTree,
-        shortcuts: Dict[bytes, Tuple[int, Optional[int]]],
-        llc: SetAssociativeCache,
-        shared_depth_bytes: int,
-    ) -> Tuple[float, dict]:
-        costs, ctt = self.costs, self.ctt
-        stats = {
-            "matches": 0,
-            "visited": 0,
-            "seen": set(),
-            "counts": Counter(),
-            "fetched": 0,
-            "used": 0,
-            "dram_lines": 0,
-            "traverse_ns": 0.0,
-            "other_ns": 0.0,
-            "shortcut_hit": 0,
-            "global_sync": False,
-            "target": -1,
-        }
-
-        def fetch(node) -> float:
-            used = node.used_bytes_for_descent()
-            span = min(node.size_bytes, 16 + used)
-            hits, misses = llc.access(node.address, span)
-            stats["dram_lines"] += misses
-            stats["visited"] += 1
-            stats["seen"].add(node.node_id)
-            stats["counts"][node.node_id] += 1
-            stats["fetched"] += lines_for(span) * CACHE_LINE_BYTES
-            stats["used"] += used
-            return (
-                costs.node_fetch_dram_ns if misses else costs.node_fetch_cached_ns
-            )
-
-        op_ns = ctt.shortcut_lookup_ns
-        entry = shortcuts.get(key)
-        if entry is not None and kind is not OpKind.DELETE:
-            node = tree.node_at(entry[0])
-            if isinstance(node, Leaf) and node.key == key:
-                traverse_ns = fetch(node)
-                if kind is OpKind.WRITE:
-                    node.value = value
-                    parent = (
-                        tree.node_at(entry[1]) if entry[1] is not None else None
-                    )
-                    if parent is not None:
-                        traverse_ns += fetch(parent)
-                stats["traverse_ns"] = traverse_ns
-                stats["other_ns"] = ctt.shortcut_lookup_ns + costs.leaf_op_ns
-                stats["shortcut_hit"] = 1
-                return op_ns + traverse_ns + costs.leaf_op_ns, stats
-            shortcuts.pop(key, None)
-
-        record = apply_operation(tree, kind, key, value, scan_count)
-        traverse_ns = 0.0
-        for touch in record.touches:
-            hits, misses = llc.access(touch.address, touch.fetch_bytes)
-            stats["dram_lines"] += misses
-            traverse_ns += (
-                costs.node_fetch_dram_ns if misses else costs.node_fetch_cached_ns
-            )
-            if touch.kind != "Leaf":
-                traverse_ns += costs.key_match_ns
-                stats["matches"] += 1
-            stats["visited"] += 1
-            stats["seen"].add(touch.node_id)
-            stats["counts"][touch.node_id] += 1
-            stats["fetched"] += touch.fetch_lines * CACHE_LINE_BYTES
-            stats["used"] += touch.used_bytes
-
-        other_ns = ctt.shortcut_lookup_ns + costs.leaf_op_ns
-        if record.structure_modified:
-            other_ns += costs.structure_op_ns
-            stats["global_sync"] = self._modifies_shared_ancestor(
-                record, shared_depth_bytes
-            )
-            stats["target"] = record.target_node_id or -1
-        if record.outcome in ("hit", "updated") and record.target_address is not None:
-            shortcuts[key] = (record.target_address, record.parent_address)
-            other_ns += ctt.shortcut_maintain_ns
-        elif record.outcome == "deleted":
-            shortcuts.pop(key, None)
-
-        stats["traverse_ns"] = traverse_ns
-        stats["other_ns"] = other_ns
-        return traverse_ns + other_ns, stats
-
-    @staticmethod
-    def _modifies_shared_ancestor(record, shared_depth_bytes: int) -> bool:
-        from repro.core.sou import modifies_shared_ancestor
-
-        return modifies_shared_ancestor(record, shared_depth_bytes)

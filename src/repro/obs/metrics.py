@@ -11,8 +11,8 @@ drift and telemetry being attached or not cannot change a result.
 
 Design constraints:
 
-* **Deterministic** — values come only from simulation state; rendering
-  and serialisation sort by name.  No wall-clock, no RNG.
+* **Deterministic** — values come only from simulation state;
+  serialisation sorts by name.  No wall-clock, no RNG.
 * **Near-zero overhead** — components report once per run (a few dozen
   dict writes), never per operation; the accelerator's hot loop does
   not touch the registry at all.
@@ -163,29 +163,6 @@ class MetricsRegistry:
             "gauges": gauges,
             "histograms": histograms,
         }
-
-    def render(self) -> str:
-        """Aligned text table of every metric, sorted by name."""
-        rows = [("metric", "kind", "value")]
-        for name in sorted(self._counters):
-            rows.append((name, "counter", str(self._counters[name])))
-        for name in sorted(self._gauges):
-            value = self._gauges[name]
-            text = f"{value:.6g}" if isinstance(value, float) else str(value)
-            rows.append((name, "gauge", text))
-        for name in sorted(self._histograms):
-            hist = self._histograms[name]
-            rows.append((
-                name,
-                "histogram",
-                f"n={hist.count} mean={hist.mean:.6g} "
-                f"min={hist.min_value:.6g} max={hist.max_value:.6g}",
-            ))
-        widths = [max(len(row[i]) for row in rows) for i in range(2)]
-        return "\n".join(
-            f"{name.ljust(widths[0])}  {kind.ljust(widths[1])}  {value}"
-            for name, kind, value in rows
-        )
 
 
 #: ``RunResult.extra`` key -> registry metric name.  The accelerator

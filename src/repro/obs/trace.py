@@ -16,11 +16,9 @@ tracer turns that timeline plus per-batch component cycles into spans:
 
 Export is Chrome/Perfetto ``trace_event`` JSON (``ph: "X"`` complete
 events, microsecond timestamps derived from the FPGA clock) — load it
-at chrome://tracing or https://ui.perfetto.dev.  Everything is derived
-from simulation cycles, so traces are bit-identical across runs; the
-only wall-clock read is the optional ``exported_at`` stamp, which is
-opt-in (``stamp=True``), lives in trace *metadata* only, and is why
-this module is carved out of reprolint's DET02 scope.
+at chrome://tracing or https://ui.perfetto.dev.  Everything, metadata
+included, is derived from simulation cycles, so an export is a pure
+function of the run and bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -229,14 +227,8 @@ class BatchTracer:
             names[TID_DURABILITY] = "Durability"
         return names
 
-    def to_chrome_trace(self, stamp: bool = False) -> Dict[str, Any]:
-        """The run as a Chrome ``trace_event`` document.
-
-        With ``stamp=False`` (the default, and what tests use) the
-        document is a deterministic function of the simulation; with
-        ``stamp=True`` a wall-clock ``exported_at`` field is added to
-        the metadata (never to events) for humans comparing trace files.
-        """
+    def to_chrome_trace(self) -> Dict[str, Any]:
+        """The run as a Chrome ``trace_event`` document."""
         self._require_finalized()
         us_per_cycle = 1e6 / self._clock_hz
         events: List[Dict[str, Any]] = [{
@@ -272,30 +264,21 @@ class BatchTracer:
                 "args": dict(span.args, cycles=span.duration_cycles),
             })
         metadata: Dict[str, Any] = {
-            "schema": "trace-export/v1",
+            "schema": "trace-export/v2",
             "clock_hz": self._clock_hz,
             "n_batches": len(self.samples),
             "overlap": self._overlap,
             "durability": self._has_durability,
         }
-        if stamp:
-            # Wall-clock is banned everywhere else in the simulator
-            # (reprolint DET02); the export stamp is the sanctioned
-            # exception and never feeds back into simulated state.
-            import datetime
-
-            metadata["exported_at"] = (
-                datetime.datetime.now(datetime.timezone.utc).isoformat()
-            )
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",
             "otherData": metadata,
         }
 
-    def write(self, path: str, stamp: bool = False) -> int:
+    def write(self, path: str) -> int:
         """Write the Chrome trace to ``path``; returns the event count."""
-        doc = self.to_chrome_trace(stamp=stamp)
+        doc = self.to_chrome_trace()
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp_path = tempfile.mkstemp(
             prefix=".trace-", suffix=".json", dir=directory
@@ -304,7 +287,7 @@ class BatchTracer:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 json.dump(doc, handle, indent=1)
                 handle.write("\n")
-            os.replace(tmp_path, path)  # reprolint: disable=DUR01 -- trace export is a report, not durable state; fsync not required
+            os.replace(tmp_path, path)
         except BaseException:
             try:
                 os.unlink(tmp_path)

@@ -151,6 +151,7 @@ def test_default_scope_sanctions_benchmarking_and_log():
     scope = config.scope_for("DET02")
     assert not scope.matches("harness/benchmarking.py")
     assert not scope.matches("log.py")
+    assert scope.matches("obs/trace.py")
     assert scope.matches("core/sou.py")
     assert scope.matches("anything/else.py")
 

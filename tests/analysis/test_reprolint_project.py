@@ -476,7 +476,7 @@ def test_shipped_schemas_lock_matches_tree(tmp_path):
     assert after == before
     for schema_id in ("serve-sweep/v1", "cluster-run/v1",
                       "serve-sweep/v1#row", "cluster-run/v1#failover",
-                      "trace-export/v1"):
+                      "trace-export/v2"):
         assert schema_id in after["schemas"], schema_id
 
 

@@ -184,17 +184,10 @@ class TestChromeExport:
     def test_unstamped_export_is_deterministic(self):
         a_tracer, _ = traced_run([make_sample(0, {0: 5})])
         b_tracer, _ = traced_run([make_sample(0, {0: 5})])
-        a = json.dumps(a_tracer.to_chrome_trace(stamp=False), sort_keys=True)
-        b = json.dumps(b_tracer.to_chrome_trace(stamp=False), sort_keys=True)
+        a = json.dumps(a_tracer.to_chrome_trace(), sort_keys=True)
+        b = json.dumps(b_tracer.to_chrome_trace(), sort_keys=True)
         assert a == b
         assert "exported_at" not in a
-
-    def test_stamp_adds_metadata_only(self):
-        tracer, _ = traced_run([make_sample(0, {0: 5})])
-        doc = tracer.to_chrome_trace(stamp=True)
-        assert "exported_at" in doc["otherData"]
-        assert all("exported_at" not in e.get("args", {})
-                   for e in doc["traceEvents"])
 
     def test_write_roundtrip(self, tmp_path):
         tracer, _ = traced_run([make_sample(0, {0: 5})])

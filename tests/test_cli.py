@@ -88,15 +88,21 @@ BAD_INPUT = [
     ["run", "--engine", "DCART", "--write-ratio", "1.5",
      "--keys", "400", "--ops", "1000"],
     ["workload", "--name", "IPGEO", "--keys", "0", "--out", "X"],
-    ["trace", "IPGEO", "--keys", "0"],
+    ["run", "--engine", "ART", "--trace", "t.json"],
+    ["run", "--engine", "DCART", "--metrics", "nope/m.json",
+     "--keys", "400", "--ops", "1000"],
+    ["run", "--engine", "DCART", "--metrics", "", "--keys", "400",
+     "--ops", "1000"],
     ["figures", "--only", "fig9", "--keys", "0"],
     ["chaos", "--keys", "0"],
+    ["chaos", "--json", "nope/c.json", "--keys", "400", "--ops", "1000"],
     ["bench", "--ab", "HEAD", "--pairs", "0"],
     ["bench", "--ab", "no-such-rev"],
     ["sweep", "--jobs", "0", "--keys", "400", "--ops", "1000"],
     ["sweep", "--keys", "0"],
     ["sweep", "--write-ratio", "2", "--keys", "400", "--ops", "1000"],
     ["sweep", "--seeds", "1", "1", "--keys", "400", "--ops", "1000"],
+    ["sweep", "--json", "nope/s.json", "--keys", "400", "--ops", "1000"],
 ]
 
 
@@ -492,16 +498,20 @@ class TestSweepCommand:
 
 
 class TestTraceCommand:
-    ARGS = ["trace", "IPGEO", "--keys", "500", "--ops", "2000"]
+    """``repro run --trace``: the Chrome trace export of a DCART run."""
+
+    ARGS = ["run", "--engine", "DCART", "--keys", "500", "--ops", "2000"]
 
     def test_writes_chrome_loadable_json(self, capsys, tmp_path):
         path = str(tmp_path / "trace.json")
-        assert main(self.ARGS + ["--out", path]) == 0
+        assert main(self.ARGS + ["--trace", path]) == 0
         out = capsys.readouterr().out
         assert "trace events" in out
         assert "batch timeline" in out
         with open(path) as handle:
             doc = json.load(handle)
+        assert doc["otherData"]["schema"] == "trace-export/v2"
+        assert "exported_at" not in doc["otherData"]
         events = doc["traceEvents"]
         phases = {e["ph"] for e in events}
         assert phases <= {"X", "M"}
@@ -512,47 +522,20 @@ class TestTraceCommand:
                 assert {"name", "cat", "ts", "dur", "pid", "tid"} <= set(event)
 
     def test_no_stamp_is_deterministic(self, capsys, tmp_path):
-        a = str(tmp_path / "a.json")
-        b = str(tmp_path / "b.json")
-        assert main(self.ARGS + ["--out", a, "--no-stamp"]) == 0
-        assert main(self.ARGS + ["--out", b, "--no-stamp"]) == 0
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        assert main(self.ARGS + ["--trace", str(a)]) == 0
+        assert main(self.ARGS + ["--trace", str(b)]) == 0
         capsys.readouterr()
-        with open(a) as ha, open(b) as hb:
-            assert json.load(ha) == json.load(hb)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_metrics_sidecar(self, capsys, tmp_path):
         trace = str(tmp_path / "trace.json")
         metrics = str(tmp_path / "metrics.json")
-        assert main(self.ARGS + ["--out", trace, "--metrics", metrics]) == 0
+        assert main(self.ARGS + ["--trace", trace, "--metrics", metrics]) == 0
         with open(metrics) as handle:
             doc = json.load(handle)
         assert "pcu.total_cycles" in doc["counters"]
-
-
-class TestStatsCommand:
-    def test_table_output(self, capsys):
-        assert main([
-            "stats", "--workload", "RS", "--keys", "400", "--ops", "1000",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "pcu.total_cycles" in out
-        assert "counter" in out and "gauge" in out
-
-    def test_json_output(self, capsys):
-        assert main([
-            "stats", "--workload", "RS", "--keys", "400", "--ops", "1000",
-            "--json",
-        ]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["counters"]["pcu.total_ops"] == 1000
-
-    def test_cpu_engine_stats(self, capsys):
-        assert main([
-            "stats", "--engine", "ART", "--keys", "400", "--ops", "1000",
-            "--json",
-        ]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["counters"]["llc.hits"] > 0
 
 
 class TestMetricsFlag:
@@ -565,6 +548,26 @@ class TestMetricsFlag:
         with open(path) as handle:
             doc = json.load(handle)
         assert doc["counters"]["run.batches"] >= 1
+
+    def test_run_metrics_json_output(self, capsys, tmp_path):
+        path = str(tmp_path / "metrics.json")
+        assert main([
+            "run", "--engine", "DCART", "--workload", "RS",
+            "--keys", "400", "--ops", "1000", "--metrics", path,
+        ]) == 0
+        with open(path) as handle:
+            doc = json.load(handle)
+        assert doc["counters"]["pcu.total_ops"] == 1000
+
+    def test_run_metrics_cpu_engine(self, capsys, tmp_path):
+        path = str(tmp_path / "metrics.json")
+        assert main([
+            "run", "--engine", "ART", "--keys", "400", "--ops", "1000",
+            "--metrics", path,
+        ]) == 0
+        with open(path) as handle:
+            doc = json.load(handle)
+        assert doc["counters"]["llc.hits"] > 0
 
     def test_sweep_metrics_to_file(self, capsys, tmp_path):
         path = str(tmp_path / "metrics.json")
