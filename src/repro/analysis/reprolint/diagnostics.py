@@ -8,7 +8,6 @@ so editors, CI annotations, and humans can all jump to the finding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -32,7 +31,3 @@ class Diagnostic:
             "code": self.code,
             "message": self.message,
         }
-
-    @property
-    def location(self) -> Tuple[str, int]:
-        return (self.path, self.line)

@@ -9,16 +9,16 @@ Commands:
   ``--metrics PATH`` writes the run's MetricsRegistry as JSON and
   ``--trace PATH`` (DCART only) writes a Chrome/Perfetto ``trace_event``
   timeline (PCU / per-SOU / sync / HBM / durability spans per batch)
-  and prints a per-track summary table.
+  and prints a per-track summary table.  ``--durable DIR`` (DCART only)
+  attaches the write-ahead log and a checkpoint every ``--every N``
+  batches, written to DIR; ``--fault SIG`` (DCART only) runs under a
+  campaign fault string such as ``sou-failstop:2+buffer-storm:0.5``.
 * ``workload`` — generate a workload and write it as JSON-lines
   (replayable with ``run --replay``).
-* ``chaos`` — fault-injection run (``--fail-sous N``, corruption,
-  storms, throttling) with graceful-degradation and invariant checks;
-  ``--sweep`` runs the degradation curve as an unsaved campaign.
-  ``--json [PATH]`` emits the outcome (or the sweep's campaign report)
-  as JSON, to stdout or PATH.
-* ``checkpoint`` — run DCART with the durability subsystem attached
-  (WAL per batch, checkpoint every N batches) into a directory.
+* ``chaos`` — an unsaved fault campaign: DCART healthy and under each
+  ``--fault SIG`` (default: the 1..15 failed-SOU degradation curve),
+  each fault row judged graceful or not against the healthy run.
+  ``--json [PATH]`` emits the campaign report as JSON, to stdout or PATH.
 * ``recover`` — rebuild the tree from a durability directory (latest
   valid checkpoint + committed WAL tail) and validate it; or, with
   ``--campaign N``, run N seeded ``crash`` cells as an unsaved campaign.
@@ -48,10 +48,11 @@ Commands:
   Exits 1 on findings, 2 on unparseable files.
 
 Every subcommand exits non-zero when its validation oracle fails: a
-broken tree after ``run``/``checkpoint``, a non-graceful or invalid
-chaos outcome (any fault row of a sweep), a recovery that diverges.  Bad
-input (a ``ConfigError`` or ``WorkloadError``) exits 2 with one line on
-stderr.
+broken tree after ``run``, a non-graceful or invalid fault row of
+``chaos``, a recovery that diverges.  Bad input (a ``ConfigError`` or
+``WorkloadError``) exits 2 with one line on stderr; a run aborted by its
+faults (a ``FaultError``: watchdog, every SOU dead) exits 3.  Status
+lines (``wrote ...``) go to stderr, so ``--json`` on stdout is JSON.
 
 ``--log-level`` (before the subcommand) turns on fault/event logging;
 the library stays silent by default.
@@ -62,9 +63,10 @@ Examples:
     python -m repro run --engine DCART --workload IPGEO --ops 50000
     python -m repro workload --name DICT --keys 5000 --out dict.jsonl
     python -m repro run --engine SMART --replay dict.jsonl
-    python -m repro chaos --fail-sous 4 --seed 1
-    python -m repro --log-level INFO chaos --sweep --json curve.json
-    python -m repro checkpoint --dir /tmp/dcart-state --every 4
+    python -m repro run --engine DCART --fault sou-failstop:4 --seed 1
+    python -m repro chaos --fault sou-failstop:4 hbm-throttle:0.5
+    python -m repro --log-level INFO chaos --json curve.json
+    python -m repro run --engine DCART --durable /tmp/dcart-state --every 4
     python -m repro recover --dir /tmp/dcart-state --json
     python -m repro recover --campaign 50 --seed 1
     python -m repro sweep --engines ART DCART --seeds 1 2 --jobs 4
@@ -84,7 +86,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import ConfigError, FaultError, WorkloadError
 from repro.harness import experiments
 from repro.harness.runner import default_engines
 from repro.harness.serialize import result_to_dict, save_matrix
@@ -150,6 +152,17 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="DCART only: attach a BatchTracer and write a "
                           "Chrome trace_event timeline to PATH (load it at "
                           "chrome://tracing or ui.perfetto.dev)")
+    run.add_argument("--durable", default=None, metavar="DIR",
+                     help="DCART only: attach the write-ahead log and "
+                          "checkpoints, written to DIR (created if missing; "
+                          "rebuild with 'recover --dir DIR')")
+    run.add_argument("--every", type=int, default=None, metavar="N",
+                     help="with --durable: checkpoint every N batches "
+                          "(default: 4)")
+    run.add_argument("--fault", default=None, metavar="SIG",
+                     help="DCART only: run under the closed-loop fault SIG, "
+                          "a campaign fault string such as sou-failstop:4 "
+                          "or sou-failstop:2+buffer-storm:0.5")
 
     workload = sub.add_parser("workload", help="generate + save a workload")
     workload.add_argument("--name", choices=WORKLOAD_NAMES, required=True)
@@ -160,41 +173,21 @@ def _build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--out", required=True)
 
     chaos = sub.add_parser(
-        "chaos", help="fault-injection run with degradation + invariant checks"
+        "chaos", help="fault campaign: DCART under each fault, judged "
+                      "against the healthy run"
     )
-    chaos.add_argument("--fail-sous", type=int, default=0,
-                       help="fail-stop this many SOUs at batch 0")
-    chaos.add_argument("--corrupt-shortcuts", type=int, default=0,
-                       help="corrupt this many shortcut entries mid-run")
-    chaos.add_argument("--storm", type=float, default=0.0,
-                       help="invalidate this fraction of the Tree_buffer mid-run")
-    chaos.add_argument("--throttle", type=float, default=1.0,
-                       help="HBM bandwidth multiplier over the run's second half")
+    chaos.add_argument("--fault", nargs="+", default=None, metavar="SIG",
+                       help="fault strings to run beside 'none' (default: "
+                            "sou-failstop:1 .. sou-failstop:15, the "
+                            "degradation curve)")
     chaos.add_argument("--workload", choices=WORKLOAD_NAMES, default="IPGEO")
     chaos.add_argument("--keys", type=int, default=None)
     chaos.add_argument("--ops", type=int, default=None)
     chaos.add_argument("--seed", type=int, default=1)
-    chaos.add_argument("--sweep", action="store_true",
-                       help="degradation curve over 0..n_sous-1 failed SOUs")
     chaos.add_argument("--json", nargs="?", const="-", default=None,
                        metavar="PATH",
-                       help="emit JSON (to PATH, or stdout when bare)")
-
-    checkpoint = sub.add_parser(
-        "checkpoint", help="durable DCART run: WAL + periodic checkpoints"
-    )
-    checkpoint.add_argument("--dir", required=True, metavar="DIR",
-                            help="durability directory (created if missing)")
-    checkpoint.add_argument("--workload", choices=WORKLOAD_NAMES,
-                            default="IPGEO")
-    checkpoint.add_argument("--keys", type=int, default=None)
-    checkpoint.add_argument("--ops", type=int, default=None)
-    checkpoint.add_argument("--seed", type=int, default=1)
-    checkpoint.add_argument("--every", type=int, default=4,
-                            help="checkpoint every N batches")
-    checkpoint.add_argument("--json", nargs="?", const="-", default=None,
-                            metavar="PATH",
-                            help="emit JSON (to PATH, or stdout when bare)")
+                       help="emit the campaign-report/v1 document as JSON "
+                            "(to PATH, or stdout when bare)")
 
     recover = sub.add_parser(
         "recover",
@@ -413,7 +406,7 @@ def _emit_json(payload, dest: str) -> None:
     else:
         with open(dest, "w") as handle:
             handle.write(text + "\n")
-        print(f"wrote JSON to {dest}")
+        print(f"wrote JSON to {dest}", file=sys.stderr)
 
 
 def _cmd_figures(args) -> int:
@@ -442,12 +435,38 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    if args.trace is not None and args.engine != "DCART":
+def _check_run_flags(args) -> None:
+    """Reject flag combinations ``run`` cannot honour, before any work."""
+    from repro.experiments.spec import CRASH_FAULT, NO_FAULT, parse_fault
+
+    for flag, value in (("--trace", args.trace), ("--durable", args.durable),
+                        ("--fault", args.fault)):
+        if value is not None and args.engine != "DCART":
+            raise ConfigError(
+                f"{flag} needs --engine DCART, the accelerator model "
+                f"({args.engine} is not)"
+            )
+    if args.durable is not None and args.fault is not None:
         raise ConfigError(
-            f"--trace needs --engine DCART: {args.engine} has no batch "
-            "timeline to trace"
+            "--durable and --fault do not combine: a crash under the WAL "
+            "is a recovery trial ('recover --campaign N')"
         )
+    if args.every is not None and args.durable is None:
+        raise ConfigError("--every needs --durable DIR")
+    if args.fault in (NO_FAULT, CRASH_FAULT):
+        raise ConfigError(
+            f"--fault {args.fault} is not a fault to run: 'none' is the "
+            "plain run and 'crash' a recovery trial ('recover --campaign N')"
+        )
+    if args.fault is not None:
+        parse_fault(args.fault)
+
+
+def _cmd_run(args) -> int:
+    from repro.art.validate import validate_tree
+    from repro.harness import resilience
+
+    _check_run_flags(args)
     if args.replay:
         workload = load_workload(args.replay)
         n_keys = workload.n_keys
@@ -460,20 +479,43 @@ def _cmd_run(args) -> int:
             write_ratio=args.write_ratio,
         )
         n_keys = args.keys
-    from repro.art.validate import validate_tree
-
-    engine = default_engines(n_keys, include=[args.engine])[0]
+    telemetry = None
     if args.metrics is not None or args.trace is not None:
         from repro.obs import Telemetry
 
-        engine.telemetry = (
-            Telemetry() if args.trace is None else Telemetry.with_tracer()
+        telemetry = Telemetry() if args.trace is None else Telemetry.with_tracer()
+    schedule = None
+    if args.fault is not None:
+        from repro.experiments.spec import fault_schedule
+
+        config = resilience.chaos_config(n_keys)
+        schedule = fault_schedule(args.fault, config, workload.n_ops, args.seed)
+        result, validation = resilience.faulted_run(
+            config, workload, schedule, telemetry=telemetry
         )
-    tree = engine.build_tree(workload)
-    result = engine.run(workload, tree=tree)
-    validation = validate_tree(tree)
+    else:
+        durability = None
+        if args.durable is not None:
+            from repro.core.accelerator import DcartAccelerator
+            from repro.durability import DurabilityManager
+
+            every = args.every if args.every is not None else 4
+            durability = DurabilityManager(args.durable, checkpoint_every=every)
+            engine = DcartAccelerator(
+                config=resilience.chaos_config(n_keys), durability=durability
+            )
+        else:
+            engine = default_engines(n_keys, include=[args.engine])[0]
+        engine.telemetry = telemetry
+        tree = engine.build_tree(workload)
+        try:
+            result = engine.run(workload, tree=tree)
+        finally:
+            if durability is not None:
+                durability.close()
+        validation = validate_tree(tree)
     if args.metrics is not None:
-        _emit_json(engine.telemetry.registry.as_dict(), args.metrics)
+        _emit_json(telemetry.registry.as_dict(), args.metrics)
     if args.json:
         import json
 
@@ -486,11 +528,19 @@ def _cmd_run(args) -> int:
             f"redundancy {100 * result.redundancy_ratio:.1f} %, "
             f"cacheline utilisation {100 * result.cacheline_utilisation:.1f} %"
         )
+        if schedule is not None:
+            print(schedule.describe())
+            print(f"schedule signature: {schedule.signature()}")
+        if args.durable is not None:
+            print(f"durable state in {args.durable}:")
+            for key, value in sorted(result.extra.items()):
+                if key.startswith(("wal_", "checkpoint")) or key == "durability_cycles":
+                    print(f"  {key}: {value}")
         if args.trace is not None:
-            print(engine.telemetry.tracer.summary_table())
+            print(telemetry.tracer.summary_table())
     if args.trace is not None:
-        n_events = engine.telemetry.tracer.write(args.trace)
-        print(f"wrote {n_events} trace events to {args.trace}")
+        n_events = telemetry.tracer.write(args.trace)
+        print(f"wrote {n_events} trace events to {args.trace}", file=sys.stderr)
     if not validation.ok:
         print(f"tree validation FAILED: {validation.summary()}", file=sys.stderr)
         return 1
@@ -498,129 +548,27 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.errors import FaultError
-    from repro.experiments.spec import NO_FAULT, CampaignSpec
+    from repro.experiments.spec import CRASH_FAULT, NO_FAULT, CampaignSpec
     from repro.harness import resilience
 
     n_keys = args.keys if args.keys is not None else resilience.DEFAULT_KEYS
-    n_ops = args.ops if args.ops is not None else resilience.DEFAULT_OPS
-    config = resilience.chaos_config(n_keys)
-
-    if args.sweep:
-        if (args.fail_sous or args.corrupt_shortcuts or args.storm
-                or args.throttle != 1.0):
-            print("bad chaos scenario: --sweep takes no event flags",
-                  file=sys.stderr)
-            return 2
-        failstops = [f"sou-failstop:{k}" for k in range(1, config.n_sous)]
-        spec = CampaignSpec(
-            name="chaos-sweep", engines=("DCART",), workloads=(args.workload,),
-            seeds=(args.seed,), n_keys=n_keys, n_ops=n_ops,
-            faults=(NO_FAULT, *failstops),
-        )
-        report = _run_unsaved(spec, args.json)
-        faulted = [row for row in report["rows"] if "verdict" in row]
-        graceful = all(row["verdict"]["graceful"] for row in faulted)
-        return 0 if report["complete"] and graceful else 1
-
-    try:
-        schedule = resilience.chaos_schedule(
-            config, n_ops, args.seed,
-            fail_sous=args.fail_sous,
-            corrupt_shortcuts=args.corrupt_shortcuts,
-            storm=args.storm,
-            throttle=args.throttle,
-        )
-    except ConfigError as exc:
-        print(f"bad chaos scenario: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        outcome = resilience.chaos_run(
-            seed=args.seed, workload_name=args.workload,
-            n_keys=n_keys, n_ops=n_ops,
-            schedule=schedule, config=config,
-        )
-    except FaultError as exc:
-        if args.json is not None:
-            _emit_json(exc.to_dict(), args.json)
-        else:
-            print(f"chaos run aborted: {exc}")
-            for key, value in sorted(exc.diagnostics.items()):
-                print(f"  {key}: {value}")
-        return 3
-
-    if args.json is not None:
-        _emit_json(
-            {
-                "schedule_signature": schedule.signature(),
-                "n_failed": outcome.n_failed,
-                "degradation": outcome.degradation,
-                "proportional_loss": outcome.proportional_loss,
-                "graceful": outcome.graceful,
-                "tree_valid": outcome.validation.ok,
-                "baseline": result_to_dict(outcome.baseline),
-                "result": result_to_dict(outcome.result),
-            },
-            args.json,
-        )
-    else:
-        print(schedule.describe())
-        print(f"schedule signature: {schedule.signature()}")
-        print(outcome.baseline.summary())
-        print(outcome.result.summary())
-        print(outcome.summary())
-    return 0 if outcome.graceful else 1
-
-
-def _cmd_checkpoint(args) -> int:
-    from repro.art.validate import validate_tree
-    from repro.core.accelerator import DcartAccelerator
-    from repro.durability import DurabilityManager
-    from repro.harness import resilience
-
-    n_keys = args.keys if args.keys is not None else resilience.DEFAULT_KEYS
-    n_ops = args.ops if args.ops is not None else resilience.DEFAULT_OPS
-    workload = make_workload(
-        args.workload, n_keys=n_keys, n_ops=n_ops, seed=args.seed
+    faults = args.fault
+    if faults is None:
+        n_sous = resilience.chaos_config(n_keys).n_sous
+        faults = [f"sou-failstop:{k}" for k in range(1, n_sous)]
+    spec = CampaignSpec(
+        name="chaos", engines=("DCART",), workloads=(args.workload,),
+        seeds=(args.seed,), n_keys=n_keys,
+        n_ops=args.ops if args.ops is not None else resilience.DEFAULT_OPS,
+        faults=(NO_FAULT, *faults),
     )
-    try:
-        durability = DurabilityManager(args.dir, checkpoint_every=args.every)
-    except ConfigError as exc:
-        print(f"bad durability setup: {exc}", file=sys.stderr)
-        return 2
-    config = resilience.chaos_config(n_keys)
-    accelerator = DcartAccelerator(config=config, durability=durability)
-    tree = accelerator.build_tree(workload)
-    result = accelerator.run(workload, tree=tree)
-    validation = validate_tree(tree)
-
-    durability_stats = {
-        key: value
-        for key, value in sorted(result.extra.items())
-        if key.startswith(("wal_", "checkpoint")) or key == "durability_cycles"
-    }
-    if args.json is not None:
-        _emit_json(
-            {
-                "directory": args.dir,
-                "workload": workload.summary(),
-                "throughput_mops": result.throughput_mops,
-                "tree_valid": validation.ok,
-                "durability": durability_stats,
-            },
-            args.json,
-        )
-    else:
-        print(workload.summary())
-        print(result.summary())
-        print(f"durable state in {args.dir}:")
-        for key, value in durability_stats.items():
-            print(f"  {key}: {value}")
-    if not validation.ok:
-        print(f"tree validation FAILED: {validation.summary()}", file=sys.stderr)
-        return 1
-    return 0
+    report = _run_unsaved(spec, args.json)
+    ok = all(
+        row["verdict"]["ok" if row["fault"] == CRASH_FAULT else "graceful"]
+        for row in report["rows"]
+        if row["fault"] != NO_FAULT
+    )
+    return 0 if report["complete"] and ok else 1
 
 
 def _cmd_recover(args) -> int:
@@ -672,7 +620,7 @@ def _cmd_workload(args) -> int:
         write_ratio=args.write_ratio,
     )
     save_workload(workload, args.out)
-    print(f"wrote {workload.summary()} to {args.out}")
+    print(f"wrote {workload.summary()} to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -1068,13 +1016,13 @@ def _cmd_campaign(args) -> int:
             if args.md:
                 with open(args.md, "w") as handle:
                     handle.write(markdown)
-                print(f"wrote Markdown report to {args.md}")
+                print(f"wrote Markdown report to {args.md}", file=sys.stderr)
             else:
                 print(markdown, end="")
             if args.html:
                 with open(args.html, "w") as handle:
                     handle.write(report_mod.render_html(doc))
-                print(f"wrote HTML report to {args.html}")
+                print(f"wrote HTML report to {args.html}", file=sys.stderr)
             if args.json:
                 _emit_json(doc, args.json)
             return 0 if doc["complete"] else 1
@@ -1120,7 +1068,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "workload": _cmd_workload,
     "chaos": _cmd_chaos,
-    "checkpoint": _cmd_checkpoint,
     "recover": _cmd_recover,
     "sweep": _cmd_sweep,
     "serve": _cmd_serve,
@@ -1170,6 +1117,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConfigError, WorkloadError) as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
+    except FaultError as exc:
+        # The machine was broken past what it can absorb (a watchdog
+        # abort, every SOU dead): the run's outcome, not a crash.
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

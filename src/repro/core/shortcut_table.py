@@ -110,10 +110,6 @@ class ShortcutTable:
         self._entries.pop(key, None)
         self.buffer.remove(key)
 
-    @property
-    def buffer_hit_rate(self) -> float:
-        return self.buffer.hit_rate
-
     def report_metrics(self, registry) -> None:
         """Write the table's run totals into a MetricsRegistry."""
         registry.counter("shortcut_table.generated", self.generated)

@@ -535,20 +535,6 @@ class ShortcutOperatingUnit:
             if self.tree.node_at(touch.address) is None:
                 self.tree_buffer.invalidate(touch.address)
 
-    def _modifies_shared_ancestor(self, record: TraversalRecord) -> bool:
-        """Did the op modify (or lock) a node shared across buckets?
-
-        A node whose subtree begins at a key-byte depth at or above the
-        bucket-discriminating byte covers keys of several buckets; a
-        structural change there must synchronise across SOUs.  ROWEX
-        additionally locks the *parent* when the target changes type
-        (§II-A), so a type change directly below a shared ancestor also
-        synchronises.  Byte depth of the i-th path node = sum of
-        (prefix_len + 1 edge byte) of the nodes above it, recoverable
-        from the recorded ``used_bytes`` (= prefix_len + 1 + 8).
-        """
-        return modifies_shared_ancestor(record, self.shared_depth_bytes)
-
 
 def count_contended_groups(
     keys: Sequence[bytes], kinds: Sequence[OpKind]
@@ -573,7 +559,17 @@ def count_contended_groups(
 def modifies_shared_ancestor(
     record: TraversalRecord, shared_depth_bytes: int
 ) -> bool:
-    """Shared-ancestor test used by both DCART and DCART-C (see above).
+    """Did the op modify (or lock) a node shared across buckets?
+
+    Used by both DCART and DCART-C.  A node whose subtree begins at a
+    key-byte depth at or above the bucket-discriminating byte
+    (``shared_depth_bytes``) covers keys of several buckets; a
+    structural change there must synchronise across SOUs.  ROWEX
+    additionally locks the *parent* when the target changes type
+    (§II-A), so a type change directly below a shared ancestor also
+    synchronises.  Byte depth of the i-th path node = sum of
+    (prefix_len + 1 edge byte) of the nodes above it, recoverable from
+    the recorded ``used_bytes`` (= prefix_len + 1 + 8).
 
     The target of a split/grow may be a *newly created* node absent from
     the touch list; it then replaced the last node the walk touched and

@@ -16,7 +16,7 @@ retry-once path, structured per-cell error documents — and adds what a
 The cell worker is module-level (picklable) and derives everything from
 the frozen cell value, preserving the grid runner's determinism
 contract: a campaign's stored grid is bit-identical for any ``--jobs``.
-``repro sweep``, ``chaos --sweep`` and ``recover --campaign`` are unsaved
+``repro sweep``, ``repro chaos`` and ``recover --campaign`` are unsaved
 campaigns: they run their grids through :func:`run_campaign` into an
 in-memory store.
 """

@@ -62,10 +62,9 @@ def _fault_verdict(
 ) -> Dict[str, object]:
     """Worst-seed degradation against the ``none`` cells of the same
     engine, workload and seed (``None`` when there are none)."""
-    kind, arg = parse_fault(fault)
     proportional = resilience.proportional_loss_ratio(
         resilience.chaos_config(spec.n_keys).n_sous,
-        int(arg) if kind == "sou-failstop" else 0,
+        int(parse_fault(fault).get("sou-failstop") or 0),
     )
     degradations: Dict[int, float] = {}
     for run in runs:

@@ -21,12 +21,12 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field, fields
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.config import DCARTConfig
 from repro.errors import ConfigError
-from repro.faults import FaultSchedule
-from repro.harness.resilience import chaos_config, chaos_schedule
+from repro.faults import BufferStorm, FaultSchedule, HbmThrottle, ShortcutCorruption
+from repro.harness.resilience import chaos_config
 from repro.harness.runner import ENGINE_ORDER, EXTENSION_ENGINES
 from repro.model.costs import DEFAULT_POWER, PowerModel
 from repro.workloads import WORKLOAD_NAMES
@@ -47,8 +47,21 @@ NO_FAULT = "none"
 CRASH_FAULT = "crash"
 
 
-def parse_fault(signature: str) -> Tuple[str, Optional[float]]:
-    """Validate and split a fault signature into ``(kind, argument)``.
+_COUNT = (int, lambda n: n >= 1, "N must be an integer >= 1")
+
+#: The closed-loop fault kinds a signature may join with ``+``, each
+#: with its argument's parser, check and rule.  SOUs fail at batch 0;
+#: the other kinds land mid-run (see :func:`fault_schedule`).
+_FAULT_KINDS: Dict[str, Tuple[type, Callable[[float], bool], str]] = {
+    "sou-failstop": _COUNT,
+    "shortcut-corrupt": _COUNT,
+    "buffer-storm": (float, lambda f: 0.0 < f <= 1.0, "F must be in (0, 1]"),
+    "hbm-throttle": (float, lambda f: 0.0 <= f < 1.0, "F must be in [0, 1)"),
+}
+
+
+def parse_fault(signature: str) -> Dict[str, Optional[float]]:
+    """Validate a fault signature and split it into ``{kind: argument}``.
 
     Supported signatures:
 
@@ -56,56 +69,81 @@ def parse_fault(signature: str) -> Tuple[str, Optional[float]]:
     * ``"crash"`` — kill a durable run at a seed-drawn point, recover,
       and check the recovered tree against the committed prefix;
     * ``"sou-failstop:N"`` — fail-stop N SOUs at batch 0 (N ≥ 1);
+    * ``"shortcut-corrupt:N"`` — corrupt N Shortcut_Table entries
+      mid-run (N ≥ 1);
+    * ``"buffer-storm:F"`` — invalidate a fraction F of the Tree_buffer
+      mid-run (0 < F ≤ 1);
     * ``"hbm-throttle:F"`` — HBM bandwidth × F over the second half of
-      the run (0 < F < 1).
+      the run (0 ≤ F < 1; 0 is a blackout);
+    * the last four joined by ``+`` into one schedule, each kind at most
+      once, e.g. ``"sou-failstop:2+buffer-storm:0.5"``.
     """
     if not isinstance(signature, str):
         raise ConfigError(f"fault signature must be a string: {signature!r}")
     if signature in (NO_FAULT, CRASH_FAULT):
-        return (signature, None)
-    kind, sep, arg = signature.partition(":")
-    if not sep:
-        raise ConfigError(
-            f"bad fault signature {signature!r}: expected 'none', "
-            f"'crash', 'sou-failstop:N', or 'hbm-throttle:F'"
-        )
-    if kind == "sou-failstop":
+        return {signature: None}
+    terms: Dict[str, Optional[float]] = {}
+    for term in signature.split("+"):
+        kind, sep, arg = term.partition(":")
+        if kind in (NO_FAULT, CRASH_FAULT):
+            raise ConfigError(
+                f"bad fault signature {signature!r}: {kind!r} stands alone"
+            )
+        if not sep:
+            raise ConfigError(
+                f"bad fault signature {signature!r}: expected 'none', "
+                f"'crash', or KIND:ARG terms joined by '+' (kinds: "
+                f"{', '.join(_FAULT_KINDS)})"
+            )
+        if kind not in _FAULT_KINDS:
+            raise ConfigError(f"unknown fault kind {kind!r} in {signature!r}")
+        if kind in terms:
+            raise ConfigError(
+                f"bad fault signature {signature!r}: {kind!r} appears twice"
+            )
+        parse, valid, rule = _FAULT_KINDS[kind]
         try:
-            n = int(arg)
+            value = parse(arg)
         except ValueError:
             raise ConfigError(
-                f"bad fault signature {signature!r}: N must be an integer"
+                f"bad fault signature {signature!r}: {rule}"
             ) from None
-        if n < 1:
-            raise ConfigError(
-                f"bad fault signature {signature!r}: N must be >= 1"
-            )
-        return (kind, float(n))
-    if kind == "hbm-throttle":
-        try:
-            factor = float(arg)
-        except ValueError:
-            raise ConfigError(
-                f"bad fault signature {signature!r}: F must be a number"
-            ) from None
-        if not 0.0 < factor < 1.0:
-            raise ConfigError(
-                f"bad fault signature {signature!r}: F must be in (0, 1)"
-            )
-        return (kind, factor)
-    raise ConfigError(f"unknown fault kind {kind!r} in {signature!r}")
+        if not valid(value):
+            raise ConfigError(f"bad fault signature {signature!r}: {rule}")
+        terms[kind] = value
+    return terms
 
 
 def fault_schedule(
     signature: str, config: DCARTConfig, n_ops: int, seed: int
 ) -> FaultSchedule:
-    """The chaos schedule a fault signature runs (empty for none/crash)."""
-    kind, arg = parse_fault(signature)
-    return chaos_schedule(
-        config, n_ops, seed,
-        fail_sous=int(arg) if kind == "sou-failstop" else 0,
-        throttle=arg if kind == "hbm-throttle" else 1.0,
+    """The schedule a fault signature runs (empty for none/crash).
+
+    Seed-chosen SOUs fail at batch 0; corruption and the storm land at
+    batch ``n_batches // 2``, and the throttle covers batches
+    ``n_batches // 2`` to ``n_batches - 1``.  A mid-run event on a run of
+    fewer than two batches is a :class:`ConfigError`.
+    """
+    terms = parse_fault(signature)
+    n_batches = -(-n_ops // config.batch_size)
+    mid = n_batches // 2
+    mid_run = []
+    if "shortcut-corrupt" in terms:
+        mid_run.append(ShortcutCorruption(mid, int(terms["shortcut-corrupt"])))
+    if "buffer-storm" in terms:
+        mid_run.append(BufferStorm(mid, terms["buffer-storm"]))
+    if "hbm-throttle" in terms:
+        mid_run.append(HbmThrottle(mid, n_batches - 1, terms["hbm-throttle"]))
+    if mid_run and n_batches < 2:
+        raise ConfigError(
+            f"fault {signature!r} lands an event mid-run, which needs a "
+            f"second batch, but n_ops={n_ops} is {n_batches} batch of "
+            f"{config.batch_size} ops; use n_ops > {config.batch_size}"
+        )
+    failures = FaultSchedule.fail_sous(
+        int(terms.get("sou-failstop") or 0), seed, n_sous=config.n_sous
     )
+    return FaultSchedule(seed=seed, events=failures.events + tuple(mid_run))
 
 
 @dataclass(frozen=True)

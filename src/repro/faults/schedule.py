@@ -428,7 +428,8 @@ class FaultSchedule:
         """Fail-stop ``n_failed`` distinct SOUs, chosen by the seed.
 
         The failed unit set is a deterministic sample of the seed, so
-        ``--fail-sous 4 --seed 1`` always kills the same four units.
+        the fault string ``sou-failstop:4`` at seed 1 always kills the
+        same four units.
         """
         if not 0 <= n_failed < n_sous:
             raise ConfigError(

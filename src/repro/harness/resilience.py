@@ -3,11 +3,12 @@
 Two contracts a production accelerator must honour:
 
 * **Degradation** — unit failures cost *throughput*, never
-  *correctness*.  :func:`faulted_run` executes DCART under a
-  :func:`chaos_schedule` and re-validates every ART invariant on the
-  final tree; :func:`chaos_run` compares it against the healthy
-  baseline and the *proportional* limit (``n_sous / survivors``);
-  graceful means within 2x of proportional.
+  *correctness*.  :func:`faulted_run` executes DCART under a fault
+  schedule (:func:`repro.experiments.spec.fault_schedule` places one
+  from a fault string) and re-validates every ART invariant on the
+  final tree; :func:`degradation_ratio` compares it against a healthy
+  run and :func:`is_graceful` against the *proportional* limit
+  (``n_sous / survivors``): graceful means within 2x of proportional.
 * **Durability** — a crash costs the *uncommitted tail*, never the
   committed prefix.  :func:`crash_recover_verify` kills one durable run
   at a seeded point of the WAL/checkpoint/replay protocol, recovers,
@@ -34,9 +35,8 @@ from repro.core.config import DCARTConfig
 from repro.durability import DurabilityManager, recover
 from repro.durability.manager import CRASH_POINTS
 from repro.engines.base import RunResult
-from repro.errors import ConfigError, KeyNotFoundError, SimulatedCrash
-from repro.faults import CrashFault, FaultInjector, FaultSchedule, Watchdog
-from repro.faults.schedule import BufferStorm, HbmThrottle, ShortcutCorruption
+from repro.errors import KeyNotFoundError, SimulatedCrash
+from repro.faults import CrashFault, FaultInjector, FaultSchedule
 from repro.harness.runner import scaled_dcart_config
 from repro.log import get_logger
 from repro.workloads import make_workload
@@ -60,36 +60,6 @@ def chaos_config(
 ) -> DCARTConfig:
     """Cache-scaled DCART config with a chaos-friendly batch size."""
     return scaled_dcart_config(n_keys, DCARTConfig(batch_size=batch_size))
-
-
-def chaos_schedule(
-    config: DCARTConfig, n_ops: int, seed: int, *, fail_sous: int = 0,
-    corrupt_shortcuts: int = 0, storm: float = 0.0, throttle: float = 1.0,
-) -> FaultSchedule:
-    """Place a chaos scenario's events on a run of ``n_ops`` operations.
-
-    Seed-chosen SOUs fail at batch 0; corruption and the storm land at
-    batch ``n_batches // 2``, and the throttle covers batches
-    ``n_batches // 2`` to ``n_batches - 1``.  A mid-run event on a run of
-    fewer than two batches is a :class:`ConfigError`.
-    """
-    n_batches = -(-n_ops // config.batch_size)
-    mid = n_batches // 2
-    mid_run = []
-    if corrupt_shortcuts > 0:
-        mid_run.append(ShortcutCorruption(mid, corrupt_shortcuts))
-    if storm > 0.0:
-        mid_run.append(BufferStorm(mid, storm))
-    if throttle < 1.0:
-        mid_run.append(HbmThrottle(mid, n_batches - 1, throttle))
-    if mid_run and n_batches < 2:
-        raise ConfigError(
-            f"{type(mid_run[0]).__name__} lands mid-run and needs a second "
-            f"batch, but n_ops={n_ops} is {n_batches} batch of "
-            f"{config.batch_size} ops; use n_ops > {config.batch_size}"
-        )
-    failures = FaultSchedule.fail_sous(fail_sous, seed, n_sous=config.n_sous)
-    return FaultSchedule(seed=seed, events=failures.events + tuple(mid_run))
 
 
 def degradation_ratio(healthy_mops: float, faulted_mops: float) -> float:
@@ -122,58 +92,21 @@ def is_graceful(tree_valid: bool, degradation: float, proportional: float) -> bo
     return tree_valid and degradation <= GRACEFUL_FACTOR * proportional
 
 
-@dataclass
-class ChaosOutcome:
-    """One faulted run, its healthy baseline, and the correctness oracle."""
-
-    schedule: FaultSchedule
-    result: RunResult
-    baseline: RunResult
-    validation: ValidationReport
-    n_sous: int
-
-    @property
-    def n_failed(self) -> int:
-        return len(self.result.extra.get("failed_sous", ()))
-
-    @property
-    def degradation(self) -> float:
-        return degradation_ratio(
-            self.baseline.throughput_mops, self.result.throughput_mops
-        )
-
-    @property
-    def proportional_loss(self) -> float:
-        return proportional_loss_ratio(self.n_sous, self.n_failed)
-
-    @property
-    def graceful(self) -> bool:
-        return is_graceful(self.validation.ok, self.degradation, self.proportional_loss)
-
-    def summary(self) -> str:
-        return (
-            f"chaos: {self.n_failed}/{self.n_sous} SOUs failed, "
-            f"{self.result.throughput_mops:.2f} Mops/s "
-            f"(healthy {self.baseline.throughput_mops:.2f}), "
-            f"degradation {self.degradation:.2f}x "
-            f"(proportional {self.proportional_loss:.2f}x), "
-            f"tree {self.validation.summary()}"
-        )
-
-
 def faulted_run(
     config: DCARTConfig, workload: Workload, schedule: FaultSchedule, *,
-    watchdog: Optional[Watchdog] = None, telemetry=None,
+    telemetry=None,
 ) -> Tuple[RunResult, ValidationReport]:
     """Build the tree, run ``workload`` under ``schedule``, validate.
 
     An empty schedule reads the same throughput as no injector at all.
+    A :class:`~repro.errors.FaultError` (watchdog, every SOU dead)
+    propagates: it is the outcome of a scenario the machine cannot
+    survive.
     """
     # n_shards=0: a single-machine chaos run must refuse a schedule
     # carrying cluster-level events rather than silently ignore them.
     injector = FaultInjector(
-        schedule.validate_sous(config.n_sous).validate_shards(0),
-        watchdog=watchdog,
+        schedule.validate_sous(config.n_sous).validate_shards(0)
     )
     accelerator = DcartAccelerator(
         config=config, injector=injector, telemetry=telemetry
@@ -182,49 +115,6 @@ def faulted_run(
     LOG.info("chaos run starting: %s", schedule.describe())
     result = accelerator.run(workload, tree=tree)
     return result, validate_tree(tree)
-
-
-def chaos_run(
-    n_failed: int = 0,
-    seed: int = 1,
-    workload_name: str = "IPGEO",
-    n_keys: int = DEFAULT_KEYS,
-    n_ops: int = DEFAULT_OPS,
-    schedule: Optional[FaultSchedule] = None,
-    config: Optional[DCARTConfig] = None,
-    watchdog: Optional[Watchdog] = None,
-    workload=None,
-    baseline: Optional[RunResult] = None,
-) -> ChaosOutcome:
-    """Run DCART under one fault schedule and validate the outcome.
-
-    With no explicit ``schedule``, fail-stops ``n_failed`` seed-chosen
-    SOUs at batch 0.  ``workload``/``baseline``/``config`` may be passed
-    in to share across runs; anything omitted is built here.
-    A :class:`~repro.errors.FaultError` (watchdog, all units dead)
-    propagates to the caller — that *is* the experiment's result for
-    non-survivable scenarios.
-    """
-    if config is None:
-        config = chaos_config(n_keys)
-    if workload is None:
-        workload = make_workload(
-            workload_name, n_keys=n_keys, n_ops=n_ops, seed=seed
-        )
-    if schedule is None:
-        schedule = chaos_schedule(config, workload.n_ops, seed, fail_sous=n_failed)
-    if baseline is None:
-        baseline = DcartAccelerator(config=config).run(workload)
-    result, validation = faulted_run(config, workload, schedule, watchdog=watchdog)
-    outcome = ChaosOutcome(
-        schedule=schedule,
-        result=result,
-        baseline=baseline,
-        validation=validation,
-        n_sous=config.n_sous,
-    )
-    LOG.info("%s", outcome.summary())
-    return outcome
 
 
 # ---------------------------------------------------------------------------

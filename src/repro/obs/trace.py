@@ -24,8 +24,6 @@ function of the run and bit-identical across runs.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -279,21 +277,9 @@ class BatchTracer:
     def write(self, path: str) -> int:
         """Write the Chrome trace to ``path``; returns the event count."""
         doc = self.to_chrome_trace()
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=".trace-", suffix=".json", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, indent=1)
-                handle.write("\n")
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, indent=1)
+            handle.write("\n")
         return len(doc["traceEvents"])
 
     # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ keeps the integration honest.
 
 import pytest
 
+from repro.core.accelerator import DcartAccelerator
 from repro.errors import ConfigError
 from repro.experiments.campaign import (
     ENGINE_PLATFORM_KIND,
@@ -21,10 +22,11 @@ from repro.experiments.campaign import (
     run_campaign,
     run_campaign_cell,
 )
-from repro.experiments.spec import KNOWN_ENGINES, CampaignSpec
+from repro.experiments.spec import KNOWN_ENGINES, CampaignSpec, fault_schedule
 from repro.experiments.store import ResultStore
 from repro.harness import resilience
 from repro.harness.serialize import result_to_dict
+from repro.workloads import make_workload
 
 
 def _spec(**overrides):
@@ -220,14 +222,18 @@ class TestRealCellExecution:
             assert mops(workload, "sou-failstop:2") <= mops(workload, "none")
 
     def test_fault_campaign_cells_equal_chaos_run(self):
+        """A chaos run: ``faulted_run`` beside a healthy run of the same
+        (chaos) config is what a fault campaign's two cells hold."""
         spec = _spec(engines=("DCART",), workloads=("IPGEO",), seeds=(5,),
                      n_keys=800, n_ops=6_000,
                      faults=("none", "sou-failstop:3"))
         healthy, faulted = (run_campaign_cell(c) for c in expand_spec(spec))
-        outcome = resilience.chaos_run(n_failed=3, seed=5, n_keys=800,
-                                       n_ops=6_000)
-        for doc, result in ((healthy, outcome.baseline),
-                            (faulted, outcome.result)):
+        config = resilience.chaos_config(800)
+        workload = make_workload("IPGEO", n_keys=800, n_ops=6_000, seed=5)
+        baseline = DcartAccelerator(config=config).run(workload)
+        schedule = fault_schedule("sou-failstop:3", config, 6_000, seed=5)
+        run, _ = resilience.faulted_run(config, workload, schedule)
+        for doc, result in ((healthy, baseline), (faulted, run)):
             expected = result_to_dict(result)
             assert doc["throughput_mops"] == expected["throughput_mops"]
             assert doc["latency"]["p99_us"] == expected["latency"]["p99_us"]

@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from repro.errors import ConfigError
 from repro.experiments.spec import (
     CampaignSpec,
+    fault_schedule,
     load_spec,
     parse_fault,
     spec_from_dict,
 )
+from repro.faults import BufferStorm, HbmThrottle, ShortcutCorruption, SouFailStop
+from repro.harness.resilience import chaos_config
 from tests.strategies import damaged
 
 CAMPAIGNS = Path(__file__).resolve().parents[2] / "examples" / "campaigns"
@@ -101,24 +104,66 @@ class TestValidation:
 
 class TestParseFault:
     def test_none(self):
-        assert parse_fault("none") == ("none", None)
+        assert parse_fault("none") == {"none": None}
 
     def test_sou_failstop(self):
-        assert parse_fault("sou-failstop:4") == ("sou-failstop", 4.0)
+        assert parse_fault("sou-failstop:4") == {"sou-failstop": 4}
 
     def test_hbm_throttle(self):
-        assert parse_fault("hbm-throttle:0.25") == ("hbm-throttle", 0.25)
+        assert parse_fault("hbm-throttle:0.25") == {"hbm-throttle": 0.25}
+        # F = 0 is a full HBM blackout.
+        assert parse_fault("hbm-throttle:0") == {"hbm-throttle": 0.0}
 
     def test_crash(self):
-        assert parse_fault("crash") == ("crash", None)
+        assert parse_fault("crash") == {"crash": None}
+
+    def test_shortcut_corrupt_and_buffer_storm(self):
+        assert parse_fault("shortcut-corrupt:64") == {"shortcut-corrupt": 64}
+        assert parse_fault("buffer-storm:1") == {"buffer-storm": 1.0}
+
+    def test_terms_join_with_plus(self):
+        assert parse_fault(
+            "sou-failstop:2+shortcut-corrupt:64+buffer-storm:0.5"
+            "+hbm-throttle:0.5"
+        ) == {
+            "sou-failstop": 2, "shortcut-corrupt": 64,
+            "buffer-storm": 0.5, "hbm-throttle": 0.5,
+        }
 
     @pytest.mark.parametrize("bad", [
         "sou-failstop", "sou-failstop:0", "sou-failstop:x",
-        "hbm-throttle:1.5", "hbm-throttle:0", "quake:9",
+        "hbm-throttle:1.5", "quake:9",
+        "sou-failstop:2+sou-failstop:3", "none+sou-failstop:2",
+        "crash+sou-failstop:2", "buffer-storm:0", "buffer-storm:1.5",
+        "shortcut-corrupt:0", "shortcut-corrupt:x",
     ])
     def test_bad_signatures_rejected(self, bad):
         with pytest.raises(ConfigError):
             parse_fault(bad)
+
+    def test_schedule_places_each_kind(self):
+        config = chaos_config(800)  # 2,048-op batches: 6,000 ops is 3
+        schedule = fault_schedule(
+            "sou-failstop:2+shortcut-corrupt:64+buffer-storm:0.5"
+            "+hbm-throttle:0.5", config, 6_000, seed=1,
+        )
+        assert set(schedule.events) == {
+            SouFailStop(0, 4), SouFailStop(0, 9), ShortcutCorruption(1, 64),
+            BufferStorm(1, 0.5), HbmThrottle(1, 2, 0.5),
+        }
+        assert fault_schedule("none", config, 6_000, seed=1).events == ()
+        assert fault_schedule("crash", config, 6_000, seed=1).events == ()
+
+    def test_existing_strings_keep_their_spec_hash(self):
+        # examples/campaigns/faults.toml's spec: its hash keys stored cells.
+        spec = CampaignSpec(
+            name="dcart-faults", engines=("DCART",),
+            workloads=("IPGEO", "DICT"), seeds=(1, 2, 3),
+            n_keys=2000, n_ops=20000,
+            faults=("none", "sou-failstop:2", "sou-failstop:4",
+                    "hbm-throttle:0.5"),
+        )
+        assert spec.content_hash() == "d9912c69523b2884"
 
 
 class TestContentHash:

@@ -7,6 +7,7 @@ pytestmark = pytest.mark.chaos
 from repro.art.validate import validate_tree
 from repro.core.accelerator import DcartAccelerator
 from repro.errors import SouFailedError, WatchdogTimeout
+from repro.experiments.spec import fault_schedule
 from repro.faults import (
     BufferStorm,
     FaultInjector,
@@ -17,7 +18,8 @@ from repro.faults import (
     SouSlowdown,
     Watchdog,
 )
-from repro.harness.resilience import chaos_config, chaos_run
+from repro.harness import resilience
+from repro.harness.resilience import chaos_config
 from repro.workloads import OpKind, make_workload
 
 N_KEYS = 1_500
@@ -175,18 +177,33 @@ class TestAborts:
 
 
 class TestAcceptance:
-    """The PR's acceptance scenario: ``chaos --fail-sous 4 --seed 1``."""
+    """The acceptance scenario: ``run --fault sou-failstop:4 --seed 1``
+    beside the healthy run of the same config."""
+
+    @staticmethod
+    def _chaos():
+        config = chaos_config(N_KEYS)
+        workload = make_workload("IPGEO", n_keys=N_KEYS, n_ops=N_OPS, seed=1)
+        schedule = fault_schedule("sou-failstop:4", config, N_OPS, seed=1)
+        healthy = DcartAccelerator(config=config).run(workload)
+        result, validation = resilience.faulted_run(config, workload, schedule)
+        return config, schedule, healthy, result, validation
 
     def test_four_failed_sous_graceful(self):
-        outcome = chaos_run(n_failed=4, seed=1, n_keys=N_KEYS, n_ops=N_OPS)
-        assert outcome.validation.ok
-        assert outcome.n_failed == 4
-        assert outcome.degradation <= 2.0 * outcome.proportional_loss
-        assert outcome.graceful
+        config, _, healthy, result, validation = self._chaos()
+        n_failed = len(result.extra["failed_sous"])
+        degradation = resilience.degradation_ratio(
+            healthy.throughput_mops, result.throughput_mops
+        )
+        proportional = resilience.proportional_loss_ratio(config.n_sous, n_failed)
+        assert validation.ok
+        assert n_failed == 4
+        assert degradation <= 2.0 * proportional
+        assert resilience.is_graceful(validation.ok, degradation, proportional)
 
     def test_acceptance_reproducible(self):
-        a = chaos_run(n_failed=4, seed=1, n_keys=N_KEYS, n_ops=N_OPS)
-        b = chaos_run(n_failed=4, seed=1, n_keys=N_KEYS, n_ops=N_OPS)
-        assert a.schedule.signature() == b.schedule.signature()
-        assert a.result.elapsed_seconds == b.result.elapsed_seconds
-        assert a.result.extra == b.result.extra
+        _, schedule_a, _, a, _ = self._chaos()
+        _, schedule_b, _, b, _ = self._chaos()
+        assert schedule_a.signature() == schedule_b.signature()
+        assert a.elapsed_seconds == b.elapsed_seconds
+        assert a.extra == b.extra

@@ -11,8 +11,8 @@ code that reads operations:
   conflict count), today's behaviour pinned as it is;
 * a single-machine serving sweep with a WAL and one crash mid-append:
   each load's ``ServeResult.to_dict()`` and its latency array;
-* the bytes of every WAL and checkpoint file a ``repro checkpoint
-  --keys 2000 --ops 12000 --every 2`` run writes.
+* the bytes of every WAL and checkpoint file a ``repro run --engine
+  DCART --durable DIR --keys 2000 --ops 12000 --every 2`` run writes.
 
 ``data/golden_op_paths.json`` holds a short sha256 of every field (of
 every file, for the durable run), so a mismatch names its field.
@@ -68,7 +68,8 @@ WINDOW = 4096
 SERVE_CAPACITY = 5.0e6
 SERVE_LOADS = (0.3, 0.9)
 #: The durable run docs/PERFORMANCE.md "Durable path" lists.
-CHECKPOINT_ARGV = ["--keys", "2000", "--ops", "12000", "--every", "2"]
+DURABLE_ARGV = ["--engine", "DCART", "--keys", "2000", "--ops", "12000",
+                "--every", "2"]
 
 
 def _digest(value) -> str:
@@ -140,7 +141,7 @@ def durable_files():
     """sha256 of every file the durable CLI run leaves in its directory."""
     with tempfile.TemporaryDirectory(prefix="golden-durable-") as root:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(["checkpoint", "--dir", root] + CHECKPOINT_ARGV)
+            code = cli_main(["run", "--durable", root] + DURABLE_ARGV)
         assert code == 0
         files = {}
         for name in sorted(os.listdir(root)):

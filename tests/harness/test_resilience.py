@@ -3,6 +3,7 @@
 import pytest
 
 from repro.art.validate import ValidationReport
+from repro.core.accelerator import DcartAccelerator
 from repro.experiments import (
     CampaignSpec,
     ResultStore,
@@ -10,6 +11,7 @@ from repro.experiments import (
     render_markdown,
     run_campaign,
 )
+from repro.experiments.spec import fault_schedule
 from repro.harness import resilience
 from repro.workloads import make_workload
 
@@ -24,46 +26,59 @@ def shared():
     return config, workload
 
 
+def _faulted(config, workload, signature, seed=1):
+    schedule = fault_schedule(signature, config, workload.n_ops, seed)
+    return resilience.faulted_run(config, workload, schedule)
+
+
 class TestChaosRun:
+    """A chaos run: :func:`resilience.faulted_run` beside a healthy run,
+    judged by the degradation and proportional-loss ratios."""
+
     def test_healthy_run_is_trivially_graceful(self, shared):
         config, workload = shared
-        outcome = resilience.chaos_run(
-            n_failed=0, config=config, workload=workload
+        healthy = DcartAccelerator(config=config).run(workload)
+        result, validation = _faulted(config, workload, "none")
+        degradation = resilience.degradation_ratio(
+            healthy.throughput_mops, result.throughput_mops
         )
-        assert outcome.n_failed == 0
-        assert outcome.degradation == pytest.approx(1.0)
-        assert outcome.proportional_loss == 1.0
-        assert outcome.graceful
-        assert outcome.validation.ok
+        proportional = resilience.proportional_loss_ratio(
+            config.n_sous, len(result.extra["failed_sous"])
+        )
+        assert result.extra["failed_sous"] == []
+        assert degradation == pytest.approx(1.0)
+        assert proportional == 1.0
+        assert resilience.is_graceful(validation.ok, degradation, proportional)
+        assert validation.ok
 
     def test_failed_units_reported(self, shared):
         config, workload = shared
-        outcome = resilience.chaos_run(
-            n_failed=3, seed=5, config=config, workload=workload
-        )
-        assert outcome.n_failed == 3
-        assert outcome.proportional_loss == pytest.approx(16 / 13)
-        assert outcome.validation.ok
-        assert "3/16 SOUs failed" in outcome.summary()
+        result, validation = _faulted(config, workload, "sou-failstop:3", seed=5)
+        n_failed = len(result.extra["failed_sous"])
+        assert n_failed == 3
+        assert resilience.proportional_loss_ratio(
+            config.n_sous, n_failed
+        ) == pytest.approx(16 / 13)
+        assert validation.ok
 
     def test_broken_validation_is_not_graceful(self, shared):
         config, workload = shared
-        outcome = resilience.chaos_run(
-            n_failed=0, config=config, workload=workload
-        )
-        outcome.validation = ValidationReport()
-        outcome.validation.add("occupancy", 1, "synthetic")
-        assert not outcome.graceful
+        _, validation = _faulted(config, workload, "none")
+        assert resilience.is_graceful(validation.ok, 1.0, 1.0)
+        validation = ValidationReport()
+        validation.add("occupancy", 1, "synthetic")
+        assert not resilience.is_graceful(validation.ok, 1.0, 1.0)
 
     def test_shared_baseline_reused(self, shared):
+        # A run with no injector and the empty schedule's faulted run
+        # read the same numbers, so one healthy run is the baseline of
+        # every fault (the campaign's ``none`` cell).
         config, workload = shared
-        baseline = resilience.chaos_run(
-            n_failed=0, config=config, workload=workload
-        ).result
-        outcome = resilience.chaos_run(
-            n_failed=1, config=config, workload=workload, baseline=baseline
-        )
-        assert outcome.baseline is baseline
+        healthy = DcartAccelerator(config=config).run(workload)
+        empty, _ = _faulted(config, workload, "none")
+        assert empty.elapsed_seconds == healthy.elapsed_seconds
+        assert empty.throughput_mops == healthy.throughput_mops
+        assert empty.p99_latency_us == healthy.p99_latency_us
 
 
 class TestDegradationCurve:
@@ -93,38 +108,27 @@ class TestVacuousOutcomes:
     """Zero-throughput edge cases must not blow up into inf/NaN ratios."""
 
     @staticmethod
-    def _outcome(baseline_ops, result_ops, n_sous=16):
+    def _mops(n_ops):
         from repro.engines.base import RunResult
-        from repro.faults import FaultSchedule
 
-        def run(n_ops):
-            return RunResult(
-                engine="DCART", workload="IPGEO", platform="fpga",
-                n_ops=n_ops,
-                elapsed_seconds=1e-3 if n_ops else 0.0,
-            )
-
-        return resilience.ChaosOutcome(
-            schedule=FaultSchedule(seed=1),
-            result=run(result_ops),
-            baseline=run(baseline_ops),
-            validation=ValidationReport(),
-            n_sous=n_sous,
-        )
+        return RunResult(
+            engine="DCART", workload="IPGEO", platform="fpga", n_ops=n_ops,
+            elapsed_seconds=1e-3 if n_ops else 0.0,
+        ).throughput_mops
 
     def test_empty_workload_degradation_is_one_not_inf(self):
-        outcome = self._outcome(baseline_ops=0, result_ops=0)
-        assert outcome.degradation == 1.0
-        assert outcome.proportional_loss == 1.0
-        assert outcome.graceful
-        # summary() must format, not crash, on the vacuous ratios.
-        assert "degradation 1.00x" in outcome.summary()
+        degradation = resilience.degradation_ratio(self._mops(0), self._mops(0))
+        proportional = resilience.proportional_loss_ratio(16, 0)
+        assert degradation == 1.0
+        assert proportional == 1.0
+        assert resilience.is_graceful(True, degradation, proportional)
 
     def test_genuine_stall_still_reads_as_infinite(self):
-        outcome = self._outcome(baseline_ops=1_000, result_ops=0)
-        assert outcome.degradation == float("inf")
-        assert not outcome.graceful
+        degradation = resilience.degradation_ratio(
+            self._mops(1_000), self._mops(0)
+        )
+        assert degradation == float("inf")
+        assert not resilience.is_graceful(True, degradation, 1.0)
 
     def test_zero_sou_machine_is_vacuous(self):
-        outcome = self._outcome(baseline_ops=0, result_ops=0, n_sous=0)
-        assert outcome.proportional_loss == 1.0
+        assert resilience.proportional_loss_ratio(0, 0) == 1.0

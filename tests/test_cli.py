@@ -50,7 +50,7 @@ class TestWorkloadCommand:
             "workload", "--name", "DICT", "--keys", "400",
             "--ops", "800", "--out", path,
         ]) == 0
-        assert "wrote" in capsys.readouterr().out
+        assert "wrote" in capsys.readouterr().err
         assert main([
             "run", "--engine", "DCART", "--replay", path, "--json",
         ]) == 0
@@ -93,9 +93,14 @@ BAD_INPUT = [
      "--keys", "400", "--ops", "1000"],
     ["run", "--engine", "DCART", "--metrics", "", "--keys", "400",
      "--ops", "1000"],
+    ["run", "--engine", "ART", "--durable", "d"],
+    ["run", "--engine", "DCART", "--fault", "crash"],
+    ["run", "--engine", "DCART", "--every", "2"],
+    ["run", "--engine", "DCART", "--durable", "d", "--fault", "sou-failstop:2"],
     ["figures", "--only", "fig9", "--keys", "0"],
     ["chaos", "--keys", "0"],
     ["chaos", "--json", "nope/c.json", "--keys", "400", "--ops", "1000"],
+    ["chaos", "--fault", "quake:9"],
     ["bench", "--ab", "HEAD", "--pairs", "0"],
     ["bench", "--ab", "no-such-rev"],
     ["sweep", "--jobs", "0", "--keys", "400", "--ops", "1000"],
@@ -118,70 +123,106 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch):
 
 
 class TestChaosCommand:
+    """``chaos`` is an unsaved fault campaign; ``run --fault`` is one
+    faulted DCART run."""
+
     ARGS = ["chaos", "--keys", "800", "--ops", "6000", "--seed", "1"]
+    RUN = ["run", "--engine", "DCART", "--keys", "800", "--ops", "6000",
+           "--seed", "1"]
 
     def test_healthy_chaos_run(self, capsys):
-        assert main(self.ARGS) == 0
+        assert main(self.ARGS + ["--fault", "sou-failstop:1"]) == 0
         out = capsys.readouterr().out
-        assert "0/16 SOUs failed" in out
-        assert "schedule signature:" in out
+        assert "## IPGEO (healthy)" in out
+        assert "## IPGEO (fault: sou-failstop:1)" in out
+        assert "fault verdict" not in out.split("## IPGEO (fault")[0]
 
     def test_fail_sous_graceful(self, capsys):
-        assert main(self.ARGS + ["--fail-sous", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "4/16 SOUs failed" in out
-        assert "validated" in out
+        assert main(self.ARGS + ["--fault", "sou-failstop:4", "--json"]) == 0
+        healthy, faulted = json.loads(capsys.readouterr().out)["rows"]
+        assert healthy["fault"] == "none" and "verdict" not in healthy
+        verdict = faulted["verdict"]
+        assert verdict["degradation"] == pytest.approx(1.066193, abs=1e-6)
+        assert verdict["proportional_loss"] == pytest.approx(16 / 12)
+        assert verdict["tree_valid"] is True
+        assert verdict["graceful"] is True
 
     def test_json_output(self, capsys):
-        assert main(self.ARGS + ["--fail-sous", "2", "--json"]) == 0
+        assert main(self.RUN + ["--fault", "sou-failstop:2", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["n_failed"] == 2
-        assert data["tree_valid"] is True
-        assert data["graceful"] is True
-        assert data["result"]["engine"] == "DCART"
-        assert len(data["schedule_signature"]) == 64
+        # result_to_dict writes list-valued extras as their str().
+        assert len(json.loads(data["extra"]["failed_sous"])) == 2
+        assert data["engine"] == "DCART"
+        assert len(data["extra"]["fault_schedule_signature"]) == 64
+
+    # Each string's schedule signature, throughput and fault counters at
+    # 800 keys, 6,000 ops and seed 1, pinned.
+    @pytest.mark.parametrize("fault, signature, mops, counters", [
+        ("sou-failstop:4", "1aaec03574fda94d", 92.9230,
+         {"failed_sous": "[4, 9, 12, 13]"}),
+        ("sou-failstop:2+shortcut-corrupt:64+buffer-storm:0.5"
+         "+hbm-throttle:0.5", "e6195d4372738e70", 96.9442,
+         {"shortcut_corruptions": 64, "storm_invalidations": 64,
+          "fault_events_applied": 4}),
+        ("hbm-throttle:0", "56190455369d42fc", 1.3623, {}),
+    ])
+    def test_fault_strings_pin_their_runs(
+        self, fault, signature, mops, counters, capsys
+    ):
+        assert main(self.RUN + ["--fault", fault, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["extra"]["fault_schedule_signature"][:16] == signature
+        assert round(data["throughput_mops"], 4) == mops
+        for key, value in counters.items():
+            assert data["extra"][key] == value
 
     def test_mixed_faults(self, capsys):
-        assert main(self.ARGS + [
-            "--fail-sous", "2", "--corrupt-shortcuts", "64",
-            "--storm", "0.5", "--throttle", "0.5",
+        assert main(self.RUN + [
+            "--fault", "sou-failstop:2+shortcut-corrupt:64+buffer-storm:0.5"
+                       "+hbm-throttle:0.5",
         ]) == 0
         out = capsys.readouterr().out
         assert "corrupt" in out  # schedule description lists the event
+        assert "schedule signature: e6195d4372738e70" in out
 
     def test_bad_scenario_exits_2(self, capsys):
-        assert main(self.ARGS + ["--fail-sous", "16"]) == 2
-        assert "bad chaos scenario" in capsys.readouterr().err
+        assert main(self.RUN + ["--fault", "sou-failstop:16"]) == 2
+        assert main(self.ARGS + ["--fault", "sou-failstop:16"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("repro run: n_failed must be in [0, n_sous)")
+        assert err[1].startswith("repro chaos: n_failed must be in")
 
     def test_zero_throttle_runs_as_blackout(self, capsys):
-        # --throttle 0.0 is a legal full HBM blackout: the run completes
+        # hbm-throttle:0 is a legal full HBM blackout: the run completes
         # (every off-chip line priced at the blackout cost) instead of
-        # dying on a division by zero.
-        assert main(self.ARGS + ["--throttle", "0.0"]) in (0, 1)
+        # dying on a division by zero, and reads as not graceful.
+        assert main(self.ARGS + ["--fault", "hbm-throttle:0"]) == 1
         out = capsys.readouterr().out
-        assert "validated" in out
+        assert "degradation 72.72 vs proportional 1.00, tree ok, NOT graceful" in out
 
     def test_negative_throttle_rejected(self, capsys):
-        # --throttle outside [0, 1] is a schedule error, not a crash.
-        assert main(self.ARGS + ["--throttle", "-0.5"]) == 2
+        # A throttle outside [0, 1) is a schedule error, not a crash.
+        assert main(self.RUN + ["--fault", "hbm-throttle:-0.5"]) == 2
 
-    @pytest.mark.parametrize("event", [
-        ["--corrupt-shortcuts", "64"], ["--storm", "0.5"],
-        ["--throttle", "0.5"],
-    ], ids=" ".join)
-    def test_mid_run_event_needs_a_second_batch(self, event, capsys):
+    @pytest.mark.parametrize(
+        "fault", ["shortcut-corrupt:64", "buffer-storm:0.5", "hbm-throttle:0.5"]
+    )
+    def test_mid_run_event_needs_a_second_batch(self, fault, capsys):
         # --ops 2000 is one 2,048-op batch: the event has nowhere to land.
-        assert main(["chaos", "--keys", "800", "--ops", "2000"] + event) == 2
+        assert main([
+            "run", "--engine", "DCART", "--keys", "800", "--ops", "2000",
+            "--fault", fault,
+        ]) == 2
         err = capsys.readouterr().err
-        assert "bad chaos scenario" in err
+        assert err.startswith("repro run: ")
         assert "1 batch of 2048" in err
 
     def test_mid_run_events_land_on_a_second_batch(self, capsys):
         assert main([
-            "chaos", "--keys", "800", "--ops", "2049",
-            "--corrupt-shortcuts", "64", "--storm", "0.5", "--json",
+            "run", "--engine", "DCART", "--keys", "800", "--ops", "2049",
+            "--fault", "shortcut-corrupt:64+buffer-storm:0.5", "--json",
         ]) == 0
-        extra = json.loads(capsys.readouterr().out)["result"]["extra"]
+        extra = json.loads(capsys.readouterr().out)["extra"]
         assert extra["shortcut_corruptions"] == 64
         assert extra["storm_invalidations"] > 0
 
@@ -190,14 +231,14 @@ class TestChaosCommand:
         ["--storm", "0.5"], ["--throttle", "0.25"],
     ], ids=" ".join)
     def test_sweep_takes_no_event_flags(self, event, capsys):
-        assert main(["chaos", "--sweep", "--keys", "600", "--ops", "4000"]
-                    + event) == 2
-        assert "bad chaos scenario" in capsys.readouterr().err
+        # A closed-loop fault has one name: its fault string.
+        with pytest.raises(SystemExit) as exited:
+            main(["chaos", "--keys", "600", "--ops", "4000"] + event)
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_renders_curve(self, capsys):
-        assert main([
-            "chaos", "--keys", "600", "--ops", "4000", "--sweep",
-        ]) == 0
+        assert main(["chaos", "--keys", "600", "--ops", "4000"]) == 0
         out = capsys.readouterr().out
         assert "degradation" in out
         assert "fault: sou-failstop:15" in out
@@ -205,10 +246,11 @@ class TestChaosCommand:
     def test_sweep_json_to_file(self, capsys, tmp_path):
         path = str(tmp_path / "curve.json")
         assert main([
-            "chaos", "--keys", "600", "--ops", "4000", "--sweep",
-            "--json", path,
+            "chaos", "--keys", "600", "--ops", "4000", "--json", path,
         ]) == 0
-        assert "wrote JSON to" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "wrote JSON to" in captured.err
+        assert captured.out == ""
         with open(path) as handle:
             data = json.load(handle)
         assert data["schema"] == "campaign-report/v1"
@@ -218,16 +260,48 @@ class TestChaosCommand:
 
     def test_json_to_file(self, capsys, tmp_path):
         path = str(tmp_path / "chaos.json")
-        assert main(self.ARGS + ["--fail-sous", "2", "--json", path]) == 0
+        assert main(self.ARGS + [
+            "--fault", "sou-failstop:2", "crash", "--json", path,
+        ]) == 0
         with open(path) as handle:
             data = json.load(handle)
-        assert data["n_failed"] == 2
+        assert [row["fault"] for row in data["rows"]] == [
+            "none", "sou-failstop:2", "crash",
+        ]
+        assert data["rows"][1]["verdict"]["graceful"] is True
+        assert data["rows"][2]["verdict"]["ok"] is True
+
+    def test_fault_error_exits_3_with_one_line(self, capsys, monkeypatch):
+        from repro.errors import SouFailedError
+        from repro.harness import resilience
+
+        def dies(*args, **kwargs):
+            raise SouFailedError("no surviving SOU", {"failed_sous": [0]})
+
+        monkeypatch.setattr(resilience, "faulted_run", dies)
+        assert main(self.RUN + ["--fault", "sou-failstop:1"]) == 3
+        err = capsys.readouterr().err
+        assert err == "repro run: no surviving SOU\n"
+
+    def test_fault_combines_with_metrics_and_trace(self, capsys, tmp_path):
+        metrics = tmp_path / "metrics.json"
+        trace = tmp_path / "trace.json"
+        assert main(self.RUN + [
+            "--fault", "sou-failstop:2", "--metrics", str(metrics),
+            "--trace", str(trace), "--json",
+        ]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["extra"]["failed_sous"] == "[4, 9]"
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["pcu.total_ops"] == 6000
+        assert json.loads(trace.read_text())["traceEvents"]
 
     def test_log_level_flag_accepted(self, capsys):
         from repro.log import reset
 
         try:
-            assert main(["--log-level", "WARNING"] + self.ARGS) == 0
+            assert main(["--log-level", "WARNING"] + self.ARGS
+                        + ["--fault", "sou-failstop:2"]) == 0
         finally:
             reset()
 
@@ -237,14 +311,14 @@ class TestChaosCommand:
 
 
 class TestDurabilityCommands:
-    CKPT = ["checkpoint", "--workload", "DE", "--keys", "600",
+    CKPT = ["run", "--engine", "DCART", "--workload", "DE", "--keys", "600",
             "--ops", "4000", "--every", "2"]
 
     def test_checkpoint_then_recover(self, capsys, tmp_path):
         directory = str(tmp_path / "state")
-        assert main(self.CKPT + ["--dir", directory]) == 0
+        assert main(self.CKPT + ["--durable", directory]) == 0
         out = capsys.readouterr().out
-        assert "durable state in" in out
+        assert f"durable state in {directory}:" in out
         assert "wal_bytes" in out
 
         assert main(["recover", "--dir", directory]) == 0
@@ -253,15 +327,15 @@ class TestDurabilityCommands:
 
     def test_checkpoint_json(self, capsys, tmp_path):
         directory = str(tmp_path / "state")
-        assert main(self.CKPT + ["--dir", directory, "--json"]) == 0
+        # Exit 0: the tree validated.
+        assert main(self.CKPT + ["--durable", directory, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["tree_valid"] is True
-        assert data["durability"]["checkpoints_written"] >= 1
-        assert data["durability"]["wal_batches_logged"] >= 1
+        assert data["extra"]["checkpoints_written"] >= 1
+        assert data["extra"]["wal_batches_logged"] >= 1
 
     def test_recover_json_report(self, capsys, tmp_path):
         directory = str(tmp_path / "state")
-        assert main(self.CKPT + ["--dir", directory]) == 0
+        assert main(self.CKPT + ["--durable", directory]) == 0
         capsys.readouterr()
         assert main(["recover", "--dir", directory, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -284,7 +358,7 @@ class TestDurabilityCommands:
         """A torn newest manifest falls back to the previous checkpoint
         plus WAL replay — exit 0, not a crash."""
         directory = str(tmp_path / "state")
-        assert main(self.CKPT + ["--dir", directory]) == 0
+        assert main(self.CKPT + ["--durable", directory]) == 0
         capsys.readouterr()
         manifests = sorted(glob.glob(os.path.join(directory, "ckpt-*.json")))
         assert len(manifests) >= 2
@@ -300,7 +374,7 @@ class TestDurabilityCommands:
         """Every manifest truncated and the WAL gone: a clean non-zero
         exit and a 'recovery failed:' line on stderr, never a traceback."""
         directory = str(tmp_path / "state")
-        assert main(self.CKPT + ["--dir", directory]) == 0
+        assert main(self.CKPT + ["--durable", directory]) == 0
         capsys.readouterr()
         for manifest in glob.glob(os.path.join(directory, "ckpt-*.json")):
             self._truncate(manifest)
@@ -380,8 +454,9 @@ class TestDurabilityCommands:
         assert "bad serving setup" in capsys.readouterr().err
 
     def test_bad_checkpoint_interval_exits_2(self, capsys, tmp_path):
-        assert main(self.CKPT[:-1] + ["0", "--dir", str(tmp_path)]) == 2
-        assert "bad durability setup" in capsys.readouterr().err
+        assert main(self.CKPT[:-1] + ["0", "--durable", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro run: checkpoint_every must be positive: 0\n"
 
     def test_campaign(self, capsys):
         assert main([
@@ -505,9 +580,9 @@ class TestTraceCommand:
     def test_writes_chrome_loadable_json(self, capsys, tmp_path):
         path = str(tmp_path / "trace.json")
         assert main(self.ARGS + ["--trace", path]) == 0
-        out = capsys.readouterr().out
-        assert "trace events" in out
-        assert "batch timeline" in out
+        captured = capsys.readouterr()
+        assert "trace events" in captured.err
+        assert "batch timeline" in captured.out
         with open(path) as handle:
             doc = json.load(handle)
         assert doc["otherData"]["schema"] == "trace-export/v2"
@@ -537,6 +612,19 @@ class TestTraceCommand:
             doc = json.load(handle)
         assert "pcu.total_cycles" in doc["counters"]
 
+    def test_json_stdout_is_json(self, capsys, tmp_path):
+        path = str(tmp_path / "trace.json")
+        assert main(self.ARGS + ["--json", "--trace", path]) == 0
+        assert json.loads(capsys.readouterr().out)["engine"] == "DCART"
+
+    def test_trace_file_mode_is_that_of_open(self, capsys, tmp_path):
+        trace = tmp_path / "trace.json"
+        assert main(self.ARGS + ["--trace", str(trace)]) == 0
+        plain = tmp_path / "plain.json"
+        with open(plain, "w"):
+            pass
+        assert trace.stat().st_mode == plain.stat().st_mode
+
 
 class TestMetricsFlag:
     def test_run_metrics_to_file(self, capsys, tmp_path):
@@ -553,8 +641,10 @@ class TestMetricsFlag:
         path = str(tmp_path / "metrics.json")
         assert main([
             "run", "--engine", "DCART", "--workload", "RS",
-            "--keys", "400", "--ops", "1000", "--metrics", path,
+            "--keys", "400", "--ops", "1000", "--metrics", path, "--json",
         ]) == 0
+        # The "wrote JSON to" status line goes to stderr: stdout is JSON.
+        assert json.loads(capsys.readouterr().out)["n_ops"] == 1000
         with open(path) as handle:
             doc = json.load(handle)
         assert doc["counters"]["pcu.total_ops"] == 1000
