@@ -29,7 +29,11 @@ Commands:
 * ``serve`` — open-loop serving simulation: seeded arrivals at a
   fraction of closed-loop capacity, admission control, size-or-deadline
   batching, and a latency-vs-offered-load sweep with SLO/knee/RTO
-  reporting (``--fault`` fires a chaos event mid-traffic).
+  reporting (``--fault SIG`` lands a fault string at ``--fault-batch``
+  mid-traffic; ``--shards N`` serves through a cluster).
+* ``cluster`` — a closed-loop run of N DCART shards behind one router,
+  with replication, failover and rebalancing (``--fault SIG`` lands a
+  shard fault string such as ``shard-failstop:1`` at ``--fault-batch``).
 * ``bench`` — simulator speed as a paired A/B comparison: ``--ab REV``
   runs perfbench on every ``BENCHMARK.json`` workload in this checkout
   and in REV (a temporary worktree), ``--pairs N`` times with the first
@@ -49,9 +53,11 @@ Commands:
 
 Every subcommand exits non-zero when its validation oracle fails: a
 broken tree after ``run``, a non-graceful or invalid fault row of
-``chaos``, a recovery that diverges.  Bad input (a ``ConfigError`` or
-``WorkloadError``) exits 2 with one line on stderr; a run aborted by its
-faults (a ``FaultError``: watchdog, every SOU dead) exits 3.  Status
+``chaos``, a recovery that diverges, a ``serve`` fault that never fired.
+Bad input (a ``ConfigError`` or ``WorkloadError``, including a fault
+string its run cannot fire) exits 2 with one line on stderr; a run
+aborted by its faults (a ``FaultError``: watchdog, every SOU dead)
+exits 3.  Status
 lines (``wrote ...``) go to stderr, so ``--json`` on stdout is JSON.
 
 ``--log-level`` (before the subcommand) turns on fault/event logging;
@@ -72,6 +78,8 @@ Examples:
     python -m repro sweep --engines ART DCART --seeds 1 2 --jobs 4
     python -m repro serve --load-sweep 0.25 0.5 1.0 --json report.json
     python -m repro serve --fault crash --admission drop-tail --json -
+    python -m repro serve --shards 4 --fault shard-failstop:1 --fault-batch 2
+    python -m repro cluster --fault replication-slowdown:8
     python -m repro run --engine DCART --metrics metrics.json
     python -m repro run --engine DCART --keys 2000 --ops 20000 --trace trace.json
     python -m repro bench --ab HEAD~1 --pairs 5 --record
@@ -256,12 +264,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--slo-us", type=float, default=None,
                        help="latency SLO (default: derived from the "
                             "lowest swept load)")
-    serve.add_argument("--fault",
-                       choices=("none", "sou-failstop", "crash",
-                                "shard-failstop"),
-                       default="none",
-                       help="fire a chaos event mid-traffic and report RTO "
-                            "(shard-failstop needs --shards)")
+    serve.add_argument("--fault", default="none", metavar="SIG",
+                       help="fire the fault string SIG mid-traffic and "
+                            "report RTO: crash or machine-level kinds on "
+                            "one accelerator, shard kinds with --shards")
     serve.add_argument("--fault-batch", type=int, default=9,
                        help="serving batch index the fault lands on")
     serve.add_argument("--shards", type=int, default=None, metavar="N",
@@ -304,11 +310,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--seed", type=int, default=1)
     cluster.add_argument("--batch-size", type=int, default=1024,
                          help="cluster batch size (default: 1024)")
-    cluster.add_argument("--fault",
-                         choices=("none", "shard-failstop",
-                                  "replication-slowdown"),
-                         default="none",
-                         help="shard-level fault to inject mid-run")
+    cluster.add_argument("--fault", default="none", metavar="SIG",
+                         help="shard-level fault string to inject mid-run, "
+                              "e.g. shard-failstop:1 or "
+                              "replication-slowdown:8")
     cluster.add_argument("--fault-batch", type=int, default=2,
                          help="batch index the fault lands on")
     cluster.add_argument("--json", nargs="?", const="-", default=None,
@@ -358,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                "'unstamped' with no timestamps")
     campaign.add_argument("--md", default=None, metavar="PATH",
                           help="report: write the Markdown report to PATH "
-                               "(default: stdout)")
+                               "(default: stdout, unless --json is there)")
     campaign.add_argument("--html", default=None, metavar="PATH",
                           help="report: also write a standalone HTML report")
     campaign.add_argument("--json", nargs="?", const="-", default=None,
@@ -688,22 +693,32 @@ def _cmd_sweep(args) -> int:
 SERVE_DEFAULT_LOADS = (0.25, 0.5, 0.75, 1.0, 1.5)
 
 
+def _place_fault(args, accel_config, n_ops: int, cluster):
+    """``--fault SIG`` landing at ``--fault-batch``, checked against the
+    run: ``(terms, schedule)``, with no schedule for ``none``."""
+    from repro.experiments.spec import NO_FAULT, fault_schedule, parse_fault
+
+    terms = parse_fault(args.fault)
+    if NO_FAULT in terms:
+        return terms, None
+    return terms, fault_schedule(
+        args.fault, accel_config, n_ops, args.seed, at_batch=args.fault_batch,
+        n_shards=cluster.n_shards if cluster else 0,
+        replicas=cluster.replicas if cluster else 0,
+    )
+
+
 def _cmd_serve(args) -> int:
     import contextlib
     import tempfile
 
-    from repro.faults import FaultSchedule
-    from repro.faults.schedule import CrashFault
+    from repro.experiments.spec import CRASH_FAULT
     from repro.harness import resilience
     from repro.serve import ServeConfig, load_sweep
 
     n_keys = args.keys if args.keys is not None else resilience.DEFAULT_KEYS
     n_ops = args.ops if args.ops is not None else resilience.DEFAULT_OPS
-    workload = make_workload(
-        args.workload, n_keys=n_keys, n_ops=n_ops, seed=args.seed
-    )
     accel_config = resilience.chaos_config(n_keys)
-
     overrides = {
         "arrival": args.arrival,
         "admission": args.admission,
@@ -715,66 +730,41 @@ def _cmd_serve(args) -> int:
         overrides["deadline_us"] = args.deadline_us
     if args.queue_capacity is not None:
         overrides["queue_capacity"] = args.queue_capacity
-    try:
-        serve_config = ServeConfig(**overrides)
-        schedule = None
-        cluster_config = None
-        if args.shards is not None:
-            from repro.cluster import ClusterConfig
+    serve_config = ServeConfig(**overrides)
+    cluster_config = None
+    if args.shards is not None:
+        from repro.cluster import ClusterConfig
 
-            cluster_config = ClusterConfig(
-                n_shards=args.shards,
-                replicas=args.replicas,
-                partitioning=args.partitioning,
-                rebalance=args.rebalance,
-                seed=args.seed,
-            )
-        if args.fault == "shard-failstop":
-            if cluster_config is None:
-                raise ConfigError(
-                    "--fault shard-failstop needs --shards (there is no "
-                    "shard to kill on a single machine)"
-                )
-            schedule = FaultSchedule.fail_shards(
-                1, args.seed, n_shards=args.shards,
-                at_batch=args.fault_batch,
-            )
-        elif args.fault == "sou-failstop":
-            schedule = FaultSchedule.fail_sous(
-                2, args.seed, n_sous=accel_config.n_sous,
-                at_batch=args.fault_batch,
-            )
-        elif args.fault == "crash":
-            schedule = FaultSchedule(
-                seed=args.seed,
-                events=(
-                    CrashFault(
-                        args.fault_batch, "wal-pre-commit", args.seed % 1024
-                    ),
-                ),
-            )
-        loads = (
-            args.load_sweep if args.load_sweep is not None
-            else list(SERVE_DEFAULT_LOADS)
+        cluster_config = ClusterConfig(
+            n_shards=args.shards,
+            replicas=args.replicas,
+            partitioning=args.partitioning,
+            rebalance=args.rebalance,
+            seed=args.seed,
         )
-        # A crash run needs durable state: under --dir it is kept,
-        # otherwise it lives in a scratch directory removed afterwards.
-        if args.fault != "crash":
-            state = contextlib.nullcontext(None)
-        elif args.dir is not None:
-            state = contextlib.nullcontext(args.dir)
-        else:
-            state = tempfile.TemporaryDirectory(prefix="dcart-serve-")
-        with state as durability_dir:
-            report = load_sweep(
-                workload, serve_config, loads, seed=args.seed,
-                engine=args.engine, accel_config=accel_config,
-                schedule=schedule, durability_dir=durability_dir,
-                cluster_config=cluster_config,
-            )
-    except ConfigError as exc:
-        print(f"bad serving setup: {exc}", file=sys.stderr)
-        return 2
+    terms, schedule = _place_fault(args, accel_config, n_ops, cluster_config)
+    workload = make_workload(
+        args.workload, n_keys=n_keys, n_ops=n_ops, seed=args.seed
+    )
+    loads = (
+        args.load_sweep if args.load_sweep is not None
+        else list(SERVE_DEFAULT_LOADS)
+    )
+    # A crash run needs durable state: under --dir it is kept,
+    # otherwise it lives in a scratch directory removed afterwards.
+    if CRASH_FAULT not in terms:
+        state = contextlib.nullcontext(None)
+    elif args.dir is not None:
+        state = contextlib.nullcontext(args.dir)
+    else:
+        state = tempfile.TemporaryDirectory(prefix="dcart-serve-")
+    with state as durability_dir:
+        report = load_sweep(
+            workload, serve_config, loads, seed=args.seed,
+            engine=args.engine, accel_config=accel_config,
+            schedule=schedule, durability_dir=durability_dir,
+            cluster_config=cluster_config,
+        )
 
     if args.json is not None:
         _emit_json(report, args.json)
@@ -809,70 +799,56 @@ def _cmd_serve(args) -> int:
         widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
         for r in rows:
             print("  ".join(col.rjust(w) for col, w in zip(r, widths)))
-        if args.fault == "crash" and args.dir is not None:
+        if CRASH_FAULT in terms and args.dir is not None:
             print(f"durable state under {args.dir}")
 
-    if args.fault != "none":
-        recovered = any(
-            row["fault_cycles"] and row["rto_cycles"] is not None
-            for row in report["rows"]
-        )
-        if not recovered:
+    swept = report["rows"]
+    if schedule is not None and all(r["rto_cycles"] is None for r in swept):
+        if not any(row["fault_cycles"] for row in swept):
+            formed = ", ".join(
+                f"load {row['offered_load']:g} formed {row['n_batches']} "
+                "batches" for row in swept
+            )
+            print(
+                f"serve: the fault at batch {args.fault_batch} never fired "
+                f"({formed})", file=sys.stderr,
+            )
+        else:
             print(
                 "serve: tail latency never re-entered the SLO after the "
                 "fault (no RTO)", file=sys.stderr,
             )
-            return 1
+        return 1
     return 0
 
 
 def _cmd_cluster(args) -> int:
     from repro.cluster import ClusterConfig, ClusterCoordinator
     from repro.errors import FaultError, SimulationError, TreeError
-    from repro.faults import FaultSchedule, ReplicationLinkSlowdown
     from repro.harness import resilience
 
     n_keys = args.keys if args.keys is not None else resilience.DEFAULT_KEYS
     n_ops = args.ops if args.ops is not None else resilience.DEFAULT_OPS
+    cluster_config = ClusterConfig(
+        n_shards=args.shards,
+        replicas=args.replicas,
+        partitioning=args.partitioning,
+        rebalance=args.rebalance,
+        seed=args.seed,
+    )
+    accel_config = resilience.chaos_config(n_keys)
+    terms, schedule = _place_fault(args, accel_config, n_ops, cluster_config)
+    workload = make_workload(
+        args.workload, n_keys=n_keys, n_ops=n_ops, seed=args.seed
+    )
     try:
-        workload = make_workload(
-            args.workload, n_keys=n_keys, n_ops=n_ops, seed=args.seed
-        )
-        cluster_config = ClusterConfig(
-            n_shards=args.shards,
-            replicas=args.replicas,
-            partitioning=args.partitioning,
-            rebalance=args.rebalance,
-            seed=args.seed,
-        )
-        schedule = None
-        if args.fault == "shard-failstop":
-            schedule = FaultSchedule.fail_shards(
-                1, args.seed, n_shards=args.shards,
-                at_batch=args.fault_batch,
-            )
-        elif args.fault == "replication-slowdown":
-            schedule = FaultSchedule(
-                seed=args.seed,
-                events=(
-                    ReplicationLinkSlowdown(
-                        start_batch=args.fault_batch,
-                        end_batch=args.fault_batch + 4,
-                        shard_id=args.seed % args.shards,
-                        factor=8.0,
-                    ),
-                ),
-            )
         coordinator = ClusterCoordinator(
             workload,
             cluster_config,
-            accel_config=resilience.chaos_config(n_keys),
+            accel_config=accel_config,
             schedule=schedule,
         )
         report = coordinator.run(batch_size=args.batch_size)
-    except ConfigError as exc:
-        print(f"bad cluster setup: {exc}", file=sys.stderr)
-        return 2
     except FaultError as exc:
         print(f"cluster unrecoverable: {exc}", file=sys.stderr)
         return 1
@@ -918,7 +894,7 @@ def _cmd_cluster(args) -> int:
     except (SimulationError, TreeError) as exc:
         print(f"cluster: {exc}", file=sys.stderr)
         return 1
-    if args.fault == "shard-failstop" and not report["failovers"]:
+    if "shard-failstop" in terms and not report["failovers"]:
         print(
             "cluster: the fail-stopped shard never failed over",
             file=sys.stderr,
@@ -981,6 +957,9 @@ def _cmd_campaign(args) -> int:
         sha, created = "unstamped", ""
     else:
         sha, created = benchmarking.git_sha(), benchmarking.utc_stamp()
+    # With the JSON document on stdout, the summary line goes to stderr
+    # and the Markdown report only to --md.
+    text_out = sys.stderr if args.json == "-" else sys.stdout
     try:
         with ResultStore(args.store or default_store_path()) as store:
             if args.action == "run":
@@ -992,7 +971,7 @@ def _cmd_campaign(args) -> int:
                     f"campaign {spec.name} [{summary['spec_hash']}] "
                     f"mode={args.mode}: {summary['total']} cells - "
                     f"{summary['reused']} reused, {summary['ran']} ran, "
-                    f"{summary['failed']} failed"
+                    f"{summary['failed']} failed", file=text_out,
                 )
                 if args.json:
                     _emit_json(summary, args.json)
@@ -1004,7 +983,8 @@ def _cmd_campaign(args) -> int:
                 print(
                     f"campaign {spec.name} [{status['spec_hash']}] "
                     f"mode={args.mode}: {status['ok']}/{status['total']} ok, "
-                    f"{status['error']} failed, {status['pending']} pending"
+                    f"{status['error']} failed, {status['pending']} pending",
+                    file=text_out,
                 )
                 if args.json:
                     _emit_json(status, args.json)
@@ -1017,7 +997,7 @@ def _cmd_campaign(args) -> int:
                 with open(args.md, "w") as handle:
                     handle.write(markdown)
                 print(f"wrote Markdown report to {args.md}", file=sys.stderr)
-            else:
+            elif text_out is sys.stdout:
                 print(markdown, end="")
             if args.html:
                 with open(args.html, "w") as handle:

@@ -288,8 +288,11 @@ class ClusterCoordinator:
         )
         self.schedule = schedule
         if schedule is not None:
-            schedule.validate_shards(self.cluster.n_shards)
-            schedule.validate_sous(self.accel_config.n_sous)
+            schedule.check_run(
+                self.accel_config.n_sous,
+                self.cluster.n_shards,
+                self.cluster.replicas,
+            )
         self.costs = self.cluster.costs
         self.clock_hz = self.accel_config.costs.clock_hz
         self.partitioner = Partitioner(

@@ -25,7 +25,14 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.config import DCARTConfig
 from repro.errors import ConfigError
-from repro.faults import BufferStorm, FaultSchedule, HbmThrottle, ShortcutCorruption
+from repro.faults import (
+    BufferStorm,
+    CrashFault,
+    FaultSchedule,
+    HbmThrottle,
+    ReplicationLinkSlowdown,
+    ShortcutCorruption,
+)
 from repro.harness.resilience import chaos_config
 from repro.harness.runner import ENGINE_ORDER, EXTENSION_ENGINES
 from repro.model.costs import DEFAULT_POWER, PowerModel
@@ -49,15 +56,23 @@ CRASH_FAULT = "crash"
 
 _COUNT = (int, lambda n: n >= 1, "N must be an integer >= 1")
 
-#: The closed-loop fault kinds a signature may join with ``+``, each
-#: with its argument's parser, check and rule.  SOUs fail at batch 0;
-#: the other kinds land mid-run (see :func:`fault_schedule`).
+#: The fault kinds a signature may join with ``+``, each with its
+#: argument's parser, check and rule (placement: :func:`fault_schedule`).
 _FAULT_KINDS: Dict[str, Tuple[type, Callable[[float], bool], str]] = {
     "sou-failstop": _COUNT,
     "shortcut-corrupt": _COUNT,
     "buffer-storm": (float, lambda f: 0.0 < f <= 1.0, "F must be in (0, 1]"),
     "hbm-throttle": (float, lambda f: 0.0 <= f < 1.0, "F must be in [0, 1)"),
+    "shard-failstop": _COUNT,
+    "replication-slowdown": (float, lambda f: f > 1.0, "F must be > 1"),
 }
+
+#: Kinds that only a cluster can place: their targets are drawn from
+#: its shards, and one machine has none.
+_SHARD_KINDS = ("shard-failstop", "replication-slowdown")
+
+#: Batches a window kind covers when it lands at a given batch.
+_WINDOW_BATCHES = 5
 
 
 def parse_fault(signature: str) -> Dict[str, Optional[float]]:
@@ -68,15 +83,21 @@ def parse_fault(signature: str) -> Dict[str, Optional[float]]:
     * ``"none"`` — the healthy run;
     * ``"crash"`` — kill a durable run at a seed-drawn point, recover,
       and check the recovered tree against the committed prefix;
-    * ``"sou-failstop:N"`` — fail-stop N SOUs at batch 0 (N ≥ 1);
+    * ``"sou-failstop:N"`` — fail-stop N seed-chosen SOUs (N ≥ 1);
     * ``"shortcut-corrupt:N"`` — corrupt N Shortcut_Table entries
-      mid-run (N ≥ 1);
+      (N ≥ 1);
     * ``"buffer-storm:F"`` — invalidate a fraction F of the Tree_buffer
-      mid-run (0 < F ≤ 1);
-    * ``"hbm-throttle:F"`` — HBM bandwidth × F over the second half of
-      the run (0 ≤ F < 1; 0 is a blackout);
-    * the last four joined by ``+`` into one schedule, each kind at most
-      once, e.g. ``"sou-failstop:2+buffer-storm:0.5"``.
+      (0 < F ≤ 1);
+    * ``"hbm-throttle:F"`` — HBM bandwidth × F over a batch window
+      (0 ≤ F < 1; 0 is a blackout);
+    * ``"shard-failstop:N"`` — fail-stop N seed-chosen shard primaries
+      of a cluster (N ≥ 1);
+    * ``"replication-slowdown:F"`` — one shard's replication link F×
+      slower over a batch window (F > 1);
+    * the ``KIND:ARG`` terms joined by ``+`` into one schedule, each
+      kind at most once, e.g. ``"sou-failstop:2+buffer-storm:0.5"``.
+
+    Where each kind lands is :func:`fault_schedule`'s business.
     """
     if not isinstance(signature, str):
         raise ConfigError(f"fault signature must be a string: {signature!r}")
@@ -115,35 +136,76 @@ def parse_fault(signature: str) -> Dict[str, Optional[float]]:
 
 
 def fault_schedule(
-    signature: str, config: DCARTConfig, n_ops: int, seed: int
+    signature: str,
+    config: DCARTConfig,
+    n_ops: int,
+    seed: int,
+    *,
+    at_batch: Optional[int] = None,
+    n_shards: int = 0,
+    replicas: int = 0,
 ) -> FaultSchedule:
-    """The schedule a fault signature runs (empty for none/crash).
+    """The schedule a fault signature runs, checked against its run.
 
-    Seed-chosen SOUs fail at batch 0; corruption and the storm land at
-    batch ``n_batches // 2``, and the throttle covers batches
-    ``n_batches // 2`` to ``n_batches - 1``.  A mid-run event on a run of
-    fewer than two batches is a :class:`ConfigError`.
+    The run is ``config``'s machine (``n_shards == 0``) or a cluster of
+    ``n_shards`` such machines with ``replicas`` replicas each, and the
+    schedule ends checked by :meth:`FaultSchedule.check_run`.
+
+    With no ``at_batch`` (closed-loop runs and campaigns), seed-chosen
+    SOUs fail at batch 0; corruption and the storm land at batch
+    ``n_batches // 2``, and the throttle covers batches ``n_batches //
+    2`` to ``n_batches - 1``; a mid-run event on a run of fewer than two
+    batches is a :class:`ConfigError`.  ``none`` and ``crash`` place
+    nothing (``crash`` is the campaign's recovery trial).
+
+    With ``at_batch`` B (``serve`` and ``cluster``), every term lands at
+    B: point events at B, a window over the five batches B to B + 4 (a
+    replication slowdown on the link of shard ``seed % n_shards``), and
+    ``crash`` kills the machine at B's WAL pre-commit point.
     """
     terms = parse_fault(signature)
-    n_batches = -(-n_ops // config.batch_size)
-    mid = n_batches // 2
-    mid_run = []
+    if n_shards == 0 and any(kind in terms for kind in _SHARD_KINDS):
+        raise ConfigError(
+            f"fault {signature!r} needs a cluster, and this run is one machine"
+        )
+    if at_batch is None:
+        n_batches = -(-n_ops // config.batch_size)
+        failstop, point = 0, n_batches // 2
+        window = (point, n_batches - 1)
+    else:
+        failstop = point = at_batch
+        window = (at_batch, at_batch + _WINDOW_BATCHES - 1)
+    events = []
     if "shortcut-corrupt" in terms:
-        mid_run.append(ShortcutCorruption(mid, int(terms["shortcut-corrupt"])))
+        events.append(ShortcutCorruption(point, int(terms["shortcut-corrupt"])))
     if "buffer-storm" in terms:
-        mid_run.append(BufferStorm(mid, terms["buffer-storm"]))
+        events.append(BufferStorm(point, terms["buffer-storm"]))
     if "hbm-throttle" in terms:
-        mid_run.append(HbmThrottle(mid, n_batches - 1, terms["hbm-throttle"]))
-    if mid_run and n_batches < 2:
+        events.append(HbmThrottle(*window, terms["hbm-throttle"]))
+    if at_batch is None and events and n_batches < 2:
         raise ConfigError(
             f"fault {signature!r} lands an event mid-run, which needs a "
             f"second batch, but n_ops={n_ops} is {n_batches} batch of "
             f"{config.batch_size} ops; use n_ops > {config.batch_size}"
         )
-    failures = FaultSchedule.fail_sous(
-        int(terms.get("sou-failstop") or 0), seed, n_sous=config.n_sous
-    )
-    return FaultSchedule(seed=seed, events=failures.events + tuple(mid_run))
+    if "sou-failstop" in terms:
+        events.extend(FaultSchedule.fail_sous(
+            int(terms["sou-failstop"]), seed, n_sous=config.n_sous,
+            at_batch=failstop,
+        ).events)
+    if "shard-failstop" in terms:
+        events.extend(FaultSchedule.fail_shards(
+            int(terms["shard-failstop"]), seed, n_shards, at_batch=failstop
+        ).events)
+    if "replication-slowdown" in terms:
+        events.append(ReplicationLinkSlowdown(
+            *window, seed % n_shards, terms["replication-slowdown"]
+        ))
+    if CRASH_FAULT in terms and at_batch is not None:
+        events.append(CrashFault(at_batch, "wal-pre-commit", seed % 1024))
+    schedule = FaultSchedule(seed=seed, events=tuple(events))
+    schedule.check_run(config.n_sous, n_shards, replicas)
+    return schedule
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,9 @@ Two further kinds target the sharded cluster layer
 * :class:`ReplicationLinkSlowdown` — a shard's primary→replica link
   runs ``factor``× slower over a batch window, growing replication lag
   and delaying heartbeats (congested or flapping fabric path).
+
+A run fires either kind, never both: :meth:`FaultSchedule.check_run`
+refuses every event the run in hand would silently drop.
 """
 
 from __future__ import annotations
@@ -208,7 +211,7 @@ class ShardFailStop:
     in-flight batch is lost from the primary — the coordinator queues
     those ops as hinted handoff — and its heartbeats stop, so the
     failure detector walks alive → suspect → dead before the replica is
-    promoted.  Ignored (with a warning) by single-machine runs.
+    promoted.  A single-machine run refuses it.
     """
 
     batch: int
@@ -265,16 +268,19 @@ FaultEvent = Union[
 ]
 
 #: Event kinds scoped to the cluster coordinator, never the per-machine
-#: injector (single-machine runs reject them via ``validate_shards(0)``).
+#: injector (see :meth:`FaultSchedule.check_run`).
 CLUSTER_EVENTS = (ShardFailStop, ReplicationLinkSlowdown)
+
+
+def first_batch(event: FaultEvent) -> int:
+    """The batch ``event`` lands on: its ``batch``, or its window's start."""
+    first = getattr(event, "batch", None)
+    return event.start_batch if first is None else first
 
 
 #: Stable ordering for signature/replay: (first batch, kind name, repr).
 def _event_key(event: FaultEvent) -> Tuple[int, str, str]:
-    first = getattr(event, "batch", None)
-    if first is None:
-        first = event.start_batch
-    return (first, type(event).__name__, repr(event))
+    return (first_batch(event), type(event).__name__, repr(event))
 
 
 @dataclass(frozen=True)
@@ -343,43 +349,34 @@ class FaultSchedule:
 
     # ------------------------------------------------------------------
 
-    def _validate_targets(self, attr: str, n_units: int, what: str) -> None:
-        """Shared upper-bound check behind the ``validate_*`` family.
+    def check_run(
+        self, n_sous: int, n_shards: int = 0, replicas: int = 0
+    ) -> None:
+        """Refuse every event a run of this shape would silently drop.
 
-        Upper-bound checking needs the machine (or cluster) width, so it
-        cannot live in the event constructors; runs that pair a schedule
-        with a concrete configuration call the public wrappers before
-        arming anything, so out-of-range targets fail fast everywhere.
+        ``n_shards == 0`` is one machine: its injector fires every
+        machine-level event and no shard event.  A cluster of
+        ``n_shards`` shards, each with ``replicas`` replicas, fires shard
+        events only, and a replication-link slowdown only where there is
+        a link.  Target ids must name a unit the run has.  Runs call
+        this before arming anything, so a schedule that cannot fire
+        fails before any simulation.
         """
         for event in self.events:
-            target = getattr(event, attr, None)
-            if target is not None and target >= n_units:
-                have = (
-                    f"only {n_units} {what}s" if n_units > 0 else f"no {what}s"
-                )
-                raise ConfigError(
-                    f"fault event targets {what} {target}, but the run has "
-                    f"{have}: {event.describe()}"
-                )
-
-    def validate_sous(self, n_sous: int) -> "FaultSchedule":
-        """Reject events naming SOUs the target machine does not have.
-
-        Returns ``self`` so it chains.
-        """
-        self._validate_targets("sou_id", n_sous, "SOU")
-        return self
-
-    def validate_shards(self, n_shards: int) -> "FaultSchedule":
-        """Reject events naming shards the target cluster does not have.
-
-        Single-machine runs call this with ``n_shards=0`` so a schedule
-        carrying cluster-level events (:class:`ShardFailStop`,
-        :class:`ReplicationLinkSlowdown`) is rejected up front instead
-        of silently never firing.  Returns ``self`` so it chains.
-        """
-        self._validate_targets("shard_id", n_shards, "shard")
-        return self
+            cluster_event = isinstance(event, CLUSTER_EVENTS)
+            if cluster_event and n_shards == 0:
+                reason = "a shard fault needs a cluster, and this run is one machine"
+            elif n_shards and not cluster_event:
+                reason = "a cluster runs no machine-level fault"
+            elif isinstance(event, ReplicationLinkSlowdown) and replicas == 0:
+                reason = "a cluster with 0 replicas has no replication link"
+            elif getattr(event, "sou_id", -1) >= n_sous:
+                reason = f"the run has only {n_sous} SOUs"
+            elif getattr(event, "shard_id", -1) >= n_shards:
+                reason = f"the run has only {n_shards} shards"
+            else:
+                continue
+            raise ConfigError(f"cannot fire {event.describe()!r}: {reason}")
 
     def shard_events_at(self, batch: int) -> List["ShardFailStop"]:
         """Shard fail-stops due exactly at ``batch`` (coordinator hook)."""
@@ -452,8 +449,8 @@ class FaultSchedule:
         """Fail-stop ``n_failed`` distinct shard primaries, seed-chosen.
 
         The cluster counterpart of :meth:`fail_sous`: the victim set is
-        a deterministic sample of the seed, so ``--fault shard-failstop
-        --seed 1`` always kills the same shards at the same batch.
+        a deterministic sample of the seed, so the fault string
+        ``shard-failstop:1`` at seed 1 always kills the same shard.
         """
         if not 0 <= n_failed <= n_shards:
             raise ConfigError(
@@ -466,45 +463,3 @@ class FaultSchedule:
                 ShardFailStop(at_batch, shard) for shard in sorted(victims)
             ),
         )
-
-    @classmethod
-    def generate(
-        cls,
-        seed: int,
-        n_sous: int = 16,
-        n_batches: int = 8,
-        n_fail_stops: int = 1,
-        n_slowdowns: int = 1,
-        n_corruptions: int = 1,
-        n_storms: int = 1,
-        n_throttles: int = 1,
-    ) -> "FaultSchedule":
-        """A mixed chaos scenario drawn deterministically from the seed."""
-        if n_batches <= 0:
-            raise ConfigError(f"n_batches must be positive: {n_batches}")
-        if n_fail_stops >= n_sous:
-            raise ConfigError(
-                f"cannot fail-stop every SOU: {n_fail_stops} of {n_sous}"
-            )
-        rng = Random(seed)
-        events: List[FaultEvent] = []
-        victims = rng.sample(range(n_sous), min(n_fail_stops + n_slowdowns, n_sous))
-        for sou in victims[:n_fail_stops]:
-            events.append(SouFailStop(rng.randrange(n_batches), sou))
-        for sou in victims[n_fail_stops:]:
-            start = rng.randrange(n_batches)
-            end = min(n_batches - 1, start + rng.randrange(1, 4))
-            events.append(SouSlowdown(start, end, sou, rng.choice((2.0, 4.0, 8.0))))
-        for _ in range(n_corruptions):
-            events.append(
-                ShortcutCorruption(rng.randrange(n_batches), rng.randrange(16, 256))
-            )
-        for _ in range(n_storms):
-            events.append(
-                BufferStorm(rng.randrange(n_batches), rng.choice((0.25, 0.5, 1.0)))
-            )
-        for _ in range(n_throttles):
-            start = rng.randrange(n_batches)
-            end = min(n_batches - 1, start + rng.randrange(1, 4))
-            events.append(HbmThrottle(start, end, rng.choice((0.25, 0.5, 0.75))))
-        return cls(seed=seed, events=tuple(events))

@@ -99,17 +99,15 @@ def faulted_run(
     """Build the tree, run ``workload`` under ``schedule``, validate.
 
     An empty schedule reads the same throughput as no injector at all.
+    A schedule one machine cannot fire (a shard event, an SOU it does
+    not have) is a :class:`~repro.errors.ConfigError` before the build.
     A :class:`~repro.errors.FaultError` (watchdog, every SOU dead)
     propagates: it is the outcome of a scenario the machine cannot
     survive.
     """
-    # n_shards=0: a single-machine chaos run must refuse a schedule
-    # carrying cluster-level events rather than silently ignore them.
-    injector = FaultInjector(
-        schedule.validate_sous(config.n_sous).validate_shards(0)
-    )
+    schedule.check_run(config.n_sous)
     accelerator = DcartAccelerator(
-        config=config, injector=injector, telemetry=telemetry
+        config=config, injector=FaultInjector(schedule), telemetry=telemetry
     )
     tree = accelerator.build_tree(workload)
     LOG.info("chaos run starting: %s", schedule.describe())

@@ -113,6 +113,8 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, (np.floating,)):
         return float(value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
     return str(value)
 
 

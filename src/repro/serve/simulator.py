@@ -34,6 +34,7 @@ from repro.core.config import DCARTConfig
 from repro.durability import DurabilityManager, recover
 from repro.errors import ConfigError, SimulatedCrash, SimulationError
 from repro.faults import FaultInjector, FaultSchedule
+from repro.faults.schedule import first_batch
 from repro.serve.admission import AdmissionPolicy, make_admission
 from repro.serve.arrivals import make_arrivals
 from repro.serve.batcher import BatchFormer, FormedBatch
@@ -131,7 +132,8 @@ class ServeResult:
     goodput_mops: float
     crashes: int
     downtime_cycles: int
-    #: Start cycle of every batch a scheduled fault event landed on.
+    #: Start cycle of every batch a scheduled fault event landed on (a
+    #: window lands on its first batch).
     fault_cycles: List[int] = field(default_factory=list)
     #: Recovery-time objective after the first fault; filled by
     #: :func:`load_sweep` once the SLO is known.  ``None`` = no fault,
@@ -281,12 +283,6 @@ class _ClusterBackend:
         result = self.coordinator.drain(batch_index)
         return result.admin_cycles, result.completions
 
-    def recover_after_crash(self) -> int:  # pragma: no cover - no CrashFault
-        raise SimulationError(
-            "cluster serving handles faults via failover, not "
-            "whole-process crash recovery"
-        )
-
     def close(self) -> None:
         self.coordinator.close()
 
@@ -320,9 +316,6 @@ class _CalibratedBackend:
 
     def drain(self, batch_index: int) -> Tuple[int, List[Tuple[int, int]]]:
         return 0, []
-
-    def recover_after_crash(self) -> int:  # pragma: no cover - never crashes
-        raise SimulationError("calibrated backend cannot crash")
 
     def close(self) -> None:
         pass
@@ -360,17 +353,14 @@ class ServingSimulator:
             )
         if engine == "DCART":
             self.clock_hz = self.accel_config.costs.clock_hz
-            if schedule is not None:
-                schedule.validate_sous(self.accel_config.n_sous)
-                # Shard-level events are only executable with a cluster
-                # behind the server; a single-machine run rejects them
-                # up front instead of silently never firing them.
-                n_shards = (
-                    cluster_config.n_shards
-                    if cluster_config is not None
-                    else 0
+            if schedule is not None and cluster_config is not None:
+                schedule.check_run(
+                    self.accel_config.n_sous,
+                    cluster_config.n_shards,
+                    cluster_config.replicas,
                 )
-                schedule.validate_shards(n_shards)
+            elif schedule is not None:
+                schedule.check_run(self.accel_config.n_sous)
         else:
             if schedule is not None:
                 raise ConfigError(
@@ -507,12 +497,8 @@ class ServingSimulator:
         queue_peak = 0
         fault_cycles: List[int] = []
         pending_faults = {
-            event_batch
-            for event_batch in (
-                getattr(e, "batch", None)
-                for e in (self.schedule.events if self.schedule else ())
-            )
-            if event_batch is not None
+            first_batch(event)
+            for event in (self.schedule.events if self.schedule else ())
         }
         # Formed-but-unstarted batches, for the backpressure signal:
         # (service start cycle, n_ops); drained as arrivals pass starts.
@@ -553,6 +539,8 @@ class ServingSimulator:
                     np.array(batch.op_ids, dtype=np.int64), batch_index
                 )
             except SimulatedCrash:
+                # Only the single-machine DCART backend crashes: a cluster
+                # refuses a CrashFault and a baseline takes no schedule.
                 crashes += 1
                 lost += len(batch.op_ids)
                 for op_id in batch.op_ids:

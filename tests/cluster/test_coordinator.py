@@ -8,7 +8,7 @@ from repro.cluster import (
     ClusterCoordinator,
 )
 from repro.errors import ConfigError, FaultError
-from repro.faults import FaultSchedule, ShardFailStop
+from repro.faults import FaultSchedule, ShardFailStop, SouFailStop
 from repro.harness.resilience import chaos_config
 from repro.workloads import make_workload
 
@@ -57,6 +57,12 @@ class TestConfigValidation:
             _coordinator(
                 cluster=ClusterConfig(n_shards=4), schedule=schedule
             )
+
+    def test_machine_level_event_rejected(self):
+        # Shards run no fault injector: an SOU fail-stop would never fire.
+        schedule = FaultSchedule(seed=1, events=(SouFailStop(0, 3),))
+        with pytest.raises(ConfigError, match="no machine-level fault"):
+            _coordinator(schedule=schedule)
 
 
 class TestFaultPaths:

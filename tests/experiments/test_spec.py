@@ -15,7 +15,15 @@ from repro.experiments.spec import (
     parse_fault,
     spec_from_dict,
 )
-from repro.faults import BufferStorm, HbmThrottle, ShortcutCorruption, SouFailStop
+from repro.faults import (
+    BufferStorm,
+    CrashFault,
+    FaultSchedule,
+    HbmThrottle,
+    ReplicationLinkSlowdown,
+    ShortcutCorruption,
+    SouFailStop,
+)
 from repro.harness.resilience import chaos_config
 from tests.strategies import damaged
 
@@ -93,6 +101,11 @@ class TestValidation:
                      n_ops=2_049)
         assert spec.faults == ("hbm-throttle:0.1",)
 
+    def test_shard_faults_need_a_cluster(self):
+        # Campaign cells run one machine: a shard term has nowhere to land.
+        with pytest.raises(ConfigError, match="needs a cluster"):
+            _spec(engines=("DCART",), faults=("shard-failstop:1",))
+
     def test_fault_dimension_on_dcart_validates(self):
         spec = _spec(engines=("DCART",), faults=("none", "sou-failstop:2"))
         assert spec.faults == ("none", "sou-failstop:2")
@@ -121,6 +134,12 @@ class TestParseFault:
         assert parse_fault("shortcut-corrupt:64") == {"shortcut-corrupt": 64}
         assert parse_fault("buffer-storm:1") == {"buffer-storm": 1.0}
 
+    def test_shard_kinds(self):
+        assert parse_fault("shard-failstop:2") == {"shard-failstop": 2}
+        assert parse_fault("replication-slowdown:8") == {
+            "replication-slowdown": 8.0
+        }
+
     def test_terms_join_with_plus(self):
         assert parse_fault(
             "sou-failstop:2+shortcut-corrupt:64+buffer-storm:0.5"
@@ -135,7 +154,10 @@ class TestParseFault:
         "hbm-throttle:1.5", "quake:9",
         "sou-failstop:2+sou-failstop:3", "none+sou-failstop:2",
         "crash+sou-failstop:2", "buffer-storm:0", "buffer-storm:1.5",
-        "shortcut-corrupt:0", "shortcut-corrupt:x",
+        "shortcut-corrupt:0", "shortcut-corrupt:x", "shard-failstop",
+        "shard-failstop:0",
+        "shard-failstop:1.5", "replication-slowdown:1",
+        "replication-slowdown:x", "crash+shard-failstop:1",
     ])
     def test_bad_signatures_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -153,6 +175,51 @@ class TestParseFault:
         }
         assert fault_schedule("none", config, 6_000, seed=1).events == ()
         assert fault_schedule("crash", config, 6_000, seed=1).events == ()
+
+    def test_landing_batch_places_every_term_there(self):
+        config = chaos_config(800)
+        one_machine = fault_schedule(
+            "sou-failstop:2+shortcut-corrupt:64+buffer-storm:0.5"
+            "+hbm-throttle:0.5", config, 6_000, seed=1, at_batch=9,
+        )
+        assert set(one_machine.events) == {
+            SouFailStop(9, 4), SouFailStop(9, 9), ShortcutCorruption(9, 64),
+            BufferStorm(9, 0.5), HbmThrottle(9, 13, 0.5),
+        }
+        assert fault_schedule(
+            "crash", config, 6_000, seed=1, at_batch=2
+        ).events == (CrashFault(2, "wal-pre-commit", 1),)
+        cluster = fault_schedule(
+            "shard-failstop:1+replication-slowdown:8", config, 6_000, seed=1,
+            at_batch=2, n_shards=4, replicas=1,
+        )
+        assert cluster == FaultSchedule(
+            seed=1,
+            events=FaultSchedule.fail_shards(1, 1, 4, at_batch=2).events
+            + (ReplicationLinkSlowdown(2, 6, 1, 8.0),),
+        )
+        # A landing batch needs no second batch: the run decides whether
+        # it gets there.
+        assert fault_schedule(
+            "buffer-storm:0.5", config, 1_000, seed=1, at_batch=9
+        ).events == (BufferStorm(9, 0.5),)
+
+    @pytest.mark.parametrize("fault, shape, reason", [
+        ("shard-failstop:1", {}, "needs a cluster"),
+        ("replication-slowdown:8", {}, "needs a cluster"),
+        ("sou-failstop:2", {"n_shards": 4, "replicas": 1},
+         "a cluster runs no machine-level fault"),
+        ("crash", {"n_shards": 4, "replicas": 1},
+         "a cluster runs no machine-level fault"),
+        ("replication-slowdown:8", {"n_shards": 4, "replicas": 0},
+         "no replication link"),
+        ("shard-failstop:5", {"n_shards": 4, "replicas": 1}, "5 of 4"),
+    ])
+    def test_unrunnable_placements_rejected(self, fault, shape, reason):
+        with pytest.raises(ConfigError, match=reason):
+            fault_schedule(
+                fault, chaos_config(800), 6_000, seed=1, at_batch=2, **shape
+            )
 
     def test_existing_strings_keep_their_spec_hash(self):
         # examples/campaigns/faults.toml's spec: its hash keys stored cells.

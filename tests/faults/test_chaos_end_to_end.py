@@ -134,7 +134,15 @@ class TestReproducibility:
     def test_same_seed_byte_identical(self, workload, config):
         outcomes = []
         for _ in range(2):
-            schedule = FaultSchedule.generate(seed=11, n_batches=6)
+            # All five machine-level kinds, windows overlapping.
+            schedule = FaultSchedule(
+                seed=11,
+                events=(
+                    BufferStorm(1, 1.0), HbmThrottle(3, 5, 0.75),
+                    SouSlowdown(3, 5, 13, 8.0), ShortcutCorruption(4, 64),
+                    SouFailStop(4, 14),
+                ),
+            )
             injector = FaultInjector(schedule)
             result = DcartAccelerator(config=config, injector=injector).run(workload)
             outcomes.append((schedule.signature(), result))

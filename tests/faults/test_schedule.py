@@ -75,12 +75,6 @@ class TestDeterminism:
         b = FaultSchedule.fail_sous(4, seed=2)
         assert a.signature() != b.signature()
 
-    def test_generate_reproducible(self):
-        a = FaultSchedule.generate(seed=7, n_batches=8)
-        b = FaultSchedule.generate(seed=7, n_batches=8)
-        assert a == b
-        assert a.signature() == b.signature()
-
     def test_events_sorted_regardless_of_input_order(self):
         events = (SouFailStop(3, 1), SouFailStop(0, 2), ShortcutCorruption(1, 8))
         a = FaultSchedule(seed=0, events=events)
@@ -139,7 +133,14 @@ class TestQueries:
         assert schedule.bandwidth_factor(3) == 1.0
 
     def test_describe_mentions_every_event(self):
-        schedule = FaultSchedule.generate(seed=5, n_batches=4)
+        schedule = FaultSchedule(
+            seed=5,
+            events=(
+                ShortcutCorruption(0, 246), SouSlowdown(0, 2, 11, 2.0),
+                BufferStorm(1, 0.25), HbmThrottle(2, 3, 0.25),
+                SouFailStop(2, 8),
+            ),
+        )
         text = schedule.describe()
         assert f"seed 5" in text
         assert len(text.splitlines()) == len(schedule) + 1
@@ -173,19 +174,26 @@ class TestInputValidation:
     def test_validate_sous_rejects_out_of_range_ids(self):
         schedule = FaultSchedule(seed=1, events=(SouFailStop(0, 16),))
         with pytest.raises(ConfigError, match="only 16 SOUs"):
-            schedule.validate_sous(16)
+            schedule.check_run(16)
+        slowed = FaultSchedule(seed=1, events=(SouSlowdown(0, 1, 16, 2.0),))
+        with pytest.raises(ConfigError, match="only 16 SOUs"):
+            slowed.check_run(16)
 
     def test_validate_sous_passes_in_range_and_chains(self):
+        # Every machine-level kind fires on one machine.
         schedule = FaultSchedule(
             seed=1,
             events=(SouFailStop(0, 15), SouSlowdown(0, 1, 3, 2.0),
-                    HbmThrottle(0, 1, 0.5)),
+                    HbmThrottle(0, 1, 0.5), ShortcutCorruption(1, 8),
+                    BufferStorm(1, 0.5), CrashFault(2, "wal-pre-commit")),
         )
-        assert schedule.validate_sous(16) is schedule
+        schedule.check_run(16)
 
     def test_validation_does_not_change_signatures(self):
         schedule = FaultSchedule(seed=4, events=(SouFailStop(2, 1),))
-        assert schedule.validate_sous(8).signature() == schedule.signature()
+        signature = schedule.signature()
+        schedule.check_run(8)
+        assert schedule.signature() == signature
 
 
 class TestClusterEvents:
@@ -210,19 +218,44 @@ class TestClusterEvents:
             seed=1,
             events=(ShardFailStop(2, 3), ReplicationLinkSlowdown(0, 4, 1, 8.0)),
         )
-        assert schedule.validate_shards(4) is schedule
+        schedule.check_run(16, n_shards=4, replicas=1)
 
     def test_validate_shards_rejects_out_of_range(self):
         schedule = FaultSchedule(seed=1, events=(ShardFailStop(0, 4),))
-        with pytest.raises(ConfigError, match="shard"):
-            schedule.validate_shards(4)
+        with pytest.raises(ConfigError, match="only 4 shards"):
+            schedule.check_run(16, n_shards=4, replicas=1)
 
     def test_single_machine_rejects_cluster_events(self):
         # n_shards=0: a non-cluster run must refuse shard-level events
         # rather than silently never fire them.
-        schedule = FaultSchedule(seed=1, events=(ShardFailStop(0, 0),))
-        with pytest.raises(ConfigError):
-            schedule.validate_shards(0)
+        for event in (ShardFailStop(0, 0), ReplicationLinkSlowdown(0, 1, 0, 2.0)):
+            schedule = FaultSchedule(seed=1, events=(event,))
+            with pytest.raises(ConfigError, match="needs a cluster"):
+                schedule.check_run(16)
+
+    @pytest.mark.parametrize("event", [
+        SouFailStop(0, 1), SouSlowdown(0, 1, 1, 2.0), ShortcutCorruption(0, 8),
+        BufferStorm(0, 0.5), HbmThrottle(0, 1, 0.5),
+        CrashFault(0, "wal-pre-commit"),
+    ], ids=lambda event: type(event).__name__)
+    def test_cluster_rejects_machine_level_events(self, event):
+        # Cluster shards run no injector: these would never fire.
+        schedule = FaultSchedule(seed=1, events=(event,))
+        with pytest.raises(
+            ConfigError, match="a cluster runs no machine-level fault"
+        ):
+            schedule.check_run(16, n_shards=4, replicas=1)
+
+    def test_link_slowdown_needs_a_replica(self):
+        schedule = FaultSchedule(
+            seed=1, events=(ReplicationLinkSlowdown(0, 4, 1, 8.0),)
+        )
+        with pytest.raises(ConfigError, match="no replication link"):
+            schedule.check_run(16, n_shards=4, replicas=0)
+        # A shard fail-stop without a replica fires (and is fatal).
+        FaultSchedule(seed=1, events=(ShardFailStop(0, 1),)).check_run(
+            16, n_shards=4, replicas=0
+        )
 
     def test_cluster_events_excluded_from_point_events(self):
         schedule = FaultSchedule(

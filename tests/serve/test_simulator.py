@@ -172,6 +172,21 @@ class TestBackendsAndValidation:
                 accel_config=chaos_config(1_000), schedule=schedule,
             )
 
+    def test_cluster_serving_rejects_a_crash(self):
+        # The cluster backend has no crash recovery: the crash would be
+        # stamped and never fire.
+        from repro.cluster import ClusterConfig
+
+        schedule = FaultSchedule(
+            seed=1, events=(CrashFault(2, "wal-pre-commit"),)
+        )
+        with pytest.raises(ConfigError, match="no machine-level fault"):
+            ServingSimulator(
+                _workload(n_ops=100), ServeConfig(),
+                accel_config=chaos_config(1_000), schedule=schedule,
+                capacity_ops_per_s=CAP, cluster_config=ClusterConfig(),
+            )
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -108,7 +108,25 @@ BAD_INPUT = [
     ["sweep", "--write-ratio", "2", "--keys", "400", "--ops", "1000"],
     ["sweep", "--seeds", "1", "1", "--keys", "400", "--ops", "1000"],
     ["sweep", "--json", "nope/s.json", "--keys", "400", "--ops", "1000"],
+    ["serve", "--shards", "4", "--fault", "sou-failstop:2"],
+    ["serve", "--shards", "4", "--fault", "crash"],
+    ["cluster", "--fault", "buffer-storm:0.5"],
+    ["cluster", "--replicas", "0", "--fault", "replication-slowdown:8"],
+    ["run", "--engine", "DCART", "--fault", "shard-failstop:1"],
+    ["chaos", "--fault", "shard-failstop:1"],
 ]
+
+#: The reason a fault string that its run cannot fire is refused with.
+FAULT_REASONS = {
+    "serve --shards 4 --fault sou-failstop:2":
+        "a cluster runs no machine-level fault",
+    "serve --shards 4 --fault crash": "a cluster runs no machine-level fault",
+    "cluster --fault buffer-storm:0.5": "a cluster runs no machine-level fault",
+    "cluster --replicas 0 --fault replication-slowdown:8":
+        "no replication link",
+    "run --engine DCART --fault shard-failstop:1": "needs a cluster",
+    "chaos --fault shard-failstop:1": "needs a cluster",
+}
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
@@ -119,6 +137,7 @@ def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path, monkeypatch):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"repro {argv[0]}: ")
+    assert FAULT_REASONS.get(" ".join(argv), "") in err
     assert not os.listdir(tmp_path)
 
 
@@ -150,8 +169,7 @@ class TestChaosCommand:
     def test_json_output(self, capsys):
         assert main(self.RUN + ["--fault", "sou-failstop:2", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        # result_to_dict writes list-valued extras as their str().
-        assert len(json.loads(data["extra"]["failed_sous"])) == 2
+        assert len(data["extra"]["failed_sous"]) == 2
         assert data["engine"] == "DCART"
         assert len(data["extra"]["fault_schedule_signature"]) == 64
 
@@ -159,7 +177,7 @@ class TestChaosCommand:
     # 800 keys, 6,000 ops and seed 1, pinned.
     @pytest.mark.parametrize("fault, signature, mops, counters", [
         ("sou-failstop:4", "1aaec03574fda94d", 92.9230,
-         {"failed_sous": "[4, 9, 12, 13]"}),
+         {"failed_sous": [4, 9, 12, 13]}),
         ("sou-failstop:2+shortcut-corrupt:64+buffer-storm:0.5"
          "+hbm-throttle:0.5", "e6195d4372738e70", 96.9442,
          {"shortcut_corruptions": 64, "storm_invalidations": 64,
@@ -291,7 +309,7 @@ class TestChaosCommand:
             "--trace", str(trace), "--json",
         ]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["extra"]["failed_sous"] == "[4, 9]"
+        assert data["extra"]["failed_sous"] == [4, 9]
         counters = json.loads(metrics.read_text())["counters"]
         assert counters["pcu.total_ops"] == 6000
         assert json.loads(trace.read_text())["traceEvents"]
@@ -451,7 +469,8 @@ class TestDurabilityCommands:
             "serve", "--keys", "600", "--ops", "1000",
             "--load-sweep", "-1.0",
         ]) == 2
-        assert "bad serving setup" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "repro serve: offered loads must be positive: -1.0\n"
 
     def test_bad_checkpoint_interval_exits_2(self, capsys, tmp_path):
         assert main(self.CKPT[:-1] + ["0", "--durable", str(tmp_path)]) == 2
@@ -470,7 +489,7 @@ class TestDurabilityCommands:
 
 class TestClusterCommand:
     ARGS = ["cluster", "--keys", "800", "--ops", "6000", "--batch-size", "512",
-            "--fault", "shard-failstop"]
+            "--fault", "shard-failstop:1"]
 
     def test_failover_run_report(self, capsys, tmp_path):
         path = str(tmp_path / "cluster.json")
@@ -501,6 +520,73 @@ class TestClusterCommand:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert "does not match its primary" in err
+
+
+class TestServeClusterFaults:
+    """``serve --fault`` and ``cluster --fault`` take the fault string."""
+
+    SERVE_CRASH = ["serve", "--keys", "1000", "--ops", "8000",
+                   "--batch-size", "1024", "--queue-capacity", "2048",
+                   "--load-sweep", "0.1", "--fault-batch", "2"]
+    CLUSTER = ["cluster", "--keys", "800", "--ops", "6000",
+               "--batch-size", "512"]
+
+    # Each string reproduces the run of the fixed menu entry it replaced
+    # exactly: the schedule signature (serve's fault_schedule_signature,
+    # cluster's faults) and the sha256 of the whole --json report.
+    @pytest.mark.parametrize("argv, fault, signature, digest", [
+        (SERVE_CRASH, "crash", "ee9af26a0432bfa4", "ab2c627ef46c90cc"),
+        (["serve", "--keys", "1000", "--ops", "20000", "--batch-size", "1024",
+          "--load-sweep", "0.1", "0.5"],
+         "sou-failstop:2", "4a38e80493675434", "831a306ac3be4bce"),
+        (["serve", "--keys", "2000", "--ops", "20000", "--batch-size", "512",
+          "--queue-capacity", "8192", "--slo-us", "50", "--load-sweep", "0.5",
+          "--shards", "4", "--fault-batch", "2"],
+         "shard-failstop:1", "ea8d810c31258ec1", "d122a6e4d8066b0e"),
+        (CLUSTER, "shard-failstop:1", "ea8d810c31258ec1", "33b85ae63c6e946f"),
+        (CLUSTER, "replication-slowdown:8", "e6134cc39969b02d",
+         "6d51acefea41e2c1"),
+    ], ids=lambda value: value if isinstance(value, str) else value[0])
+    def test_fault_strings_pin_their_runs(
+        self, argv, fault, signature, digest, capsys
+    ):
+        import hashlib
+
+        assert main(argv + ["--fault", fault, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        schedule = report.get("fault_schedule_signature") or report["faults"]
+        assert schedule[:16] == signature
+        text = json.dumps(report, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("fault", [
+        "sou-failstop:2", "shortcut-corrupt:64", "buffer-storm:0.5",
+        "hbm-throttle:0.5", "crash",
+    ])
+    def test_every_machine_kind_is_stamped_at_the_fault_batch(
+        self, fault, capsys
+    ):
+        # Nothing differs before batch 2, so every kind stamps the same
+        # start cycle of batch 2; a window stamps its first batch.
+        assert main(self.SERVE_CRASH + ["--fault", fault, "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["fault_cycles"] == [68776]
+        assert row["rto_cycles"] is not None
+
+    def test_a_fault_that_never_fires_says_so(self, capsys):
+        assert main([
+            "serve", "--keys", "1000", "--ops", "8000", "--batch-size",
+            "1024", "--load-sweep", "0.1", "--fault", "sou-failstop:2",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "serve: the fault at batch 9 never fired (load 0.1 formed 9 "
+            "batches)\n"
+        )
+
+    def test_none_runs_no_schedule(self, capsys):
+        assert main(self.CLUSTER + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["faults"] is None
 
 
 class TestFiguresCommand:
@@ -842,6 +928,21 @@ class TestCampaignCommand:
         }))
         assert main(["campaign", "run", "--spec", str(path)]) == 2
         assert "unknown engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", ["run", "status", "report"])
+    def test_json_on_stdout_is_json(self, action, capsys, tmp_path):
+        spec = self._write_spec(tmp_path)
+        store = str(tmp_path / "c.db")
+        base = ["--spec", spec, "--store", store, "--no-stamp"]
+        if action != "run":
+            assert main(["campaign", "run"] + base) == 0
+            capsys.readouterr()
+        assert main(["campaign", action] + base + ["--json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["spec_hash"]
+        if action != "report":
+            # The one-line summary moves to stderr.
+            assert captured.err.startswith("campaign cli-smoke [")
 
     def test_incomplete_campaign_status_exits_1(self, capsys, tmp_path):
         spec = self._write_spec(tmp_path)
