@@ -5,9 +5,10 @@ one value-aware, overlapped, fault-free run of four batches.  It never
 takes the LRU Tree_buffer ablation, the serial (no-overlap) timeline, a
 Tree_buffer invalidation storm, a failed-over SOU, or the buffer's
 renormalisation, which folds the decay multiplier into the stored
-values at the 499th decay.  ``data/golden_buffer_paths.json`` holds the
-complete :func:`result_to_full_dict` image of one seeded run down each
-of those paths; the test re-runs them and compares every field.
+values at the 499th decay, under either replacement policy.
+``data/golden_buffer_paths.json`` holds the complete
+:func:`result_to_full_dict` image of one seeded run down each of those
+paths; the test re-runs them and compares every field.
 
 Regenerate (only when an *intentional* semantic change lands):
 
@@ -58,6 +59,10 @@ def _engines(telemetry=False):
         "serial_timeline": (replace(base, enable_overlap=False), None),
         "storm_and_failstop": (base, FaultInjector(schedule)),
         "renormalising_batches": (replace(base, batch_size=SMALL_BATCH), None),
+        "lru_renormalising_batches": (
+            replace(base, batch_size=SMALL_BATCH, value_aware_tree_buffer=False),
+            None,
+        ),
     }
     return {
         name: DcartAccelerator(
@@ -105,12 +110,12 @@ class TestGoldenBufferPaths:
             assert registry.get("tree_buffer.evictions") > 0
         assert extras["storm_and_failstop"]["storm_invalidations"] > 0
         assert extras["storm_and_failstop"]["failover_buckets"] > 0
-        lru = registries["lru_tree_buffer"]
-        assert lru.get("tree_buffer.rejected_inserts") == 0
+        for name in ("lru_tree_buffer", "lru_renormalising_batches"):
+            assert registries[name].get("tree_buffer.rejected_inserts") == 0
         serial = registries["serial_timeline"]
         assert serial.get("run.hidden_pcu_cycles") == 0
-        small = registries["renormalising_batches"]
-        assert small.get("run.batches") >= 500
+        for name in ("renormalising_batches", "lru_renormalising_batches"):
+            assert registries[name].get("run.batches") >= 500
 
 
 def _regenerate():

@@ -9,6 +9,9 @@ code that reads operations:
   in ``apply_operation`` and DCART-C's windows;
 * DCART with combining off (round-robin dispatch and the uncombined
   conflict count), today's behaviour pinned as it is;
+* the four CPU engines that bill a lock or CAS per write (ART, Heart,
+  SMART, OLC) on a DICT stream whose writes change node types, the
+  two-acquisition write the IPGEO stream never takes;
 * a single-machine serving sweep with a WAL and one crash mid-append:
   each load's ``ServeResult.to_dict()`` and its latency array;
 * the bytes of every WAL and checkpoint file a ``repro run --engine
@@ -67,6 +70,11 @@ WINDOW = 4096
 #: Pinned serving capacity (ops/s): skips calibration.
 SERVE_CAPACITY = 5.0e6
 SERVE_LOADS = (0.3, 0.9)
+#: Key family whose stream at this size and seed has writes that change
+#: a node's type (39 of them), and the engines that bill a lock or CAS
+#: for each write.
+TYPE_CHANGE_FAMILY = "DICT"
+SYNC_ENGINES = ("ART", "Heart", "SMART", "OLC")
 #: The durable run docs/PERFORMANCE.md "Durable path" lists.
 DURABLE_ARGV = ["--engine", "DCART", "--keys", "2000", "--ops", "12000",
                 "--every", "2"]
@@ -112,6 +120,21 @@ def engine_images():
     }
 
 
+def _type_change_workload():
+    return make_workload(
+        TYPE_CHANGE_FAMILY, n_keys=N_KEYS, n_ops=N_OPS, seed=SEED
+    )
+
+
+def type_change_images():
+    workload = _type_change_workload()
+    engines = _engines()
+    return {
+        name: _image(result_to_full_dict(engines[name].run(workload)))
+        for name in SYNC_ENGINES
+    }
+
+
 def serve_images():
     schedule = FaultSchedule(
         seed=SEED, events=(CrashFault(3, "wal-mid-append", 5),)
@@ -153,6 +176,7 @@ def durable_files():
 def golden_images():
     return {
         "engines": engine_images(),
+        "type_changes": type_change_images(),
         "serve": serve_images(),
         "durable_files": durable_files(),
     }
@@ -176,6 +200,11 @@ class TestGoldenOpPaths:
     def test_every_engine_matches_golden(self):
         _assert_matches(engine_images(), self._golden()["engines"], "engines")
 
+    def test_type_changing_writes_match_golden(self):
+        _assert_matches(
+            type_change_images(), self._golden()["type_changes"], "type_changes"
+        )
+
     def test_serve_crash_sweep_matches_golden(self):
         _assert_matches(serve_images(), self._golden()["serve"], "serve")
 
@@ -185,12 +214,21 @@ class TestGoldenOpPaths:
 
     def test_paths_are_reached(self):
         # Each image must exercise what it is named for, or it pins
-        # nothing: scans in the stream, a crash in one serving run, and
-        # more than one window and batch.
+        # nothing: scans in the stream, writes that change a node's type,
+        # a crash in one serving run, and more than one window and batch.
         workload = _workload()
         kinds = {op.kind.value for op in workload.operations}
         assert "scan" in kinds
         assert N_OPS > 2 * WINDOW and N_OPS > 2 * BATCH_SIZE
+        engine = ArtRowexEngine()
+        type_workload = _type_change_workload()
+        records = engine.collect_records(
+            engine.build_tree(type_workload), type_workload
+        )
+        assert any(
+            record.node_type_changed and record.op_kind == "write"
+            for record in records
+        )
         serve = self._golden()["serve"]
         assert set(serve) == {f"load-{load}" for load in SERVE_LOADS}
         for image in serve.values():
