@@ -838,6 +838,14 @@ def _cmd_cluster(args) -> int:
     )
     accel_config = resilience.chaos_config(n_keys)
     terms, schedule = _place_fault(args, accel_config, n_ops, cluster_config)
+    if args.batch_size <= 0:
+        raise ConfigError(f"batch size must be positive: {args.batch_size}")
+    n_batches = -(-n_ops // args.batch_size)
+    if schedule is not None and args.fault_batch >= n_batches:
+        raise ConfigError(
+            f"the fault at batch {args.fault_batch} never fires: {n_ops} ops "
+            f"form {n_batches} batches of {args.batch_size}"
+        )
     workload = make_workload(
         args.workload, n_keys=n_keys, n_ops=n_ops, seed=args.seed
     )

@@ -4,11 +4,9 @@ IPGEO's hot first octet can pin half the offered stream on one shard
 (the cluster-scale echo of the paper's single-SOU hotspot).  The
 rebalancer watches two signals:
 
-* **shard occupancy** — each shard session's ``sou.<i>.busy_cycles``
-  occupancy counters (harvested through the same
-  :meth:`~repro.core.sou.ShortcutOperatingUnit.report_metrics` path the
-  observability layer uses), differenced per window so only *recent*
-  load counts;
+* **shard occupancy** — the summed ``busy_cycles`` of each shard
+  session's SOUs (what their ``sou.<i>.busy_cycles`` counters report),
+  differenced per window so only *recent* load counts;
 * **bucket heat** — ops routed per virtual bucket since the last check,
   recorded by the coordinator's router.
 
@@ -26,31 +24,24 @@ free — a round that moves nothing costs only the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.cluster.partition import Partitioner
 from repro.errors import ConfigError
 from repro.model.costs import ClusterCosts
-from repro.obs.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.core.sou import ShortcutOperatingUnit
 
 
-def shard_busy_cycles(sous: Sequence[object]) -> int:
-    """Total SOU occupancy of one shard session, via the metrics path.
+def shard_busy_cycles(sous: Sequence["ShortcutOperatingUnit"]) -> int:
+    """Total SOU occupancy of one shard session.
 
-    Harvests each SOU's counters into a scratch registry and sums the
-    ``sou.<i>.busy_cycles`` occupancy series — the same numbers the
-    observability layer reports, so the rebalancer reacts to exactly
-    what an operator's dashboard would show.
+    Each unit counts once: the sum of the ``sou.<i>.busy_cycles``
+    counters the observability layer reports, so the rebalancer reacts
+    to exactly what an operator's dashboard would show.
     """
-    registry = MetricsRegistry()
-    for sou in sous:
-        sou.report_metrics(registry)
-    counters = registry.as_dict()["counters"]
-    total = 0
-    for name, value in counters.items():
-        if name.startswith("sou.") and name.endswith(".busy_cycles"):
-            total += int(value)
-    return total
+    return sum(sou.busy_cycles for sou in sous)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from repro.core.config import DCARTConfig
 from repro.durability import DurabilityManager, recover
 from repro.errors import ConfigError, SimulatedCrash, SimulationError
 from repro.faults import FaultInjector, FaultSchedule
-from repro.faults.schedule import first_batch
+from repro.faults.schedule import CrashFault, first_batch
 from repro.serve.admission import AdmissionPolicy, make_admission
 from repro.serve.arrivals import make_arrivals
 from repro.serve.batcher import BatchFormer, FormedBatch
@@ -456,6 +456,19 @@ class ServingSimulator:
         tree = accelerator.build_tree(self.workload)
         return _DcartBackend(accelerator, self.workload, tree)
 
+    def _check_durable(self, durability_dir: Optional[str]) -> None:
+        """Refuse a :class:`CrashFault` with no durable state to tear.
+
+        The injector would skip such a crash, yet the run would stamp it
+        in ``fault_cycles`` and measure an RTO from it.
+        """
+        if durability_dir is None and self.schedule is not None and any(
+            isinstance(event, CrashFault) for event in self.schedule.events
+        ):
+            raise ConfigError(
+                "a crash fault needs durable state to tear: pass durability_dir"
+            )
+
     # ------------------------------------------------------------------
 
     def run(
@@ -467,13 +480,14 @@ class ServingSimulator:
         """One serving run at ``offered_load`` x closed-loop capacity.
 
         A :class:`CrashFault` on the schedule needs ``durability_dir``;
-        without one the injector logs and skips the crash (nothing to
-        tear).  Everything is a pure function of ``(workload, serve,
+        without one the run raises :class:`ConfigError` before its first
+        batch.  Everything is a pure function of ``(workload, serve,
         schedule, offered_load, seed)``, so re-running reproduces the
         result bit for bit.
         """
         if offered_load <= 0:
             raise ConfigError(f"offered load must be positive: {offered_load}")
+        self._check_durable(durability_dir)
         serve = self.serve
         rate = offered_load * self.capacity_ops_per_s()
         n_ops = self.workload.n_ops
@@ -673,6 +687,7 @@ def load_sweep(
         capacity_ops_per_s=capacity_ops_per_s,
         cluster_config=cluster_config,
     )
+    simulator._check_durable(durability_dir)
     capacity = simulator.capacity_ops_per_s()
 
     rows: List[ServeResult] = []

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.cluster import Partitioner, SkewRebalancer
+from repro.cluster.rebalancer import shard_busy_cycles
+from repro.core.sou import ShortcutOperatingUnit
 from repro.errors import ConfigError
-from repro.model.costs import DEFAULT_CLUSTER_COSTS
+from repro.model.costs import DEFAULT_CLUSTER_COSTS, DEFAULT_FPGA_COSTS
 
 COSTS = DEFAULT_CLUSTER_COSTS
 
@@ -101,3 +103,15 @@ def test_describe_reports_rounds_and_moves():
     rebalancer.plan([1000, 10, 10, 10])
     text = rebalancer.describe()
     assert "1 rounds" in text and "threshold 1.5x" in text
+
+
+def test_shard_busy_cycles_counts_each_unit_once():
+    sous = []
+    for sou_id, busy in enumerate((100, 200, 300)):
+        sou = ShortcutOperatingUnit(
+            sou_id, tree=None, shortcuts=None, tree_buffer=None,
+            costs=DEFAULT_FPGA_COSTS, shared_depth_bytes=1,
+        )
+        sou.busy_cycles = busy
+        sous.append(sou)
+    assert shard_busy_cycles(sous) == 600

@@ -187,6 +187,31 @@ class TestBackendsAndValidation:
                 capacity_ops_per_s=CAP, cluster_config=ClusterConfig(),
             )
 
+    def test_crash_without_a_durability_dir_is_refused(self, monkeypatch):
+        # With no durable state there is nothing to tear: the injector
+        # would skip the crash, yet the run would stamp it and measure
+        # an RTO from it.
+        schedule = FaultSchedule(
+            seed=1, events=(CrashFault(2, "wal-pre-commit"),)
+        )
+        workload = _workload(n_ops=8_000)
+        serve = ServeConfig(batch_size=1024)
+        simulator = ServingSimulator(
+            workload, serve, accel_config=chaos_config(1_000),
+            schedule=schedule, capacity_ops_per_s=CAP,
+        )
+        with pytest.raises(ConfigError, match="durability_dir"):
+            simulator.run(0.1)
+        monkeypatch.setattr(
+            ServingSimulator, "_calibrate",
+            lambda self: pytest.fail("calibrated before refusing the crash"),
+        )
+        with pytest.raises(ConfigError, match="durability_dir"):
+            load_sweep(
+                workload, serve, loads=[0.1],
+                accel_config=chaos_config(1_000), schedule=schedule,
+            )
+
     @pytest.mark.parametrize(
         "kwargs",
         [

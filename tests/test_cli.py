@@ -114,6 +114,10 @@ BAD_INPUT = [
     ["cluster", "--replicas", "0", "--fault", "replication-slowdown:8"],
     ["run", "--engine", "DCART", "--fault", "shard-failstop:1"],
     ["chaos", "--fault", "shard-failstop:1"],
+    ["cluster", "--keys", "800", "--ops", "6000", "--batch-size", "512",
+     "--fault", "replication-slowdown:8", "--fault-batch", "20"],
+    ["cluster", "--keys", "800", "--ops", "6000", "--batch-size", "512",
+     "--fault", "shard-failstop:1", "--fault-batch", "20"],
 ]
 
 #: The reason a fault string that its run cannot fire is refused with.
@@ -126,6 +130,12 @@ FAULT_REASONS = {
         "no replication link",
     "run --engine DCART --fault shard-failstop:1": "needs a cluster",
     "chaos --fault shard-failstop:1": "needs a cluster",
+    "cluster --keys 800 --ops 6000 --batch-size 512 --fault "
+    "replication-slowdown:8 --fault-batch 20":
+        "the fault at batch 20 never fires: 6000 ops form 12 batches",
+    "cluster --keys 800 --ops 6000 --batch-size 512 --fault "
+    "shard-failstop:1 --fault-batch 20":
+        "the fault at batch 20 never fires: 6000 ops form 12 batches",
 }
 
 
