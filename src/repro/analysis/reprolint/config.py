@@ -49,7 +49,7 @@ DEFAULT_RULE_SCOPES: Dict[str, Dict[str, List[str]]] = {
     "COST01": {
         "include": [
             "core/", "engines/", "faults/", "durability/", "harness/",
-            "model/", "serve/", "cluster/",
+            "model/", "serve/", "cluster/", "memsim/", "concurrency/",
         ],
         "exclude": ["model/costs.py"],
     },

@@ -4,27 +4,17 @@ Real ART deployments serialise conflicting writers with node-level locks
 (the ROWEX protocol of Leis et al. [9]) or CAS loops (Heart, SMART).  A
 reproduction cannot measure *real* contention — pthread interleavings are
 nondeterministic and Python's GIL would falsify everything — so this
-subpackage simulates it:
-
-* :mod:`waves` — a deterministic interleaving model: a window of
-  operations is outstanding at once; operations in the same window that
-  touch the same node, at least one writing, conflict and serialise.
-* :mod:`locks` — node-level lock accounting under ROWEX rules (writers
-  lock; a node-type change also locks the parent).
-* :mod:`cas` — the cost asymmetry of atomic operations the paper cites
-  (a CAS on RAM-resident data is >15× slower than on L1-resident data
-  [21]).
+subpackage simulates it with :mod:`waves`, a deterministic interleaving
+model: a window of operations is outstanding at once; operations in the
+same window that touch the same node, at least one writing, conflict and
+serialise.  The lock and CAS prices themselves are
+:mod:`repro.model.costs` constants.
 """
 
-from repro.concurrency.cas import CasCostModel
-from repro.concurrency.locks import LockAccounting, RowexLockTable
 from repro.concurrency.waves import ConflictGroup, WaveReport, WaveSimulator
 
 __all__ = [
-    "CasCostModel",
     "ConflictGroup",
-    "LockAccounting",
-    "RowexLockTable",
     "WaveReport",
     "WaveSimulator",
 ]

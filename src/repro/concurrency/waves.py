@@ -12,10 +12,13 @@ current one drains.  Within a window:
   form a :class:`ConflictGroup` and serialise behind its lock/CAS —
   each queued member is one contention and pays a queueing delay.
 
-A window's duration is the maximum of (a) the compute-parallel time of
-all its operations over ``n_workers`` and (b) its slowest conflict
-group's serialised time — so a hot node stalls the window even when 95
-other workers are idle, which is exactly the pathology of Fig. 2(d)/(e).
+Every queued waiter *burns its worker* for the whole time it waits
+(lock convoys, CAS retry loops), so a conflict group of size k wastes
+O(k^2) worker-time.  A window's duration is the maximum of (a) the
+compute-parallel time of all its operations plus that wasted time, over
+``n_workers``, and (b) its slowest conflict group's serialised time — so
+a hot node stalls the window even when 95 other workers are idle, which
+is exactly the pathology of Fig. 2(d)/(e).
 
 The model is O(n) in the number of operations and fully deterministic.
 """
@@ -73,11 +76,7 @@ class WaveSimulator:
     """Runs the wave model over per-operation (node, is_write, cost) data."""
 
     def __init__(
-        self,
-        n_workers: int,
-        window: int,
-        contention_penalty_ns: float,
-        spin_wait: bool = False,
+        self, n_workers: int, window: int, contention_penalty_ns: float
     ):
         if n_workers <= 0:
             raise ConfigError(f"n_workers must be positive: {n_workers}")
@@ -90,20 +89,13 @@ class WaveSimulator:
         self.n_workers = n_workers
         self.window = window
         self.contention_penalty_ns = contention_penalty_ns
-        #: With ``spin_wait`` every queued waiter *burns its thread* for
-        #: the whole time it waits (lock convoys / CAS retry loops), so a
-        #: conflict group of size k wastes O(k^2) thread-time — the
-        #: collapse the paper's Fig. 2(d)/(e) measures.  Without it, only
-        #: the critical path of the slowest group extends the window.
-        self.spin_wait = spin_wait
 
     def run(
         self,
         targets: Sequence[int],
         is_write: Sequence[bool],
         cost_ns: Sequence[float],
-        hold_ns: Sequence[float] = None,
-        collect_latencies: bool = False,
+        hold_ns: Sequence[float],
     ) -> WaveReport:
         """Simulate a stream.
 
@@ -111,22 +103,19 @@ class WaveSimulator:
         granularity) and ``cost_ns[i]`` its lock-free service time.
         ``hold_ns[i]`` is the part of the service spent *inside* the
         critical section (the node modification itself) — only that part
-        serialises among conflicting operations.  When omitted, the whole
-        service is treated as held (the most pessimistic reading).
+        serialises among conflicting operations.
 
-        With ``collect_latencies`` the report carries a per-operation
-        latency: the op's own service plus the queueing delay it suffered
-        behind earlier members of its conflict group.
+        The report carries a per-operation latency: the op's own service
+        plus the queueing delay it suffered behind earlier members of
+        its conflict group.
         """
         n = len(targets)
-        if not (len(is_write) == len(cost_ns) == n):
-            raise ConfigError("targets/is_write/cost_ns must have equal length")
-        if hold_ns is None:
-            hold_ns = cost_ns
-        elif len(hold_ns) != n:
-            raise ConfigError("hold_ns must match targets in length")
+        if not (len(is_write) == len(cost_ns) == len(hold_ns) == n):
+            raise ConfigError(
+                "targets/is_write/cost_ns/hold_ns must have equal length"
+            )
         report = WaveReport(n_ops=n)
-        latencies = [0.0] * n if collect_latencies else None
+        latencies = report.latencies_ns = [0.0] * n
 
         for start in range(0, n, self.window):
             end = min(start + self.window, n)
@@ -157,26 +146,18 @@ class WaveSimulator:
                     slowest_group_ns = max(slowest_group_ns, serial)
                     queued = 0.0
                     for i in indices:
-                        if latencies is not None:
-                            latencies[i] = cost_ns[i] + queued
+                        latencies[i] = cost_ns[i] + queued
                         spin_ns += queued
                         queued += hold_ns[i] + self.contention_penalty_ns
-                elif latencies is not None:
+                else:
                     for i in indices:
                         latencies[i] = cost_ns[i]
 
-            if self.spin_wait:
-                # Waiters occupy their workers while queued; the wasted
-                # thread-time competes with useful work for the cores.
-                window_ns = max(
-                    parallel_ns + spin_ns / self.n_workers, slowest_group_ns
-                )
-            else:
-                window_ns = max(parallel_ns, slowest_group_ns)
+            window_ns = max(
+                parallel_ns + spin_ns / self.n_workers, slowest_group_ns
+            )
             report.parallel_seconds += parallel_ns * 1e-9
             report.serialization_seconds += max(0.0, window_ns - parallel_ns) * 1e-9
             report.window_seconds.append(window_ns * 1e-9)
 
-        if latencies is not None:
-            report.latencies_ns = latencies
         return report

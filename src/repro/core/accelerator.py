@@ -40,7 +40,7 @@ from repro.core.pcu import PrefixCombiningUnit
 from repro.core.prefixing import PrefixExtractor
 from repro.core.shortcut_table import ShortcutTable
 from repro.core.sou import BucketOutcome, ShortcutOperatingUnit
-from repro.core.tree_buffer import LruTreeBuffer, ValueAwareTreeBuffer
+from repro.core.tree_buffer import ValueAwareTreeBuffer
 from repro.engines.base import Engine, RunResult, TimeBreakdown
 from repro.model.costs import DEFAULT_FPGA_COSTS
 from repro.model.platform import FPGA_PLATFORM, Platform
@@ -152,10 +152,7 @@ class AcceleratorSession:
             if config.enable_shortcuts
             else None
         )
-        buffer_cls = (
-            ValueAwareTreeBuffer if config.value_aware_tree_buffer else LruTreeBuffer
-        )
-        self.tree_buffer = buffer_cls(config.tree_buffer_bytes)
+        self.tree_buffer = ValueAwareTreeBuffer(config.tree_buffer_bytes)
         self.injector = accelerator.injector
         telemetry = accelerator.telemetry
         self.tracer = telemetry.tracer if telemetry is not None else None
@@ -173,6 +170,7 @@ class AcceleratorSession:
                 costs=self.costs,
                 shared_depth_bytes=self.extractor.byte_offset,
                 injector=self.injector,
+                value_aware=config.value_aware_tree_buffer,
             )
             for i in range(config.n_sous)
         ]

@@ -63,10 +63,6 @@ class LruBuffer:
         self.used_bytes += size_bytes
         return evicted
 
-    def keys(self) -> list:
-        """Resident keys, least recently used first."""
-        return list(self._entries.keys())
-
     def remove(self, key: Hashable) -> bool:
         """Drop an entry if present (invalidation path)."""
         size = self._entries.pop(key, None)

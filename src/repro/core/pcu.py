@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.art.stats import CACHE_LINE_BYTES
 from repro.core.bucket_table import BucketTables
 from repro.model.costs import FpgaCosts
 from repro.workloads.ops import IdArray, OperationStream
-
-CACHE_LINE_BYTES = 64
 
 
 @dataclass

@@ -94,15 +94,19 @@ class ShortcutOperatingUnit:
         sou_id: int,
         tree: AdaptiveRadixTree,
         shortcuts: Optional[ShortcutTable],
-        tree_buffer: Any,
+        tree_buffer: ValueAwareTreeBuffer,
         costs: FpgaCosts,
         shared_depth_bytes: int,
         injector: Any = None,
+        value_aware: bool = True,
     ) -> None:
         self.sou_id = sou_id
         self.tree = tree
         self.shortcuts = shortcuts
         self.tree_buffer = tree_buffer
+        #: False for the LRU ablation: every fetch then carries one
+        #: constant value, under which the Tree_buffer is exact LRU.
+        self.value_aware = value_aware
         self.costs = costs
         #: Key-byte depth at or above which a node is shared across
         #: buckets (ancestors of the bucket-discriminating byte).
@@ -182,7 +186,7 @@ class ShortcutOperatingUnit:
             sc_cap = sc_buf.capacity_bytes
         tb = self.tree_buffer
         fetch_node = tb.fetch
-        fvalue = float(bucket.value)
+        fvalue = float(bucket.value) if self.value_aware else 0.0
         # The hit branch of ValueAwareTreeBuffer.fetch is inlined at the
         # three fetch sites below: a resident node moves to the end of
         # its value group with a fresh touch stamp, or to the group of
@@ -191,17 +195,12 @@ class ShortcutOperatingUnit:
         # once per bucket.  The normalised value is loop-invariant per
         # bucket (one value, one decay multiplier).  Groups are looked up
         # per touch, never held across ops: an eviction or invalidation
-        # may delete one mid-bucket.  The LRU ablation has no groups, so
-        # every one of its fetches is a call.
-        value_aware = type(tb) is ValueAwareTreeBuffer
-        if value_aware:
-            tb_norm_get = tb._norm.get
-            tb_groups = tb._groups
-            tb_tick = tb._tick
-            tb_regroup = tb._regroup
-            norm = fvalue / tb._mult
-        else:
-            tb_norm_get = {}.get
+        # may delete one mid-bucket.
+        tb_norm_get = tb._norm.get
+        tb_groups = tb._groups
+        tb_tick = tb._tick
+        tb_regroup = tb._regroup
+        norm = fvalue / tb._mult
         tb_hits = 0
         shortcut_miss_stall = self._shortcut_miss_stall
         tree_miss_stall = self._tree_miss_stall
@@ -414,8 +413,7 @@ class ShortcutOperatingUnit:
         if shortcuts is not None:
             sc_buf.hits += sc_buf_hits
             sc_buf.misses += sc_buf_misses
-        if value_aware:
-            tb.hits += tb_hits
+        tb.hits += tb_hits
         outcome.n_ops = len(keys)
         outcome.cycles = clock
         outcome.nodes_visited = len(visited_ids)

@@ -33,6 +33,10 @@ binary floating point.  Before the multiplier underflows it is folded
 into the group values; two values that fold to the same float (deep
 underflow, some 1,500 half-life decays after their last touch) merge
 into one group in the order of their nodes' touch stamps.
+
+With every fetch at one value there is one group, the admission check
+never rejects and decay cannot reorder anything, so the buffer is exact
+LRU: the ``value_aware_tree_buffer=False`` ablation runs it that way.
 """
 
 from __future__ import annotations
@@ -249,71 +253,5 @@ class ValueAwareTreeBuffer:
         registry.counter("tree_buffer.rejected_inserts", self.rejected_inserts)
         registry.gauge("tree_buffer.resident_nodes", len(self._norm))
         registry.gauge("tree_buffer.used_bytes", self.used_bytes)
-        registry.gauge("tree_buffer.capacity_bytes", self.capacity_bytes)
-        registry.gauge("tree_buffer.hit_rate", self.hit_rate)
-
-
-class LruTreeBuffer:
-    """LRU node cache with the same interface as the value-aware buffer.
-
-    This is the ablation counterpart of :class:`ValueAwareTreeBuffer`
-    (``DCARTConfig(value_aware_tree_buffer=False)``): node values are
-    ignored and plain recency decides eviction, which lets a cold burst
-    flush the hot subtree — exactly the thrashing §III-E argues against.
-    """
-
-    def __init__(self, capacity_bytes: int) -> None:
-        from repro.core.lru_buffer import LruBuffer
-
-        self._lru = LruBuffer(capacity_bytes)
-        self.capacity_bytes = capacity_bytes
-
-    def fetch(self, address: int, size_bytes: int, value: float) -> bool:
-        """Fetch one node; True on a hit, a miss inserts it (value ignored)."""
-        lru = self._lru
-        if lru.lookup(address):
-            return True
-        lru.insert(address, size_bytes)
-        return False
-
-    def decay(self, factor: float = 0.5) -> None:
-        """LRU has no values to age (interface parity)."""
-
-    def invalidate(self, address: int) -> bool:
-        return self._lru.remove(address)
-
-    def resident_addresses(self) -> List[int]:
-        """Addresses currently cached (fault-injection storm targets)."""
-        return self._lru.keys()
-
-    @property
-    def hits(self) -> int:
-        return self._lru.hits
-
-    @property
-    def misses(self) -> int:
-        return self._lru.misses
-
-    @property
-    def evictions(self) -> int:
-        return self._lru.evictions
-
-    @property
-    def hit_rate(self) -> float:
-        return self._lru.hit_rate
-
-    def report_metrics(self, registry: MetricsRegistry) -> None:
-        """Write the buffer's run totals into a MetricsRegistry.
-
-        Same metric names as the value-aware buffer so the registry
-        shape is ablation-invariant; LRU has no value admission, so
-        ``rejected_inserts`` is always 0 here.
-        """
-        registry.counter("tree_buffer.hits", self.hits)
-        registry.counter("tree_buffer.misses", self.misses)
-        registry.counter("tree_buffer.evictions", self.evictions)
-        registry.counter("tree_buffer.rejected_inserts", 0)
-        registry.gauge("tree_buffer.resident_nodes", len(self._lru))
-        registry.gauge("tree_buffer.used_bytes", self._lru.used_bytes)
         registry.gauge("tree_buffer.capacity_bytes", self.capacity_bytes)
         registry.gauge("tree_buffer.hit_rate", self.hit_rate)

@@ -26,12 +26,10 @@ import numpy as np
 
 from repro.art.stats import TraversalRecord, CACHE_LINE_BYTES
 from repro.art.tree import AdaptiveRadixTree
-from repro.concurrency.cas import CasCostModel
-from repro.concurrency.locks import RowexLockTable
 from repro.concurrency.waves import WaveSimulator
 from repro.engines.base import Engine, RunResult, TimeBreakdown
 from repro.memsim.cache import SetAssociativeCache
-from repro.model.costs import CpuCosts, DEFAULT_CPU_COSTS
+from repro.model.costs import CAS_L1_NS, CAS_RAM_NS, CpuCosts, DEFAULT_CPU_COSTS
 from repro.model.platform import CPU_PLATFORM, Platform
 from repro.workloads.ops import Workload
 
@@ -99,8 +97,6 @@ class CpuOperationCentricEngine(Engine):
         result = self._new_result(workload)
 
         llc = SetAssociativeCache(self.costs.llc_bytes, ways=16)
-        cas = CasCostModel()
-        locks = RowexLockTable()
         path_cache: dict = {}
 
         # This loop prices every node touch of every operation — the
@@ -119,8 +115,6 @@ class CpuOperationCentricEngine(Engine):
         use_path_cache = self.path_cache_levels > 0
         llc_access = llc.access
         llc_contains = llc.contains
-        lock_for_write = locks.lock_for_write
-        cas_cost = cas.cost_ns
 
         priced = PricedRun([], [], [], [], [], [], [])
         targets = priced.targets
@@ -136,6 +130,7 @@ class CpuOperationCentricEngine(Engine):
         visited_ids: List[int] = []
         bytes_fetched = bytes_used = 0
         dram_lines = 0
+        acquisitions = 0
         n_priced = 0
 
         for record in records:
@@ -176,26 +171,17 @@ class CpuOperationCentricEngine(Engine):
             is_write = record.op_kind in ("write", "delete")
             sync_ns = 0.0
             if is_write:
+                # One lock or CAS on the written node, and one on its
+                # parent when the write changes the node's type (ROWEX);
+                # queueing behind other writers is the wave model's.
+                n_sync = 2 if record.node_type_changed else 1
+                acquisitions += n_sync
                 if sync_is_lock:
-                    sync_ns = lock_ns
-                    lock_for_write(
-                        record.target_node_id or -1,
-                        waiting_behind=0,  # queueing handled by the wave model
-                        changes_node_type=record.node_type_changed,
-                        parent_id=record.parent_node_id,
-                    )
-                    if record.node_type_changed:
-                        sync_ns += lock_ns
+                    sync_ns = n_sync * lock_ns
                 else:
                     target_addr = record.target_address
-                    target_cached = (
-                        llc_contains(target_addr)
-                        if target_addr is not None
-                        else False
-                    )
-                    sync_ns = cas_cost(line_cached=target_cached)
-                    if record.node_type_changed:
-                        sync_ns += cas_cost(line_cached=target_cached)
+                    cached = target_addr is not None and llc_contains(target_addr)
+                    sync_ns = n_sync * (CAS_L1_NS if cached else CAS_RAM_NS)
 
             target = record.target_node_id
             if target is None:
@@ -216,8 +202,9 @@ class CpuOperationCentricEngine(Engine):
         result.bytes_fetched = bytes_fetched
         result.bytes_used = bytes_used
         result.cache_hit_rate = llc.stats.hit_rate
+        result.lock_acquisitions = acquisitions
 
-        self._price_run(result, priced, dram_lines, locks, cas)
+        self._price_run(result, priced, dram_lines)
         if self.telemetry is not None:
             registry = self.telemetry.registry
             llc.report_metrics(registry, prefix="llc")
@@ -254,26 +241,19 @@ class CpuOperationCentricEngine(Engine):
         return skipped
 
     def _price_run(
-        self,
-        result: RunResult,
-        priced: PricedRun,
-        dram_lines: int,
-        locks: RowexLockTable,
-        cas: CasCostModel,
+        self, result: RunResult, priced: PricedRun, dram_lines: int
     ) -> None:
         costs = self.costs
         simulator = WaveSimulator(
             n_workers=costs.n_threads,
             window=costs.window,
             contention_penalty_ns=costs.contention_penalty_ns,
-            spin_wait=True,
         )
         report = simulator.run(
             targets=priced.targets,
             is_write=priced.is_write,
             cost_ns=priced.service_ns,
             hold_ns=priced.hold_ns,
-            collect_latencies=True,
         )
 
         threads = costs.n_threads
@@ -305,10 +285,6 @@ class CpuOperationCentricEngine(Engine):
         )
         result.elapsed_seconds = elapsed
         result.lock_contentions = report.contentions
-        if self.sync_scheme == "lock":
-            result.lock_acquisitions = locks.accounting.acquisitions
-        else:
-            result.lock_acquisitions = cas.total_cas
         result.latencies_ns = np.asarray(report.latencies_ns)
         result.energy_joules = self.platform.energy_joules(elapsed)
         result.extra["windows"] = report.n_windows

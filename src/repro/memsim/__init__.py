@@ -6,26 +6,19 @@ keys, 8-byte pointers) are pulled through 64-byte cache lines (~20 %
 utilisation, Fig. 2c) and the irregular walk thrashes the cache.  This
 subpackage provides:
 
-* :mod:`cacheline` — line-granular access arithmetic and a utilisation
-  meter;
-* :mod:`cache` — a set-associative cache simulator with LRU and tree-PLRU
-  replacement (the paper's reference [4]);
-* :mod:`dram` — flat latency + bandwidth models for DDR DRAM and the
-  U280's HBM.
+* :mod:`cache` — the set-associative LRU cache the CPU and GPU engines
+  price node fetches through (the shared LLC, the A100's L2);
+* :mod:`tracer` — reuse distances, which price one trace at every LRU
+  capacity at once (miss-ratio curves for capacity planning).
+
+Memory latency and bandwidth are :mod:`repro.model.costs` constants.
 """
 
 from repro.memsim.cache import CacheStats, SetAssociativeCache
-from repro.memsim.cacheline import LineMeter, lines_spanned
-from repro.memsim.dram import DRAM_DDR4, HBM2, MemoryModel
 from repro.memsim.tracer import ReuseDistanceTracer
 
 __all__ = [
     "CacheStats",
-    "DRAM_DDR4",
-    "HBM2",
-    "LineMeter",
-    "MemoryModel",
     "ReuseDistanceTracer",
     "SetAssociativeCache",
-    "lines_spanned",
 ]

@@ -1,27 +1,19 @@
-"""Set-associative cache simulator with LRU and tree-PLRU replacement.
+"""Set-associative cache simulator with true-LRU replacement.
 
-Used two ways in the reproduction:
-
-* the CPU-baseline engines run every node access through a model of the
-  shared last-level cache to obtain hit rates (the irregular ART walk is
-  what produces the poor locality of Fig. 2);
-* the unit tests for DCART's on-chip buffers compare the value-aware
-  policy (§III-E) against plain LRU on the same access streams.
-
-Tree-PLRU is the pseudo-LRU of Jiménez [4] (the paper's reference for its
-LRU-managed buffers): one bit per internal node of a binary tree over the
-ways, flipped toward the accessed way; the victim is found by following
-the bits away from recent accesses.
+The CPU-baseline engines run every node access through a model of the
+shared last-level cache, and CuART through the A100's L2, to split node
+fetches into hits and memory misses: the irregular ART walk is what
+produces the poor locality of Fig. 2.  Lines are
+:data:`~repro.art.stats.CACHE_LINE_BYTES` wide.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
 
+from repro.art.stats import CACHE_LINE_BYTES
 from repro.errors import ConfigError
-from repro.memsim.cacheline import DEFAULT_LINE_BYTES
 
 
 @dataclass
@@ -44,67 +36,6 @@ class CacheStats:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-
-class _PlruSet:
-    """One set with tree-PLRU replacement (ways must be a power of two)."""
-
-    __slots__ = ("ways", "tags", "slot_of", "bits")
-
-    def __init__(self, ways: int):
-        self.ways = ways
-        self.tags: List[Optional[int]] = [None] * ways
-        self.slot_of: Dict[int, int] = {}
-        self.bits = [0] * max(1, ways - 1)  # heap-order internal nodes
-
-    def _touch(self, slot: int) -> None:
-        # Walk root->leaf, pointing each bit *away* from this slot.
-        node = 0
-        low, high = 0, self.ways
-        while high - low > 1:
-            mid = (low + high) // 2
-            if slot < mid:
-                self.bits[node] = 1  # protect left; victim search goes right
-                node = 2 * node + 1
-                high = mid
-            else:
-                self.bits[node] = 0
-                node = 2 * node + 2
-                low = mid
-        return
-
-    def _victim(self) -> int:
-        node = 0
-        low, high = 0, self.ways
-        while high - low > 1:
-            mid = (low + high) // 2
-            if self.bits[node] == 0:
-                node = 2 * node + 1
-                high = mid
-            else:
-                node = 2 * node + 2
-                low = mid
-        return low
-
-    def access(self, tag: int) -> tuple:
-        """Returns (hit, evicted_tag_or_None)."""
-        slot = self.slot_of.get(tag)
-        if slot is not None:
-            self._touch(slot)
-            return True, None
-        evicted = None
-        for free, existing in enumerate(self.tags):
-            if existing is None:
-                slot = free
-                break
-        else:
-            slot = self._victim()
-            evicted = self.tags[slot]
-            del self.slot_of[evicted]
-        self.tags[slot] = tag
-        self.slot_of[tag] = slot
-        self._touch(slot)
-        return False, evicted
 
 
 class _LruSet:
@@ -135,43 +66,27 @@ class SetAssociativeCache:
     no data, no coherence — which is all the timing models consume.
     """
 
-    def __init__(
-        self,
-        capacity_bytes: int,
-        ways: int = 16,
-        line_bytes: int = DEFAULT_LINE_BYTES,
-        policy: str = "lru",
-    ):
+    def __init__(self, capacity_bytes: int, ways: int = 16):
         if capacity_bytes <= 0:
             raise ConfigError(f"capacity must be positive: {capacity_bytes}")
-        if line_bytes <= 0 or line_bytes & (line_bytes - 1):
-            raise ConfigError(f"line size must be a power of two: {line_bytes}")
-        if capacity_bytes % (ways * line_bytes):
+        if capacity_bytes % (ways * CACHE_LINE_BYTES):
             raise ConfigError(
                 f"capacity {capacity_bytes} not divisible by ways*line "
-                f"({ways}*{line_bytes})"
+                f"({ways}*{CACHE_LINE_BYTES})"
             )
-        if policy not in ("lru", "plru"):
-            raise ConfigError(f"unknown replacement policy: {policy!r}")
-        if policy == "plru" and ways & (ways - 1):
-            raise ConfigError(f"tree-PLRU needs power-of-two ways, got {ways}")
 
         self.capacity_bytes = capacity_bytes
         self.ways = ways
-        self.line_bytes = line_bytes
-        self.policy = policy
-        self.n_sets = capacity_bytes // (ways * line_bytes)
-        set_cls = _LruSet if policy == "lru" else _PlruSet
-        self._sets = [set_cls(ways) for _ in range(self.n_sets)]
+        self.n_sets = capacity_bytes // (ways * CACHE_LINE_BYTES)
+        self._sets = [_LruSet(ways) for _ in range(self.n_sets)]
         self.stats = CacheStats()
 
     def access(self, address: int, size_bytes: int = 1) -> tuple:
         """Touch all lines of ``[address, address+size)``; return (hits, misses)."""
         if size_bytes <= 0:
             raise ConfigError(f"access size must be positive: {size_bytes}")
-        line_bytes = self.line_bytes
-        first = address // line_bytes
-        last = (address + size_bytes - 1) // line_bytes
+        first = address // CACHE_LINE_BYTES
+        last = (address + size_bytes - 1) // CACHE_LINE_BYTES
         n_sets = self.n_sets
         sets = self._sets
         stats = self.stats
@@ -212,10 +127,5 @@ class SetAssociativeCache:
 
     def contains(self, address: int) -> bool:
         """Check residency of the line holding ``address`` without touching it."""
-        line = address // self.line_bytes
-        index = line % self.n_sets
-        tag = line // self.n_sets
-        the_set = self._sets[index]
-        if isinstance(the_set, _LruSet):
-            return tag in the_set.entries
-        return tag in the_set.slot_of
+        line = address // CACHE_LINE_BYTES
+        return line // self.n_sets in self._sets[line % self.n_sets].entries

@@ -370,6 +370,13 @@ ENGINE_CONTENTION_PENALTY_NS: Dict[str, float] = {
     "SMART": 90.0,
 }
 
+#: Latency of one CAS (ns) by where its target line sits: in L1, or in
+#: RAM, where an atomic is more than 15x slower ([21] Schweizer et al.).
+#: Traversal thrashes the cache, so Heart's and SMART's atomics mostly
+#: pay the RAM price.
+CAS_L1_NS = 20.0
+CAS_RAM_NS = 320.0
+
 DEFAULT_CLUSTER_COSTS = ClusterCosts()
 DEFAULT_CPU_COSTS = CpuCosts()
 DEFAULT_DURABILITY_COSTS = DurabilityCosts()

@@ -5,25 +5,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.memsim.dram import DRAM_DDR4, GDDR_A100, HBM2, MemoryModel
 from repro.model.costs import DEFAULT_POWER
 
 
 @dataclass(frozen=True)
 class Platform:
-    """A compute platform: parallel resources, memory, and power draw."""
+    """A compute platform and its power draw.
+
+    Parallel resources and memory latency and bandwidth are the
+    engines' cost constants (:mod:`repro.model.costs`).
+    """
 
     name: str
     kind: str                  # "cpu" | "gpu" | "fpga"
-    parallel_units: int        # threads / resident warps / SOUs
-    memory: MemoryModel
     active_watts: float
 
     def __post_init__(self):
         if self.kind not in ("cpu", "gpu", "fpga"):
             raise ConfigError(f"unknown platform kind: {self.kind!r}")
-        if self.parallel_units <= 0:
-            raise ConfigError(f"parallel_units must be positive: {self.parallel_units}")
         if self.active_watts <= 0:
             raise ConfigError(f"active_watts must be positive: {self.active_watts}")
 
@@ -37,23 +36,17 @@ class Platform:
 CPU_PLATFORM = Platform(
     name="2x Intel Xeon Platinum 8468 (96 cores)",
     kind="cpu",
-    parallel_units=96,
-    memory=DRAM_DDR4,
     active_watts=DEFAULT_POWER.cpu_watts,
 )
 
 GPU_PLATFORM = Platform(
     name="NVIDIA A100 (108 SMs)",
     kind="gpu",
-    parallel_units=1024,  # resident warps
-    memory=GDDR_A100,
     active_watts=DEFAULT_POWER.gpu_watts,
 )
 
 FPGA_PLATFORM = Platform(
     name="Xilinx Alveo U280 (XCU280, 230 MHz)",
     kind="fpga",
-    parallel_units=16,  # SOUs
-    memory=HBM2,
     active_watts=DEFAULT_POWER.fpga_watts,
 )

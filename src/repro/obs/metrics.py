@@ -1,7 +1,7 @@
 """The MetricsRegistry: named counters, gauges, and histograms.
 
 Every hardware unit of the DCART model (PCU, Dispatcher, the SOUs, the
-Shortcut_Table, the Tree_buffers, the memsim cache, the
+Shortcut_Table, the Tree_buffer, the memsim cache, the
 DurabilityManager) exposes a ``report_metrics(registry)`` hook that
 writes its counters here once per run, replacing the ad-hoc
 ``RunResult.extra`` plumbing.  ``extra`` survives as a *view* over the

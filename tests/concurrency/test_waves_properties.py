@@ -27,7 +27,7 @@ def unpack(stream):
 def test_report_invariants(stream, window):
     sim = WaveSimulator(n_workers=8, window=window, contention_penalty_ns=100.0)
     targets, writes, costs, holds = unpack(stream)
-    report = sim.run(targets, writes, costs, holds, collect_latencies=True)
+    report = sim.run(targets, writes, costs, holds)
     assert report.n_ops == len(stream)
     assert 0 <= report.contentions <= max(0, len(stream) - 1)
     assert report.conflicted_ops >= report.contentions
@@ -51,20 +51,6 @@ def test_no_writers_no_conflicts(stream):
 
 @given(streams)
 @settings(max_examples=60, deadline=None)
-def test_spin_wait_never_faster(stream):
-    targets, writes, costs, holds = unpack(stream)
-    plain = WaveSimulator(8, 32, 100.0, spin_wait=False).run(
-        targets, writes, costs, holds
-    )
-    spin = WaveSimulator(8, 32, 100.0, spin_wait=True).run(
-        targets, writes, costs, holds
-    )
-    assert spin.total_seconds >= plain.total_seconds - 1e-15
-    assert spin.contentions == plain.contentions
-
-
-@given(streams)
-@settings(max_examples=60, deadline=None)
 def test_window_partitioning_conserves_ops(stream):
     targets, writes, costs, holds = unpack(stream)
     for window in (1, 7, 200):
@@ -77,12 +63,8 @@ def test_window_partitioning_conserves_ops(stream):
 @settings(max_examples=60, deadline=None)
 def test_more_workers_never_slower(stream):
     targets, writes, costs, holds = unpack(stream)
-    few = WaveSimulator(2, 32, 100.0, spin_wait=True).run(
-        targets, writes, costs, holds
-    )
-    many = WaveSimulator(64, 32, 100.0, spin_wait=True).run(
-        targets, writes, costs, holds
-    )
+    few = WaveSimulator(2, 32, 100.0).run(targets, writes, costs, holds)
+    many = WaveSimulator(64, 32, 100.0).run(targets, writes, costs, holds)
     assert many.total_seconds <= few.total_seconds + 1e-15
 
 

@@ -2,7 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.tree_buffer import LruTreeBuffer, ValueAwareTreeBuffer
+from repro.core.lru_buffer import LruBuffer
+from repro.core.tree_buffer import ValueAwareTreeBuffer
 
 CAPACITY = 16 * 64
 
@@ -91,7 +92,26 @@ def test_lookup_after_admit_always_hits(actions):
 
 @given(script)
 @settings(max_examples=60, deadline=None)
-def test_lru_adapter_shares_invariants(actions):
-    buffer = replay(LruTreeBuffer(CAPACITY), actions)
-    assert buffer._lru.used_bytes <= CAPACITY
-    assert buffer.hits + buffer.misses == len(actions)
+def test_constant_value_is_exact_lru(actions):
+    # The LRU ablation fetches every node at one value: the buffer then
+    # hits, misses and evicts exactly as an LRU buffer, decay included.
+    buffer = ValueAwareTreeBuffer(CAPACITY)
+    lru = LruBuffer(CAPACITY)
+    addresses = set()
+    for step, (slot, size, _) in enumerate(actions):
+        address = 0x1000 + slot * 0x1000
+        addresses.add(address)
+        if step % 7 == 0:
+            buffer.decay()
+        hit = buffer.fetch(address, size, 0.0)
+        assert hit == lru.lookup(address)
+        if not hit:
+            lru.insert(address, size)
+    assert (buffer.hits, buffer.misses, buffer.evictions) == (
+        lru.hits, lru.misses, lru.evictions
+    )
+    assert buffer.rejected_inserts == 0
+    assert buffer.used_bytes == lru.used_bytes <= CAPACITY
+    assert set(buffer.resident_addresses()) == {
+        address for address in addresses if address in lru
+    }

@@ -1,9 +1,10 @@
-"""Tests for the on-chip buffers: LRU, value-aware, and LRU-node adapter."""
+"""Tests for the on-chip buffers: the LRU buffer, and the Tree_buffer both
+value-aware and at one constant value (the LRU ablation)."""
 
 import pytest
 
 from repro.core.lru_buffer import LruBuffer
-from repro.core.tree_buffer import LruTreeBuffer, ValueAwareTreeBuffer
+from repro.core.tree_buffer import ValueAwareTreeBuffer
 from repro.errors import ConfigError
 
 
@@ -164,22 +165,26 @@ class TestValueAwareTreeBuffer:
         assert set(hot) <= resident(buf)
 
     def test_lru_counterpart_thrashes_on_cold_scan(self):
-        buf = LruTreeBuffer(10 * 64)
+        # The LRU ablation fetches every node at one value.
+        buf = ValueAwareTreeBuffer(10 * 64)
         hot = list(range(0, 5 * 1000, 1000))
         for addr in hot:
-            buf.fetch(addr, 64, value=100.0)
+            buf.fetch(addr, 64, value=0.0)
         for i in range(100):
-            buf.fetch(10_000 + i * 64, 64, value=1.0)
+            buf.fetch(10_000 + i * 64, 64, value=0.0)
         assert not set(hot) & resident(buf)
 
 
 class TestLruTreeBuffer:
+    """The LRU ablation: the Tree_buffer with every fetch at one value."""
+
     def test_interface_parity(self):
-        buf = LruTreeBuffer(1000)
-        assert not buf.fetch(0x10, 100, value=1.0)
-        assert buf.fetch(0x10, 100, value=5.0)
-        buf.decay(0.5)  # no-op
+        buf = ValueAwareTreeBuffer(1000)
+        assert not buf.fetch(0x10, 100, value=0.0)
+        assert buf.fetch(0x10, 100, value=0.0)
+        buf.decay(0.5)
         assert buf.invalidate(0x10)
         assert not buf.invalidate(0x10)
         assert buf.hits == 1 and buf.misses == 1
+        assert buf.rejected_inserts == 0
         assert 0 <= buf.hit_rate <= 1

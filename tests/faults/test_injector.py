@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.dispatcher import Dispatcher
 from repro.core.shortcut_table import ShortcutTable
-from repro.core.tree_buffer import LruTreeBuffer, ValueAwareTreeBuffer
+from repro.core.tree_buffer import ValueAwareTreeBuffer
 from repro.errors import FaultError, WatchdogTimeout
 from repro.faults import (
     BufferStorm,
@@ -87,9 +87,8 @@ class TestShortcutCorruption:
 
 
 class TestBufferStorm:
-    @pytest.mark.parametrize("buffer_cls", [ValueAwareTreeBuffer, LruTreeBuffer])
-    def test_storm_invalidates_fraction(self, buffer_cls):
-        buffer = buffer_cls(1 << 20)
+    def test_storm_invalidates_fraction(self):
+        buffer = ValueAwareTreeBuffer(1 << 20)
         for address in range(100):
             buffer.fetch(address, 64, 1.0)
         injector = make_injector([BufferStorm(0, 0.5)])

@@ -1,4 +1,4 @@
-"""Tests for the set-associative cache simulator (LRU and tree-PLRU)."""
+"""Tests for the set-associative LRU cache simulator."""
 
 import pytest
 
@@ -6,44 +6,33 @@ from repro.errors import ConfigError
 from repro.memsim.cache import SetAssociativeCache
 
 
-def small_cache(policy="lru", ways=4, sets=4, line=64):
-    return SetAssociativeCache(
-        capacity_bytes=ways * sets * line, ways=ways, line_bytes=line, policy=policy
-    )
+def small_cache(ways=4, sets=4):
+    return SetAssociativeCache(capacity_bytes=ways * sets * 64, ways=ways)
 
 
 class TestConstruction:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ConfigError):
-            SetAssociativeCache(capacity_bytes=1000, ways=4, line_bytes=64)
-
-    def test_rejects_bad_policy(self):
-        with pytest.raises(ConfigError):
-            small_cache(policy="fifo")
-
-    def test_rejects_plru_non_power_of_two_ways(self):
-        with pytest.raises(ConfigError):
-            SetAssociativeCache(capacity_bytes=3 * 4 * 64, ways=3, policy="plru")
+            SetAssociativeCache(capacity_bytes=1000, ways=4)
 
     def test_geometry(self):
         cache = small_cache()
         assert cache.n_sets == 4
 
 
-@pytest.mark.parametrize("policy", ["lru", "plru"])
 class TestBasicBehaviour:
-    def test_first_access_misses_second_hits(self, policy):
-        cache = small_cache(policy)
+    def test_first_access_misses_second_hits(self):
+        cache = small_cache()
         assert cache.access(0) == (0, 1)
         assert cache.access(0) == (1, 0)
 
-    def test_multi_line_object(self, policy):
-        cache = small_cache(policy)
+    def test_multi_line_object(self):
+        cache = small_cache()
         hits, misses = cache.access(0, size_bytes=656)  # 11 lines
         assert (hits, misses) == (0, 11)
 
-    def test_within_capacity_no_eviction(self, policy):
-        cache = small_cache(policy)
+    def test_within_capacity_no_eviction(self):
+        cache = small_cache()
         for i in range(16):  # exactly capacity lines
             cache.access(i * 64)
         for i in range(16):
@@ -51,22 +40,22 @@ class TestBasicBehaviour:
             assert misses == 0
         assert cache.stats.evictions == 0
 
-    def test_eviction_beyond_capacity(self, policy):
-        cache = small_cache(policy)
+    def test_eviction_beyond_capacity(self):
+        cache = small_cache()
         # 32 distinct lines into a 16-line cache must evict.
         for i in range(32):
             cache.access(i * 64)
         assert cache.stats.evictions == 16
 
-    def test_contains(self, policy):
-        cache = small_cache(policy)
+    def test_contains(self):
+        cache = small_cache()
         cache.access(0)
         assert cache.contains(0)
         assert cache.contains(63)
         assert not cache.contains(64)
 
-    def test_stats_accumulate(self, policy):
-        cache = small_cache(policy)
+    def test_stats_accumulate(self):
+        cache = small_cache()
         cache.access(0)
         cache.access(0)
         cache.access(64)
@@ -93,22 +82,3 @@ class TestLruExactness:
                 cache.access(i * 64)
         assert cache.stats.hit_rate == 0.0  # classic LRU scan pathology
 
-
-class TestPlru:
-    def test_victim_avoids_most_recent(self):
-        cache = SetAssociativeCache(capacity_bytes=4 * 64, ways=4, policy="plru")
-        for i in range(4):
-            cache.access(i * 64)
-        cache.access(3 * 64)  # most recent
-        cache.access(4 * 64)  # must not evict way of line 3
-        assert cache.contains(3 * 64)
-
-    def test_hot_line_survives_long_streams(self):
-        cache = SetAssociativeCache(capacity_bytes=8 * 64, ways=8, policy="plru")
-        hot = 0
-        for i in range(1, 200):
-            cache.access(hot)
-            cache.access((i % 32) * 64 * cache.n_sets + 64)  # churn other ways
-        cache.stats.reset()
-        cache.access(hot)
-        assert cache.stats.hits == 1

@@ -7,10 +7,8 @@ from repro.memsim.cache import SetAssociativeCache
 lines = st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=400)
 
 
-def run(policy, ways, trace, sets=1):
-    cache = SetAssociativeCache(
-        capacity_bytes=ways * sets * 64, ways=ways, line_bytes=64, policy=policy
-    )
+def run(ways, trace, sets=1):
+    cache = SetAssociativeCache(capacity_bytes=ways * sets * 64, ways=ways)
     for line in trace:
         cache.access(line * 64)
     return cache
@@ -23,8 +21,8 @@ def test_lru_inclusion_property(trace):
 
     The stack property of LRU: hit counts are monotone in capacity.
     """
-    small = run("lru", 4, trace)
-    large = run("lru", 16, trace)
+    small = run(4, trace)
+    large = run(16, trace)
     assert large.stats.hits >= small.stats.hits
     assert large.stats.misses <= small.stats.misses
 
@@ -32,42 +30,30 @@ def test_lru_inclusion_property(trace):
 @given(lines)
 @settings(max_examples=80, deadline=None)
 def test_accounting_invariants(trace):
-    for policy in ("lru", "plru"):
-        cache = run(policy, 8, trace)
-        assert cache.stats.accesses == len(trace)
-        assert cache.stats.hits + cache.stats.misses == len(trace)
-        # Evictions can never exceed misses, and residency <= capacity.
-        assert cache.stats.evictions <= cache.stats.misses
-        assert cache.stats.evictions >= cache.stats.misses - 8
+    cache = run(8, trace)
+    assert cache.stats.accesses == len(trace)
+    assert cache.stats.hits + cache.stats.misses == len(trace)
+    # Evictions can never exceed misses, and residency <= capacity.
+    assert cache.stats.evictions <= cache.stats.misses
+    assert cache.stats.evictions >= cache.stats.misses - 8
 
 
 @given(lines)
 @settings(max_examples=60, deadline=None)
 def test_repeat_access_always_hits(trace):
-    for policy in ("lru", "plru"):
-        cache = SetAssociativeCache(8 * 64, ways=8, policy=policy)
-        for line in trace:
-            cache.access(line * 64)
-            hits, misses = cache.access(line * 64)  # immediate re-touch
-            assert (hits, misses) == (1, 0)
+    cache = SetAssociativeCache(8 * 64, ways=8)
+    for line in trace:
+        cache.access(line * 64)
+        hits, misses = cache.access(line * 64)  # immediate re-touch
+        assert (hits, misses) == (1, 0)
 
 
 @given(lines)
 @settings(max_examples=60, deadline=None)
 def test_distinct_lines_bound_misses(trace):
-    cache = run("lru", 8, trace)
+    cache = run(8, trace)
     # Cold misses at least once per distinct line; never more misses
     # than accesses.
     assert cache.stats.misses >= min(len(set(trace)), 1)
     assert cache.stats.misses <= len(trace)
 
-
-@given(lines)
-@settings(max_examples=60, deadline=None)
-def test_plru_never_worse_than_direct_restart(trace):
-    """Tree-PLRU must behave like *a* replacement policy: its hit rate
-    is bounded by the optimal (all-hits-after-first) and it cannot hit
-    on a line it never saw."""
-    cache = run("plru", 8, trace)
-    distinct = len(set(trace))
-    assert cache.stats.hits <= len(trace) - distinct

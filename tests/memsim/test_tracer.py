@@ -66,7 +66,7 @@ class TestCapacityPlanning:
         tracer = trace(lines)
         capacity = 16
         cache = SetAssociativeCache(
-            capacity_bytes=capacity * 64, ways=capacity, line_bytes=64
+            capacity_bytes=capacity * 64, ways=capacity
         )  # 1 set x 16 ways = fully associative LRU
         for line in lines:
             cache.access(line * 64)
