@@ -142,7 +142,6 @@ class TraversalRecord:
     outcome: str = ""  # "hit" | "miss" | "inserted" | "updated" | "deleted"
     target_node_id: Optional[int] = None
     target_address: Optional[int] = None
-    parent_node_id: Optional[int] = None
     parent_address: Optional[int] = None
 
     @property

@@ -129,7 +129,6 @@ class AdaptiveRadixTree:
             return
         self._recorder.target_node_id = target.node_id if target else None
         self._recorder.target_address = target.address if target else None
-        self._recorder.parent_node_id = parent.node_id if parent else None
         self._recorder.parent_address = parent.address if parent else None
 
     # ------------------------------------------------------------------

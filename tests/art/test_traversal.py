@@ -39,7 +39,7 @@ class TestRecordTraversal:
             tree.search(key)
         leaf = rec.touches[-1]
         assert rec.target_node_id == leaf.node_id
-        assert rec.parent_node_id == rec.touches[-2].node_id
+        assert rec.parent_address == rec.touches[-2].address
 
     def test_insert_records_structure_modified(self, tree):
         with record_traversal(tree, "insert") as rec:
