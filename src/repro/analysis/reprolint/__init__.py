@@ -19,14 +19,13 @@ rest on (see ``docs/STATIC_ANALYSIS.md``):
 
 The last four are *project-wide* (reprolint v2): pass 1 builds a
 symbol table, import graph, and approximate call graph over the whole
-scanned tree; pass 2 runs the interprocedural rules on top.  Verdicts
-are cached content-hashed (``--no-cache`` to disable), and ``--sarif``
-emits SARIF 2.1.0 for CI annotations.
+scanned tree; pass 2 runs the interprocedural rules on top.  ``--sarif``
+also writes the findings as SARIF 2.1.0.
 
 Run it as ``python -m repro lint`` (or programmatically via
-:func:`lint_project` / :func:`lint_paths` / :func:`lint_source`).
-Configuration lives in ``[tool.reprolint]`` of pyproject.toml;
-per-line suppressions use ``# reprolint: disable=CODE -- just.``.
+:func:`lint_project` / :func:`lint_source`).  Where each rule applies
+is stated once, in :mod:`repro.analysis.reprolint.config`; per-line
+suppressions use ``# reprolint: disable=CODE -- just.``.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.analysis.reprolint.config import (
     LintConfig,
     RuleScope,
     default_config,
-    load_config,
     permissive_config,
 )
 from repro.analysis.reprolint.diagnostics import Diagnostic
@@ -47,7 +45,6 @@ from repro.analysis.reprolint.engine import (
     ProjectRule,
     Rule,
     collect_diagnostics,
-    lint_paths,
     lint_project,
     lint_source,
 )
@@ -67,10 +64,8 @@ __all__ = [
     "all_rules",
     "collect_diagnostics",
     "default_config",
-    "lint_paths",
     "lint_project",
     "lint_source",
-    "load_config",
     "main",
     "permissive_config",
 ]
@@ -78,22 +73,18 @@ __all__ = [
 
 def main(
     paths,
-    pyproject=None,
     json_out=None,
     list_rules=False,
     sarif_out=None,
-    cache=None,
     update_schemas=False,
 ) -> int:
     """Entry point behind ``repro lint``; returns the process exit code.
 
-    0 = clean, 1 = findings, 2 = a file failed to parse/read (or
-    ``--update-schemas`` without a configured lockfile).
+    0 = clean, 1 = findings, 2 = a file failed to parse/read.
 
-    ``cache`` names the incremental-cache DB (``None`` disables
-    caching); ``sarif_out`` additionally writes SARIF 2.1.0;
-    ``update_schemas`` regenerates the SCHEMA01 lockfile from the
-    current tree before linting.
+    ``sarif_out`` additionally writes SARIF 2.1.0; ``update_schemas``
+    regenerates the SCHEMA01 lockfile from the current tree before
+    linting.
     """
     import json as _json
     import os as _os
@@ -106,16 +97,9 @@ def main(
             print(f"{rule.code}  {rule.name}: {doc}")
         return 0
 
-    config = load_config(pyproject) if pyproject else default_config()
+    config = default_config()
 
     if update_schemas:
-        if not config.schemas_lock:
-            print(
-                "reprolint: --update-schemas needs '[tool.reprolint] "
-                "schemas-lock' configured in pyproject.toml",
-                file=sys.stderr,
-            )
-            return 2
         from repro.analysis.reprolint.rules.schema import (
             update_schemas_lock,
         )
@@ -128,7 +112,7 @@ def main(
             file=sys.stderr,
         )
 
-    result = lint_project(paths, rules, config=config, cache_path=cache)
+    result = lint_project(paths, rules, config=config)
     reports = result.reports
     diagnostics = collect_diagnostics(reports)
     errors = [r.parse_error for r in reports if r.parse_error]
@@ -145,8 +129,6 @@ def main(
             "files_scanned": result.files_scanned,
             "findings": [d.to_dict() for d in diagnostics],
             "errors": errors,
-            "cache_hit": result.cache_hit,
-            "reused_files": result.reused_files,
         }
         text = _json.dumps(payload, indent=1)
         if json_out == "-":
@@ -170,6 +152,5 @@ def main(
         )
         return 1
     if json_out is None:
-        suffix = " (cached)" if result.cache_hit else ""
-        print(f"reprolint: {len(reports)} file(s) clean{suffix}")
+        print(f"reprolint: {len(reports)} file(s) clean")
     return 0

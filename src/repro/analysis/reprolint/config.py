@@ -1,11 +1,11 @@
-"""reprolint configuration: rule scoping, loaded from ``pyproject.toml``.
+"""reprolint configuration: where each rule applies.
 
 Every rule carries a *scope*: which files (relative to the scanned
-package root) it applies to.  The built-in defaults encode this repo's
-actual contracts — which directories are simulated paths, where
+package root) it applies to.  :data:`RULE_SCOPES` is the one statement
+of this repo's contracts — which directories are simulated paths, where
 wall-clock reads are sanctioned, where the cost model lives — and
-``[tool.reprolint]`` in ``pyproject.toml`` can override them without
-touching code.
+:func:`default_config` (those scopes plus the SCHEMA01 lockfile) is
+exactly what ``repro lint`` runs.
 
 Path entries are matched against the POSIX-style path of each file
 relative to the scanned root (e.g. ``core/sou.py`` when scanning
@@ -21,74 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-#: The rule scoping shipped with the repo.  Mirrored (and overridable)
-#: in ``[tool.reprolint.rules]`` of pyproject.toml.
-DEFAULT_RULE_SCOPES: Dict[str, Dict[str, List[str]]] = {
-    "DET01": {
-        "include": [
-            "core/", "art/", "engines/", "workloads/", "faults/",
-            "harness/", "durability/", "concurrency/", "memsim/",
-            "serve/", "cluster/",
-        ],
-        "exclude": [],
-    },
-    "DET02": {
-        "include": [],
-        "exclude": ["harness/benchmarking.py", "log.py"],
-    },
-    "DET03": {
-        "include": [
-            "core/", "art/", "engines/", "workloads/", "faults/",
-            "harness/", "durability/", "concurrency/", "memsim/",
-            "serve/", "cluster/",
-        ],
-        "exclude": [],
-    },
-    "COST01": {
-        "include": [
-            "core/", "engines/", "faults/", "durability/", "harness/",
-            "model/", "serve/", "cluster/", "memsim/", "concurrency/",
-        ],
-        "exclude": ["model/costs.py"],
-    },
-    "PAR01": {
-        "include": ["harness/parallel.py", "cluster/"],
-        "exclude": [],
-    },
-    "DUR01": {
-        "include": ["durability/"],
-        "exclude": [],
-    },
-    # Interprocedural rules (reprolint v2).  These analyze the whole
-    # scanned tree regardless of scope; the scope decides where their
-    # *diagnostics* may land.
-    "CYC02": {
-        "include": [
-            "core/", "engines/", "faults/", "durability/", "harness/",
-            "model/", "serve/", "cluster/", "memsim/", "concurrency/",
-        ],
-        "exclude": ["model/costs.py"],
-    },
-    "WAL01": {
-        "include": ["durability/", "cluster/replication.py"],
-        "exclude": [],
-    },
-    "PAR02": {
-        "include": [],
-        # logging configuration is an explicit process-local side
-        # channel (PAR01's carve-out) and never feeds results
-        "exclude": ["log.py"],
-    },
-    "SCHEMA01": {
-        "include": [],
-        "exclude": [],
-    },
-}
-
-#: Files never scanned, regardless of rule scope.
-DEFAULT_EXCLUDE: List[str] = []
+from typing import Dict, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -106,22 +39,77 @@ class RuleScope:
         return _matches_any(relpath, self.include)
 
 
+#: The packages whose results must be deterministic: simulated paths,
+#: the harness and the campaign platform.
+_SIMULATED = (
+    "core/", "art/", "engines/", "workloads/", "faults/", "harness/",
+    "durability/", "concurrency/", "memsim/", "serve/", "cluster/",
+    "experiments/",
+)
+
+#: Every package that bills a cost.
+_BILLING = (
+    "core/", "engines/", "faults/", "durability/", "harness/", "model/",
+    "serve/", "cluster/", "memsim/", "concurrency/",
+)
+
+#: Each rule's scope.
+RULE_SCOPES: Dict[str, RuleScope] = {
+    # Seeded-RNG-only contract: the golden determinism test and
+    # bit-identical --jobs N sweeps require every draw to flow from a
+    # harness-threaded seed.
+    "DET01": RuleScope(include=_SIMULATED),
+    # Wall-clock reads are sanctioned only for host-side stamps and log
+    # timestamps.
+    "DET02": RuleScope(exclude=("harness/benchmarking.py", "log.py")),
+    # Set iteration order is process-dependent; ordered consumption must
+    # go through sorted().
+    "DET03": RuleScope(include=_SIMULATED),
+    # All cycle/latency billing flows through the calibrated constants
+    # of model/costs.py.
+    "COST01": RuleScope(include=_BILLING, exclude=("model/costs.py",)),
+    # Frozen-cell contract for parallel sweep workers.
+    "PAR01": RuleScope(include=("harness/parallel.py", "cluster/")),
+    # fsync-before-atomic-rename (or append+sync) for every durable
+    # write.  harness/benchmarking.py is in scope because
+    # BENCH_speed.json is an append-only trajectory whose torn states
+    # would lose every recorded comparison; experiments/store.py rides
+    # on SQLite's own journaled atomicity instead of this protocol.
+    "DUR01": RuleScope(include=("durability/", "harness/benchmarking.py")),
+    # Interprocedural rules.  These analyze the whole scanned tree
+    # regardless of scope; the scope decides where their *diagnostics*
+    # may land.
+    # Cost terms must reach a billing sink.
+    "CYC02": RuleScope(include=_BILLING, exclude=("model/costs.py",)),
+    # Commit-point typestate: the committed-state ledger trails the WAL.
+    "WAL01": RuleScope(include=("durability/", "cluster/replication.py")),
+    # Call-graph race detection from every process-pool worker root;
+    # logging configuration is an explicit process-local side channel
+    # (PAR01's carve-out) and never feeds results.
+    "PAR02": RuleScope(exclude=("log.py",)),
+    # Versioned report dicts are locked in lint/schemas.lock.
+    "SCHEMA01": RuleScope(),
+}
+
+#: The SCHEMA01 lockfile of this checkout: ``lint/schemas.lock`` beside
+#: ``src/`` (this module is ``src/repro/analysis/reprolint/config.py``).
+SCHEMAS_LOCK = os.path.normpath(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    os.pardir, os.pardir, os.pardir, os.pardir, "lint", "schemas.lock",
+))
+
+
 @dataclass(frozen=True)
 class LintConfig:
     """Full analyzer configuration."""
 
     scopes: Dict[str, RuleScope] = field(default_factory=dict)
-    exclude: Sequence[str] = ()
-    disabled_rules: Sequence[str] = ()
     #: Absolute path of the SCHEMA01 lockfile; None leaves SCHEMA01
-    #: inert (set via ``[tool.reprolint] schemas-lock`` in pyproject).
+    #: inert.
     schemas_lock: Optional[str] = None
 
     def scope_for(self, code: str) -> RuleScope:
         return self.scopes.get(code, RuleScope())
-
-    def rule_enabled(self, code: str) -> bool:
-        return code not in self.disabled_rules
 
 
 def _matches_any(relpath: str, entries: Sequence[str]) -> bool:
@@ -135,72 +123,10 @@ def _matches_any(relpath: str, entries: Sequence[str]) -> bool:
 
 
 def default_config() -> LintConfig:
-    """The built-in scoping (used when pyproject has no override)."""
-    return LintConfig(
-        scopes={
-            code: RuleScope(
-                include=tuple(scope["include"]),
-                exclude=tuple(scope["exclude"]),
-            )
-            for code, scope in DEFAULT_RULE_SCOPES.items()
-        },
-        exclude=tuple(DEFAULT_EXCLUDE),
-    )
+    """The shipped scoping and lockfile: what ``repro lint`` runs."""
+    return LintConfig(scopes=dict(RULE_SCOPES), schemas_lock=SCHEMAS_LOCK)
 
 
 def permissive_config() -> LintConfig:
     """Every rule applies to every file — used by the fixture tests."""
-    return LintConfig(scopes={}, exclude=())
-
-
-def load_config(pyproject_path: Optional[str] = None) -> LintConfig:
-    """Load ``[tool.reprolint]`` from pyproject, merged over defaults.
-
-    Missing file, missing section, or a Python without a TOML parser
-    (< 3.11 and no ``tomli``) all fall back to the built-in defaults, so
-    the analyzer always runs.
-    """
-    if pyproject_path is None:
-        return default_config()
-    try:
-        import tomllib  # Python >= 3.11
-    except ImportError:  # pragma: no cover - 3.9/3.10 fallback
-        try:
-            import tomli as tomllib  # type: ignore[no-redef]
-        except ImportError:
-            return default_config()
-    try:
-        with open(pyproject_path, "rb") as handle:
-            doc = tomllib.load(handle)
-    except (OSError, ValueError):
-        return default_config()
-    section = doc.get("tool", {}).get("reprolint")
-    if not isinstance(section, dict):
-        return default_config()
-
-    base = default_config()
-    scopes = dict(base.scopes)
-    rules = section.get("rules", {})
-    if isinstance(rules, dict):
-        for code, entry in rules.items():
-            if not isinstance(entry, dict):
-                continue
-            prior = scopes.get(code, RuleScope())
-            scopes[code] = RuleScope(
-                include=tuple(entry.get("include", prior.include)),
-                exclude=tuple(entry.get("exclude", prior.exclude)),
-            )
-    schemas_lock = section.get("schemas-lock") or section.get(
-        "schemas_lock"
-    )
-    if isinstance(schemas_lock, str):
-        root = os.path.dirname(os.path.abspath(pyproject_path))
-        schemas_lock = os.path.normpath(os.path.join(root, schemas_lock))
-    else:
-        schemas_lock = None
-    return LintConfig(
-        scopes=scopes,
-        exclude=tuple(section.get("exclude", base.exclude)),
-        disabled_rules=tuple(section.get("disable", ())),
-        schemas_lock=schemas_lock,
-    )
+    return LintConfig()

@@ -35,8 +35,8 @@ from repro.analysis.reprolint.diagnostics import Diagnostic
 #: Meta-rule code for malformed disable pragmas.
 META_CODE = "LINT00"
 
-#: Bumped whenever rule semantics change — part of the incremental-cache
-#: key, so a reprolint upgrade invalidates cached verdicts.
+#: Bumped whenever rule semantics change; SARIF reports it as the tool
+#: version.
 ENGINE_VERSION = "2.0"
 
 _PRAGMA_RE = re.compile(
@@ -138,7 +138,7 @@ def parse_pragmas(source: str) -> List[Pragma]:
                 )
             )
     except tokenize.TokenError:
-        pass  # the ast.parse in lint_source reports the syntax error
+        pass  # the ast.parse in _lint_module reports the syntax error
     return pragmas
 
 
@@ -174,6 +174,40 @@ def pragma_table(
     return disabled_at, meta
 
 
+def _lint_module(
+    source: str,
+    path: str,
+    relpath: str,
+    rules: Sequence[Rule],
+    config: LintConfig,
+) -> Tuple[FileReport, Optional[ast.Module], Dict[int, Set[str]]]:
+    """One module's per-file pass: parse, pragma table, scoped rules.
+
+    Returns the report plus the parsed tree and the per-line disabled
+    codes, which the project pass reuses (``None`` and ``{}`` when the
+    module does not parse).
+    """
+    report = FileReport(path=path)
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        report.parse_error = f"{path}:{exc.lineno or 0}: syntax error: {exc.msg}"
+        return report, None, {}
+
+    known_codes = {rule.code for rule in rules} | {META_CODE}
+    disabled_at, meta_diags = pragma_table(source, path, known_codes)
+    report.diagnostics.extend(meta_diags)
+
+    for rule in rules:
+        if not config.scope_for(rule.code).matches(relpath):
+            continue
+        for diag in rule.check(tree, path, source):
+            if rule.code in disabled_at.get(diag.line, ()):
+                continue
+            report.diagnostics.append(diag)
+    return report, tree, disabled_at
+
+
 def lint_source(
     source: str,
     path: str,
@@ -181,39 +215,17 @@ def lint_source(
     relpath: Optional[str] = None,
     config: Optional[LintConfig] = None,
 ) -> FileReport:
-    """Run every in-scope rule over one module's source text."""
+    """Run every in-scope per-file rule over one module's source text."""
     if config is None:
         config = default_config()
     if relpath is None:
         relpath = path.replace(os.sep, "/")
-    report = FileReport(path=path)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        report.parse_error = f"{path}:{exc.lineno or 0}: syntax error: {exc.msg}"
-        return report
-
-    known_codes = {rule.code for rule in rules} | {META_CODE}
-    disabled_at, meta_diags = pragma_table(source, path, known_codes)
-    report.diagnostics.extend(meta_diags)
-
-    for rule in rules:
-        if not config.rule_enabled(rule.code):
-            continue
-        if not config.scope_for(rule.code).matches(relpath):
-            continue
-        for diag in rule.check(tree, path, source):
-            if rule.code in disabled_at.get(diag.line, ()):
-                continue
-            report.diagnostics.append(diag)
-
+    report = _lint_module(source, path, relpath, rules, config)[0]
     report.diagnostics.sort()
     return report
 
 
-def iter_python_files(
-    paths: Sequence[str], exclude: Sequence[str] = ()
-) -> Iterator[Tuple[str, str]]:
+def iter_python_files(paths: Sequence[str]) -> Iterator[Tuple[str, str]]:
     """Yield ``(abspath, relpath)`` for every ``.py`` under ``paths``.
 
     ``relpath`` is relative to the scanned root (the argument itself for
@@ -234,42 +246,7 @@ def iter_python_files(
                 full = os.path.join(dirpath, filename)
                 rel = os.path.relpath(full, root).replace(os.sep, "/")
                 collected.append((full, rel))
-        for full, rel in sorted(collected, key=lambda pair: pair[1]):
-            skip = False
-            for entry in exclude:
-                if entry.endswith("/"):
-                    if rel.startswith(entry) or ("/" + entry) in ("/" + rel):
-                        skip = True
-                        break
-                elif rel == entry or rel.endswith("/" + entry):
-                    skip = True
-                    break
-            if not skip:
-                yield full, rel
-
-
-def lint_paths(
-    paths: Sequence[str],
-    rules: Sequence[Rule],
-    config: Optional[LintConfig] = None,
-) -> List[FileReport]:
-    """Lint every Python file under ``paths``; one report per file."""
-    if config is None:
-        config = default_config()
-    reports: List[FileReport] = []
-    for full, rel in iter_python_files(paths, exclude=config.exclude):
-        try:
-            with open(full, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            report = FileReport(path=full)
-            report.parse_error = f"{full}: unreadable: {exc}"
-            reports.append(report)
-            continue
-        reports.append(
-            lint_source(source, full, rules, relpath=rel, config=config)
-        )
-    return reports
+        yield from sorted(collected, key=lambda pair: pair[1])
 
 
 def collect_diagnostics(reports: Iterable[FileReport]) -> List[Diagnostic]:
@@ -281,13 +258,11 @@ def collect_diagnostics(reports: Iterable[FileReport]) -> List[Diagnostic]:
 
 @dataclass
 class ProjectLintResult:
-    """Outcome of a two-pass (local + interprocedural) lint run."""
+    """Outcome of a two-pass (per-file + interprocedural) lint run."""
 
     reports: List[FileReport]
     files_scanned: int
-    cache_hit: bool = False
-    reused_files: int = 0
-    project: Optional[object] = None  # ProjectModel when built this run
+    project: Optional[object] = None  # the ProjectModel of the run
 
 
 def _root_packages(paths: Sequence[str]) -> List[str]:
@@ -302,182 +277,60 @@ def _root_packages(paths: Sequence[str]) -> List[str]:
     return packages
 
 
-def _config_key(config: LintConfig, rules: Sequence[Rule]) -> str:
-    """Cache key covering everything but file contents.
-
-    Any change to the engine version, rule set, scoping, or the schema
-    lockfile invalidates cached verdicts.
-    """
-    import hashlib
-    import json
-
-    lock_hash = ""
-    lock_path = getattr(config, "schemas_lock", None)
-    if lock_path:
-        try:
-            with open(lock_path, "rb") as handle:
-                lock_hash = hashlib.sha256(handle.read()).hexdigest()
-        except OSError:
-            lock_hash = "missing"
-    payload = {
-        "engine": ENGINE_VERSION,
-        "rules": sorted(rule.code for rule in rules),
-        "scopes": {
-            code: {
-                "include": list(scope.include),
-                "exclude": list(scope.exclude),
-            }
-            for code, scope in sorted(config.scopes.items())
-        },
-        "exclude": list(config.exclude),
-        "disabled": sorted(config.disabled_rules),
-        "schemas_lock": lock_hash,
-    }
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-
-
 def lint_project(
     paths: Sequence[str],
     rules: Sequence[Rule],
     config: Optional[LintConfig] = None,
-    cache_path: Optional[str] = None,
     packages: Optional[Sequence[str]] = None,
 ) -> ProjectLintResult:
     """Two-pass lint: per-file rules, then interprocedural project rules.
 
-    With ``cache_path`` set, verdicts are cached keyed on content
-    hashes: an unchanged tree skips parsing entirely (the warm path
-    only re-hashes files), and an edit re-lints just the changed files
-    locally plus one whole-project pass.
+    Pass 1 runs :func:`lint_source`'s per-file pass over every Python
+    file under ``paths``; pass 2 builds the project model from the
+    parsed modules and runs the project rules over it.
     """
-    import hashlib
-
-    from repro.analysis.reprolint import cache as cache_mod
     from repro.analysis.reprolint.project import ProjectModel
 
     if config is None:
         config = default_config()
-    local_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [
-        r for r in rules
-        if isinstance(r, ProjectRule) and config.rule_enabled(r.code)
-    ]
-    known_codes = {rule.code for rule in rules} | {META_CODE}
 
-    entries: List[Dict[str, object]] = []
-    for full, rel in iter_python_files(paths, exclude=config.exclude):
-        try:
-            with open(full, "rb") as handle:
-                raw = handle.read()
-            source = raw.decode("utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            entries.append({
-                "path": full, "rel": rel, "source": None, "sha": "",
-                "error": f"{full}: unreadable: {exc}",
-            })
-            continue
-        entries.append({
-            "path": full, "rel": rel, "source": source,
-            "sha": hashlib.sha256(raw).hexdigest(), "error": None,
-        })
-
-    config_key = _config_key(config, rules)
-    signature = hashlib.sha256(
-        (config_key + "".join(
-            f"\n{ent['rel']}\0{ent['sha']}" for ent in entries
-        )).encode("utf-8")
-    ).hexdigest()
-
-    db = cache_mod.load(cache_path) if cache_path else None
-    if db is not None and db.get("project_signature") == signature:
-        reports = cache_mod.reports_from_cache(db, entries)
-        return ProjectLintResult(
-            reports=reports, files_scanned=len(entries),
-            cache_hit=True, reused_files=len(entries),
-        )
-
-    cached_files: Dict[str, Dict[str, object]] = {}
-    if db is not None and db.get("local_key") == config_key:
-        cached_files = db.get("files", {})  # type: ignore[assignment]
-
+    reports: List[FileReport] = []
     reports_by_rel: Dict[str, FileReport] = {}
-    local_diags: Dict[str, List[Diagnostic]] = {}
     tables: Dict[str, Dict[int, Set[str]]] = {}
     parsed: List[Tuple[str, str, ast.Module, str]] = []
-    reused = 0
-    for ent in entries:
-        full = str(ent["path"])
-        rel = str(ent["rel"])
-        if ent["error"] is not None:
-            report = FileReport(path=full)
-            report.parse_error = str(ent["error"])
-            reports_by_rel[rel] = report
-            local_diags[rel] = []
-            continue
-        source = str(ent["source"])
+    for full, rel in iter_python_files(paths):
         try:
-            tree = ast.parse(source, filename=full)
-        except SyntaxError as exc:
+            with open(full, "rb") as handle:
+                source = handle.read().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             report = FileReport(path=full)
-            report.parse_error = (
-                f"{full}:{exc.lineno or 0}: syntax error: {exc.msg}"
-            )
-            reports_by_rel[rel] = report
-            local_diags[rel] = []
-            continue
-        disabled_at, meta_diags = pragma_table(source, full, known_codes)
-        tables[rel] = disabled_at
-        parsed.append((full, rel, tree, source))
-        prior = cached_files.get(rel)
-        if prior is not None and prior.get("sha") == ent["sha"]:
-            report = cache_mod.report_from_entry(full, prior)
-            reused += 1
+            report.parse_error = f"{full}: unreadable: {exc}"
         else:
-            report = FileReport(path=full)
-            report.diagnostics.extend(meta_diags)
-            for rule in local_rules:
-                if not config.rule_enabled(rule.code):
-                    continue
-                if not config.scope_for(rule.code).matches(rel):
-                    continue
-                for diag in rule.check(tree, full, source):
-                    if rule.code in disabled_at.get(diag.line, ()):
-                        continue
-                    report.diagnostics.append(diag)
+            report, tree, tables[rel] = _lint_module(
+                source, full, rel, rules, config
+            )
+            if tree is not None:
+                parsed.append((full, rel, tree, source))
+        reports.append(report)
         reports_by_rel[rel] = report
-        local_diags[rel] = list(report.diagnostics)
 
     if packages is None:
         packages = _root_packages(paths)
     project = ProjectModel.build(parsed, packages=packages)
-    project_diags: List[Tuple[str, Diagnostic]] = []
-    for rule in project_rules:
+    for rule in rules:
+        if not isinstance(rule, ProjectRule):
+            continue
         scope = config.scope_for(rule.code)
         for diag in rule.check_project(project, config):
             rel_of = project.relpath_of(diag.path)
-            if rel_of is None:
-                continue
-            if not scope.matches(rel_of):
+            if rel_of is None or not scope.matches(rel_of):
                 continue
             if diag.code in tables.get(rel_of, {}).get(diag.line, ()):
                 continue
             reports_by_rel[rel_of].diagnostics.append(diag)
-            project_diags.append((rel_of, diag))
 
-    reports = []
-    for ent in entries:
-        report = reports_by_rel[str(ent["rel"])]
+    for report in reports:
         report.diagnostics.sort()
-        reports.append(report)
-
-    if cache_path:
-        cache_mod.save(
-            cache_path, config_key, signature, entries,
-            reports_by_rel, local_diags, project_diags,
-        )
     return ProjectLintResult(
-        reports=reports, files_scanned=len(entries),
-        cache_hit=False, reused_files=reused, project=project,
+        reports=reports, files_scanned=len(reports), project=project
     )

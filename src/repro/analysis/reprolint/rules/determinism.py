@@ -43,8 +43,8 @@ class Det01UnseededRandomness(Rule):
     ``np.random.seed``), or a generator constructed without a seed
     (``Random()``, ``np.random.default_rng()`` with no argument).
 
-    **Contract**: every random draw in ``core/``, ``art/``,
-    ``engines/``, ``workloads/``, ``faults/``, ``harness/`` must flow
+    **Contract**: every random draw in a simulated path, the harness or
+    the campaign platform (the scope in ``config.RULE_SCOPES``) must flow
     from an explicit generator seeded by the harness (``Random(seed)``,
     ``np.random.default_rng(seed)``) so that a (seed, workload, engine)
     triple fully determines the run — the invariant behind the golden

@@ -26,8 +26,9 @@ same schema id with different keys.
 Fix path: bump the version string (``.../v2``) for intentional
 changes, then run ``repro lint --update-schemas`` to regenerate the
 lock; the diff of ``lint/schemas.lock`` documents the change in
-review.  The rule is inert when no lockfile is configured
-(``[tool.reprolint] schemas-lock`` in pyproject).
+review.  The rule is inert when the config names no lockfile; the
+shipped config (:func:`~repro.analysis.reprolint.config.default_config`)
+names ``lint/schemas.lock``.
 """
 
 from __future__ import annotations

@@ -96,7 +96,7 @@ from typing import List, Optional
 
 from repro.errors import ConfigError, FaultError, WorkloadError
 from repro.harness import experiments
-from repro.harness.runner import default_engines
+from repro.harness.runner import ENGINE_ORDER, default_engines
 from repro.harness.serialize import result_to_dict, save_matrix
 from repro.workloads import WORKLOAD_NAMES, make_workload
 from repro.workloads.trace import load_workload, save_workload
@@ -118,8 +118,6 @@ FIGURES = {
     "fig12b": experiments.fig12b_mix_sensitivity,
     "ablation": experiments.ablation,
 }
-
-ENGINE_NAMES = ("ART", "Heart", "SMART", "CuART", "DCART-C", "DCART")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--save", metavar="DIR", default=None)
 
     run = sub.add_parser("run", help="run one engine on one workload")
-    run.add_argument("--engine", choices=ENGINE_NAMES, required=True)
+    run.add_argument("--engine", choices=ENGINE_ORDER, required=True)
     run.add_argument("--workload", choices=WORKLOAD_NAMES, default="IPGEO")
     run.add_argument("--keys", type=int, default=10_000)
     run.add_argument("--ops", type=int, default=100_000)
@@ -219,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="run an (engine x workload x seed) grid, optionally "
                       "in parallel"
     )
-    sweep.add_argument("--engines", nargs="+", choices=ENGINE_NAMES,
+    sweep.add_argument("--engines", nargs="+", choices=ENGINE_ORDER,
                        default=["ART", "DCART"])
     sweep.add_argument("--workloads", nargs="+", choices=WORKLOAD_NAMES,
                        default=["IPGEO"])
@@ -243,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="open-loop serving sweep: arrivals, admission, SLO/RTO"
     )
-    serve.add_argument("--engine", choices=ENGINE_NAMES, default="DCART")
+    serve.add_argument("--engine", choices=ENGINE_ORDER, default="DCART")
     serve.add_argument("--workload", choices=WORKLOAD_NAMES, default="IPGEO")
     serve.add_argument("--keys", type=int, default=None)
     serve.add_argument("--ops", type=int, default=None)
@@ -377,23 +375,13 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files/directories to scan (default: the "
                            "installed repro package source)")
-    lint.add_argument("--pyproject", default=None, metavar="FILE",
-                      help="pyproject.toml with [tool.reprolint] overrides "
-                           "(default: auto-detect at the repo root)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print every rule code and one-line summary")
     lint.add_argument("--json", nargs="?", const="-", default=None,
                       metavar="PATH",
                       help="emit findings as JSON (to PATH, or stdout)")
     lint.add_argument("--sarif", default=None, metavar="PATH",
-                      help="additionally write findings as SARIF 2.1.0 "
-                           "(CI code-scanning annotations)")
-    lint.add_argument("--cache", default=None, metavar="PATH",
-                      help="incremental-cache DB path (default: "
-                           ".reprolint-cache.json next to the detected "
-                           "pyproject)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="disable the content-hash incremental cache")
+                      help="additionally write findings as SARIF 2.1.0")
     lint.add_argument("--update-schemas", action="store_true",
                       help="regenerate the SCHEMA01 lockfile "
                            "(lint/schemas.lock) from the current tree, "
@@ -1022,31 +1010,12 @@ def _cmd_campaign(args) -> int:
 def _cmd_lint(args) -> int:
     from repro.analysis import reprolint
 
-    paths = args.paths
-    package_root = os.path.dirname(os.path.abspath(__file__))
-    if not paths:
-        paths = [package_root]
-    pyproject = args.pyproject
-    if pyproject is None:
-        # src/repro -> src -> repo root
-        candidate = os.path.join(
-            os.path.dirname(os.path.dirname(package_root)), "pyproject.toml"
-        )
-        if os.path.isfile(candidate):
-            pyproject = candidate
-    cache = args.cache
-    if cache is None and not args.no_cache:
-        cache_root = os.path.dirname(pyproject) if pyproject else os.getcwd()
-        cache = os.path.join(cache_root, ".reprolint-cache.json")
-    if args.no_cache:
-        cache = None
+    paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
     return reprolint.main(
         paths,
-        pyproject=pyproject,
         json_out=args.json,
         list_rules=args.list_rules,
         sarif_out=args.sarif,
-        cache=cache,
         update_schemas=args.update_schemas,
     )
 

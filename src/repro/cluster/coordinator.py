@@ -145,7 +145,6 @@ class ClusterBatchResult:
     shard_cycles: int
     admin_cycles: int
     completions: List[Tuple[int, int]]
-    deferred_ops: int
 
     @property
     def makespan_cycles(self) -> int:
@@ -375,7 +374,6 @@ class ClusterCoordinator:
         #    ones (hinted handoff).  Shards run in parallel: the batch's
         #    shard phase costs the slowest sub-batch.
         shard_cycles = 0
-        deferred = 0
         for shard_id in range(self.cluster.n_shards):
             sub = by_shard.get(shard_id)
             if not sub:
@@ -383,7 +381,6 @@ class ClusterCoordinator:
             shard = self.shards[shard_id]
             if not shard.alive:
                 self._handoff.setdefault(shard_id, []).extend(sub)
-                deferred += len(sub)
                 continue
             sub_cycles = self._execute_on(
                 shard, np.array(sub, dtype=np.int64), batch_index,
@@ -425,7 +422,6 @@ class ClusterCoordinator:
             shard_cycles=shard_cycles,
             admin_cycles=admin_cycles,
             completions=completions,
-            deferred_ops=deferred,
         )
 
     def _execute_on(
@@ -485,25 +481,17 @@ class ClusterCoordinator:
         admin += catchup_ops * costs.catchup_replay_cycles_per_op
 
         handoff = self._handoff.pop(shard_id, [])
+        admin += len(handoff) * costs.handoff_cycles_per_op
+        self.clock += admin
         if handoff:
-            admin += len(handoff) * costs.handoff_cycles_per_op
-            self.clock += admin
-            admin_before_replay = admin
-            replay = shard.session.execute_batch(
-                self.workload.operations,
-                np.array(handoff, dtype=np.int64),
-                batch_index,
+            # The promoted shard has no replica, so the replay ships
+            # nothing.
+            replay_cycles = self._execute_on(
+                shard, np.array(handoff, dtype=np.int64), batch_index,
+                self.clock - batch_start, completions,
             )
-            completions.extend(replay.completions(
-                self.clock - batch_start + replay.pcu_cycles
-            ))
-            shard.ops_executed += len(handoff)
-            shard.batches_executed += 1
-            replay_cycles = replay.pcu_cycles + replay.service_cycles
             self.clock += replay_cycles
-            admin = admin_before_replay + replay_cycles
-        else:
-            self.clock += admin
+            admin += replay_cycles
         self.detector.revive(shard_id, self.clock)
         self.failovers.append(
             FailoverRecord(
@@ -550,7 +538,6 @@ class ClusterCoordinator:
             shard_cycles=0,
             admin_cycles=admin,
             completions=completions,
-            deferred_ops=0,
         )
 
     # ------------------------------------------------------------------
@@ -641,13 +628,11 @@ class ClusterCoordinator:
         )
         completed = 0
         n_batches = 0
-        deferred = 0
         for batch_index, ids in enumerate(
             self.workload.operations.batches(size)
         ):
             result = self.execute_batch(ids, batch_index)
             completed += len(result.completions)
-            deferred += result.deferred_ops
             n_batches += 1
         tail = self.drain(n_batches)
         completed += len(tail.completions)
@@ -664,13 +649,16 @@ class ClusterCoordinator:
             validate_tree(shard.tree).raise_if_failed()
 
     def check_replicas(self) -> None:
-        """Catch every surviving replica up and hold it to its primary.
+        """Catch every surviving replica up, hold it to its primary, and
+        drop it.
 
         Each replica's tree must pass ART validation and map exactly
         the keys and values of its primary's; raises
         :class:`~repro.errors.TreeError` or :class:`SimulationError`
-        otherwise.  The catch-up drains the inboxes :meth:`report`
-        reads the lag from, so check after the report is built.
+        otherwise.  Replicas are checked one at a time and each is
+        dropped once it passes, so at most one caught-up replica tree
+        is held.  The check consumes the replicas :meth:`report` reads,
+        so check after the report is built.
         """
         for shard in self.shards:
             replica = shard.replica
@@ -684,6 +672,7 @@ class ClusterCoordinator:
                     f"the replica of shard {shard.shard_id} does not "
                     "match its primary"
                 )
+            shard.replica = None
 
     def report(
         self, completed: int, n_batches: int

@@ -32,20 +32,6 @@ from repro.experiments.store import ResultStore
 from repro.harness.parallel import cell_failed, run_cells
 from repro.model.costs import DEFAULT_POWER, PowerModel
 
-#: Which platform kind each engine's energy is billed on (the power
-#: dimension re-prices energy by the watts ratio; see
-#: :meth:`repro.model.costs.PowerModel.watts_for`).
-ENGINE_PLATFORM_KIND: Dict[str, str] = {
-    "ART": "cpu",
-    "Heart": "cpu",
-    "SMART": "cpu",
-    "OLC": "cpu",
-    "DCART-C": "cpu",
-    "CuART": "gpu",
-    "DCART": "fpga",
-}
-
-
 @dataclass(frozen=True)
 class CampaignCell:
     """One campaign grid cell: the complete recipe for its run."""
@@ -124,7 +110,10 @@ def run_campaign_cell(
     from repro.obs import Telemetry
     from repro.workloads import make_workload
 
-    kind = ENGINE_PLATFORM_KIND[cell.engine]
+    # A fault or crash cell runs DCART on its own config; the engine
+    # built here still names the platform its energy is billed on.
+    engine = default_engines(cell.n_keys, include=[cell.engine])[0]
+    kind = engine.platform.kind
     default_watts = DEFAULT_POWER.watts_for(kind)
     watts = cell.power_model().watts_for(kind)
     tree_valid: Optional[bool] = None
@@ -159,7 +148,6 @@ def run_campaign_cell(
             )
             tree_valid = validation.ok
         else:
-            engine = default_engines(cell.n_keys, include=[cell.engine])[0]
             engine.telemetry = telemetry
             result = engine.run(workload)
         doc = result_to_dict(result)

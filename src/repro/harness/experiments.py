@@ -26,6 +26,7 @@ from repro.errors import SimulationError
 from repro.harness.comparison import band, energy_savings, speedups
 from repro.harness.formatting import format_table
 from repro.harness.runner import (
+    ENGINE_ORDER,
     default_engines,
     run_matrix,
     scaled_dcart_config,
@@ -46,7 +47,6 @@ DEFAULT_SEED = 1
 
 REALWORLD = ("IPGEO", "DICT", "EA")
 MOTIVATION_ENGINES = ("ART", "Heart", "SMART")
-ALL_ENGINES = ("ART", "Heart", "SMART", "CuART", "DCART-C", "DCART")
 
 
 @dataclass
@@ -346,11 +346,11 @@ def fig7_contentions(
 
     Paper: DCART-C/DCART at 3.2 %-19.7 % of the other solutions.
     """
-    results = _matrix(WORKLOAD_NAMES, ALL_ENGINES, n_keys, n_ops, seed)
+    results = _matrix(WORKLOAD_NAMES, ENGINE_ORDER, n_keys, n_ops, seed)
     rows = []
     for workload in WORKLOAD_NAMES:
         row = [workload]
-        for engine in ALL_ENGINES:
+        for engine in ENGINE_ORDER:
             row.append(results[workload][engine].lock_contentions)
         dcart = results[workload]["DCART"].lock_contentions
         baseline_min = min(
@@ -361,7 +361,7 @@ def fig7_contentions(
         rows.append(row)
     return ExperimentResult(
         "Fig. 7 - lock contentions",
-        ["workload"] + list(ALL_ENGINES) + ["DCART/best_baseline_%"],
+        ["workload"] + list(ENGINE_ORDER) + ["DCART/best_baseline_%"],
         rows,
         notes="paper: DCART(-C) at 3.2-19.7 % of the baselines",
         raw=results,
@@ -376,13 +376,13 @@ def fig8_matches(
     Paper bands (DCART as % of baseline): ART 3.2-5.7, SMART 6.5-14.3,
     CuART 8.8-15.9.
     """
-    results = _matrix(WORKLOAD_NAMES, ALL_ENGINES, n_keys, n_ops, seed)
+    results = _matrix(WORKLOAD_NAMES, ENGINE_ORDER, n_keys, n_ops, seed)
     rows = []
     for workload in WORKLOAD_NAMES:
         per = results[workload]
         dcart = per["DCART"].partial_key_matches
         row = [workload]
-        for engine in ALL_ENGINES:
+        for engine in ENGINE_ORDER:
             row.append(per[engine].partial_key_matches)
         for baseline in ("ART", "SMART", "CuART"):
             base = per[baseline].partial_key_matches
@@ -391,7 +391,7 @@ def fig8_matches(
     return ExperimentResult(
         "Fig. 8 - partial-key matches",
         ["workload"]
-        + list(ALL_ENGINES)
+        + list(ENGINE_ORDER)
         + ["%of_ART", "%of_SMART", "%of_CuART"],
         rows,
         notes="paper: DCART at 3.2-5.7 % of ART, 6.5-14.3 % of SMART, 8.8-15.9 % of CuART",
@@ -407,13 +407,13 @@ def fig9_performance(
     Paper bands: 123.8-151.7x vs ART, 35.9-44.2x vs SMART, 21.1-31.2x
     vs CuART; DCART-C only slightly outperforms the baselines.
     """
-    results = _matrix(WORKLOAD_NAMES, ALL_ENGINES, n_keys, n_ops, seed)
+    results = _matrix(WORKLOAD_NAMES, ENGINE_ORDER, n_keys, n_ops, seed)
     rows = []
     for workload in WORKLOAD_NAMES:
         per = results[workload]
         ratios = speedups(per)
         row = [workload]
-        for engine in ALL_ENGINES:
+        for engine in ENGINE_ORDER:
             row.append(per[engine].elapsed_seconds * 1e3)
         row.extend(
             [ratios["ART"], ratios["SMART"], ratios["CuART"], ratios["DCART-C"]]
@@ -435,7 +435,7 @@ def fig9_performance(
     return ExperimentResult(
         "Fig. 9 - execution time (ms) and DCART speedups",
         ["workload"]
-        + [f"{e}_ms" for e in ALL_ENGINES]
+        + [f"{e}_ms" for e in ENGINE_ORDER]
         + ["spd_vs_ART", "spd_vs_SMART", "spd_vs_CuART", "spd_vs_DCART-C"],
         rows,
         notes=notes,
@@ -458,9 +458,9 @@ def fig10_throughput_latency(
     raw = {}
     for name in workloads:
         for n_ops in op_counts:
-            results = _matrix((name,), ALL_ENGINES, n_keys, n_ops, seed)
+            results = _matrix((name,), ENGINE_ORDER, n_keys, n_ops, seed)
             raw[f"{name}@{n_ops}"] = results[name]
-            for engine in ALL_ENGINES:
+            for engine in ENGINE_ORDER:
                 r = results[name][engine]
                 rows.append(
                     [name, n_ops, engine, r.throughput_mops, r.p99_latency_us]
@@ -482,13 +482,13 @@ def fig11_energy(
     Paper bands: 315.1-493.5x vs ART, 92.7-148.9x vs SMART, 71.1-126.2x
     vs CuART, 48.1-97.6x vs DCART-C.
     """
-    results = _matrix(WORKLOAD_NAMES, ALL_ENGINES, n_keys, n_ops, seed)
+    results = _matrix(WORKLOAD_NAMES, ENGINE_ORDER, n_keys, n_ops, seed)
     rows = []
     for workload in WORKLOAD_NAMES:
         per = results[workload]
         savings = energy_savings(per)
         row = [workload]
-        for engine in ALL_ENGINES:
+        for engine in ENGINE_ORDER:
             row.append(per[engine].energy_joules)
         row.extend(
             [savings["ART"], savings["SMART"], savings["CuART"], savings["DCART-C"]]
@@ -497,7 +497,7 @@ def fig11_energy(
     return ExperimentResult(
         "Fig. 11 - energy (J) and DCART savings",
         ["workload"]
-        + [f"{e}_J" for e in ALL_ENGINES]
+        + [f"{e}_J" for e in ENGINE_ORDER]
         + ["sav_vs_ART", "sav_vs_SMART", "sav_vs_CuART", "sav_vs_DCART-C"],
         rows,
         notes=(
@@ -524,17 +524,17 @@ def fig12a_op_sensitivity(
     rows = []
     raw = {}
     for n_ops in op_counts:
-        results = _matrix(("IPGEO",), ALL_ENGINES, n_keys, n_ops, seed)
+        results = _matrix(("IPGEO",), ENGINE_ORDER, n_keys, n_ops, seed)
         raw[f"IPGEO@{n_ops}"] = results["IPGEO"]
         ratios = speedups(results["IPGEO"])
         row = [n_ops]
-        for engine in ALL_ENGINES:
+        for engine in ENGINE_ORDER:
             row.append(results["IPGEO"][engine].elapsed_seconds * 1e3)
         row.append(ratios["SMART"])
         rows.append(row)
     return ExperimentResult(
         "Fig. 12(a) - execution time (ms) vs #ops, IPGEO",
-        ["n_ops"] + [f"{e}_ms" for e in ALL_ENGINES] + ["spd_vs_SMART"],
+        ["n_ops"] + [f"{e}_ms" for e in ENGINE_ORDER] + ["spd_vs_SMART"],
         rows,
         notes="paper: DCART's speedup grows with the op count",
         raw=raw,
@@ -555,19 +555,19 @@ def fig12b_mix_sensitivity(
     for mix_name in ("A", "B", "C", "D", "E"):
         ratio = MIXES[mix_name].write_ratio
         results = _matrix(
-            ("IPGEO",), ALL_ENGINES, n_keys, n_ops, seed, write_ratio=ratio
+            ("IPGEO",), ENGINE_ORDER, n_keys, n_ops, seed, write_ratio=ratio
         )
         raw[f"IPGEO@{mix_name}"] = results["IPGEO"]
         ratios = speedups(results["IPGEO"])
         row = [mix_name, ratio]
-        for engine in ALL_ENGINES:
+        for engine in ENGINE_ORDER:
             row.append(results["IPGEO"][engine].elapsed_seconds * 1e3)
         row.append(ratios["SMART"])
         rows.append(row)
     return ExperimentResult(
         "Fig. 12(b) - execution time (ms) across mixes A-E, IPGEO",
         ["mix", "write_ratio"]
-        + [f"{e}_ms" for e in ALL_ENGINES]
+        + [f"{e}_ms" for e in ENGINE_ORDER]
         + ["spd_vs_SMART"],
         rows,
         notes="paper: improvement grows with the write ratio",

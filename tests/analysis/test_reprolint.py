@@ -9,8 +9,8 @@ Three layers:
   malformed disables), default scoping (sanctioned files excluded), and
   the CLI exit-code contract (0 clean / 1 findings / 2 parse error);
 * **gate coherence** — the shipped tree is clean under the shipped
-  config, and the mypy strict ratchet file stays in sync with the
-  strict override in pyproject.toml.
+  config (both passes), and the mypy strict ratchet file stays in sync
+  with the strict override in pyproject.toml.
 """
 
 import os
@@ -25,9 +25,8 @@ from repro.analysis.reprolint import (
     all_rules,
     collect_diagnostics,
     default_config,
-    lint_paths,
+    lint_project,
     lint_source,
-    load_config,
     main,
     permissive_config,
 )
@@ -169,28 +168,15 @@ def test_cost01_exempts_the_cost_model_itself():
     assert scope.matches("core/sou.py")
 
 
-def test_load_config_round_trips_pyproject():
-    config = load_config(PYPROJECT)
-    # pyproject mirrors the built-in defaults; behaviour must agree.
-    for code in RULE_CODES:
-        for rel in ("core/sou.py", "log.py", "harness/parallel.py",
-                    "model/costs.py", "durability/wal.py"):
-            assert config.scope_for(code).matches(rel) == \
-                default_config().scope_for(code).matches(rel), (code, rel)
-
-
-def test_load_config_missing_file_falls_back():
-    config = load_config(os.path.join(FIXTURES, "does_not_exist.toml"))
-    assert config.scope_for("PAR01").matches("harness/parallel.py")
-
-
 # ---------------------------------------------------------------------------
 # The gate itself: the shipped tree is clean, and the CLI exit codes hold.
 # ---------------------------------------------------------------------------
 
 
 def test_shipped_tree_is_clean():
-    reports = lint_paths([SRC_ROOT], all_rules(), config=load_config(PYPROJECT))
+    reports = lint_project(
+        [SRC_ROOT], all_rules(), config=default_config()
+    ).reports
     diagnostics = collect_diagnostics(reports)
     errors = [r.parse_error for r in reports if r.parse_error]
     assert errors == []
@@ -199,7 +185,7 @@ def test_shipped_tree_is_clean():
 
 
 def test_main_exit_zero_on_clean_tree(capsys):
-    assert main([SRC_ROOT], pyproject=PYPROJECT) == 0
+    assert main([SRC_ROOT]) == 0
     out = capsys.readouterr().out
     assert "clean" in out
 
@@ -243,15 +229,18 @@ def test_main_list_rules(capsys):
 
 
 def test_cli_subcommand_end_to_end():
-    """`python -m repro lint` on the shipped tree exits 0."""
+    """`python -m repro lint` on the shipped tree exits 0 and writes
+    nothing into the checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+    before = sorted(os.listdir(REPO_ROOT))
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "lint"],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "clean" in proc.stdout
+    assert sorted(os.listdir(REPO_ROOT)) == before
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ one-line mutation of exactly the kind the rule exists to catch —
 * CYC02 — discard the billed return of a ``model/costs.py`` call;
 * WAL01 — advance the committed-op ledger before any WAL event;
 * PAR02 — append to a module global from a pool-worker root;
-* SCHEMA01 — rename a locked key of the serve-sweep/v1 report
+* SCHEMA01 — rename a locked key of the serve-sweep/v1 report;
+* DET01 — draw from the global RNG in the campaign statistics
 
-— and asserts the two-pass run flags the mutated file with the
-expected code (and nothing before mutation: the unmutated copy is
-linted clean first, which also warms the verdict cache so the four
-mutated runs only re-parse the single edited file).
+— and asserts the two-pass run under the shipped config
+(``default_config()``, lockfile included) flags the mutated file with
+the expected code (and nothing before mutation: the unmutated copy is
+linted clean first).
 
 The mutations are *textual* against unique source lines: if the real
 module drifts so a target line disappears, the test fails loudly at
@@ -33,34 +34,27 @@ import pytest
 from repro.analysis.reprolint import (
     all_rules,
     collect_diagnostics,
+    default_config,
     lint_project,
-    load_config,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(os.path.dirname(HERE))
 SRC_ROOT = os.path.join(REPO_ROOT, "src", "repro")
-PYPROJECT = os.path.join(REPO_ROOT, "pyproject.toml")
 
 
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
-    """A scratch copy of the real tree plus a shared verdict cache."""
-    base = tmp_path_factory.mktemp("mutation")
-    tree = base / "repro"
+    """A scratch copy of the real tree."""
+    tree = tmp_path_factory.mktemp("mutation") / "repro"
     shutil.copytree(
         SRC_ROOT, tree, ignore=shutil.ignore_patterns("__pycache__")
     )
-    return {"tree": str(tree), "cache": str(base / "cache.json")}
+    return str(tree)
 
 
 def _lint(scratch):
-    result = lint_project(
-        [scratch["tree"]],
-        all_rules(),
-        config=load_config(PYPROJECT),
-        cache_path=scratch["cache"],
-    )
+    result = lint_project([scratch], all_rules(), config=default_config())
     assert all(r.parse_error is None for r in result.reports)
     return collect_diagnostics(result.reports)
 
@@ -72,7 +66,7 @@ def mutated(scratch, rel, old, new):
     ``old`` must appear exactly once — a drifted target line fails here
     rather than producing a mutation-free (vacuous) run.
     """
-    path = os.path.join(scratch["tree"], rel)
+    path = os.path.join(scratch, rel)
     with open(path, "r", encoding="utf-8") as handle:
         original = handle.read()
     assert original.count(old) == 1, f"mutation target drifted in {rel}: {old!r}"
@@ -174,8 +168,29 @@ def test_schema01_catches_renamed_report_key(scratch):
         assert any("serve-sweep/v1" in d.message for d in hits)
 
 
+def test_det01_catches_global_rng_in_campaign_stats(scratch):
+    # experiments/ is campaign code whose reports must be
+    # byte-deterministic: a draw from the shared global RNG there is a
+    # DET01 finding under the shipped scopes.
+    with mutated(
+        scratch,
+        os.path.join("experiments", "stats.py"),
+        "ALPHA = 0.05\n",
+        "ALPHA = 0.05\n"
+        "\n"
+        "\n"
+        "def jitter() -> float:\n"
+        "    import random\n"
+        "\n"
+        "    return random.random()\n",
+    ):
+        hits = _findings(scratch, "DET01", "stats.py")
+        assert len(hits) == 1, [d.render() for d in hits]
+        assert "random.random" in hits[0].message
+
+
 def test_restored_copy_is_clean_again(scratch):
     # Every mutation context restored its file: the scratch tree is
-    # byte-identical to the baseline and lints clean from cache.
+    # byte-identical to the baseline and lints clean again.
     diags = _lint(scratch)
     assert diags == [], "\n".join(d.render() for d in diags)

@@ -1,5 +1,5 @@
 """reprolint v2 self-checks: project model, interprocedural rules,
-incremental cache, SARIF output, and the schema lockfile.
+SARIF output, and the schema lockfile.
 
 Layers mirror ``test_reprolint.py``:
 
@@ -9,8 +9,6 @@ Layers mirror ``test_reprolint.py``:
   (no vacuous passes: the bad run is asserted non-empty);
 * **call-graph units** — import aliasing, re-export chasing, ``self.``
   dispatch, and the method-name fallback (with its weak-evidence flag);
-* **cache tests** — warm hit on an unchanged tree, invalidation on
-  edit (only changed files re-linted locally), config-key invalidation;
 * **SARIF + lockfile** — document structure, drift detection, and the
   shipped ``lint/schemas.lock`` staying in sync with the tree;
 * **gate coherence** — the shipped tree is clean under the full
@@ -29,8 +27,8 @@ from repro.analysis.reprolint import (
     LintConfig,
     all_rules,
     collect_diagnostics,
+    default_config,
     lint_project,
-    load_config,
     main,
     permissive_config,
 )
@@ -51,7 +49,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 PROJECT_FIXTURES = os.path.join(HERE, "fixtures", "project")
 REPO_ROOT = os.path.dirname(os.path.dirname(HERE))
 SRC_ROOT = os.path.join(REPO_ROOT, "src", "repro")
-PYPROJECT = os.path.join(REPO_ROOT, "pyproject.toml")
 
 PROJECT_RULES = {
     "CYC02": Cyc02UnbilledCycles,
@@ -238,85 +235,12 @@ def test_cyc02_fallback_requires_unanimous_candidates(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Incremental cache: warm hit, invalidation on edit, config key.
+# SARIF output.
 # ---------------------------------------------------------------------------
 
 
 def _copy_fixture_project(name, dest):
     shutil.copytree(os.path.join(PROJECT_FIXTURES, name), str(dest))
-
-
-def test_cache_warm_hit_and_edit_invalidation(tmp_path):
-    proj = tmp_path / "proj"
-    _copy_fixture_project("cyc02_good", proj)
-    cache = str(tmp_path / "cache.json")
-    rules = [Cyc02UnbilledCycles()]
-    config = permissive_config()
-
-    cold = lint_project([str(proj)], rules, config=config, cache_path=cache)
-    assert cold.cache_hit is False
-    assert collect_diagnostics(cold.reports) == []
-    assert os.path.exists(cache)
-
-    warm = lint_project([str(proj)], rules, config=config, cache_path=cache)
-    assert warm.cache_hit is True
-    assert warm.reused_files == warm.files_scanned == 2
-    assert collect_diagnostics(warm.reports) == []
-
-    engine = proj / "engine.py"
-    engine.write_text(
-        engine.read_text()
-        + "\n\ndef leak(n):\n    lookup_cycles(n)\n    return None\n"
-    )
-    edited = lint_project([str(proj)], rules, config=config, cache_path=cache)
-    assert edited.cache_hit is False
-    assert edited.reused_files == 1  # costs.py verdict reused
-    diags = collect_diagnostics(edited.reports)
-    assert [d.code for d in diags] == ["CYC02"]
-    assert "leak" in diags[0].message
-
-    # The new verdicts are themselves cached.
-    rewarm = lint_project([str(proj)], rules, config=config, cache_path=cache)
-    assert rewarm.cache_hit is True
-    assert [d.code for d in collect_diagnostics(rewarm.reports)] == ["CYC02"]
-
-
-def test_cache_invalidated_by_config_change(tmp_path):
-    proj = tmp_path / "proj"
-    _copy_fixture_project("cyc02_bad", proj)
-    cache = str(tmp_path / "cache.json")
-    rules = [Cyc02UnbilledCycles()]
-
-    first = lint_project(
-        [str(proj)], rules, config=permissive_config(), cache_path=cache
-    )
-    assert first.cache_hit is False
-    assert collect_diagnostics(first.reports)
-
-    scoped = LintConfig(scopes={}, disabled_rules=("CYC02",))
-    second = lint_project(
-        [str(proj)], rules, config=scoped, cache_path=cache
-    )
-    assert second.cache_hit is False  # config key changed -> full re-run
-    assert collect_diagnostics(second.reports) == []
-
-
-def test_corrupt_cache_is_a_miss_not_an_error(tmp_path):
-    proj = tmp_path / "proj"
-    _copy_fixture_project("cyc02_bad", proj)
-    cache = tmp_path / "cache.json"
-    cache.write_text("{not json")
-    result = lint_project(
-        [str(proj)], [Cyc02UnbilledCycles()],
-        config=permissive_config(), cache_path=str(cache),
-    )
-    assert result.cache_hit is False
-    assert collect_diagnostics(result.reports)
-
-
-# ---------------------------------------------------------------------------
-# SARIF output.
-# ---------------------------------------------------------------------------
 
 
 def test_sarif_document_structure(tmp_path):
@@ -352,8 +276,9 @@ def test_main_writes_sarif(tmp_path):
     proj = tmp_path / "proj"
     _copy_fixture_project("cyc02_bad", proj)
     out = tmp_path / "findings.sarif"
-    # No pyproject: default config scopes CYC02 to src dirs, so scan
-    # with a config-free main run and assert the file parses.
+    # main runs the shipped config, whose CYC02 scope names package
+    # directories this fixture lacks: the run may be clean, so assert
+    # only that the file parses.
     rc = main([str(proj)], sarif_out=str(out))
     assert os.path.exists(out)
     doc = json.loads(out.read_text())
@@ -468,9 +393,7 @@ def test_shipped_schemas_lock_matches_tree(tmp_path):
     assert before["format"] == LOCK_FORMAT
     work = tmp_path / "schemas.lock"
     shutil.copyfile(shipped, str(work))
-    project = lint_project(
-        [SRC_ROOT], [], config=load_config(PYPROJECT)
-    ).project
+    project = lint_project([SRC_ROOT], [], config=default_config()).project
     update_schemas_lock(project, str(work))
     after = json.loads(work.read_text())
     assert after == before
@@ -486,9 +409,7 @@ def test_shipped_schemas_lock_matches_tree(tmp_path):
 
 
 def test_shipped_tree_clean_under_project_rules():
-    result = lint_project(
-        [SRC_ROOT], all_rules(), config=load_config(PYPROJECT)
-    )
+    result = lint_project([SRC_ROOT], all_rules(), config=default_config())
     diags = collect_diagnostics(result.reports)
     errors = [r.parse_error for r in result.reports if r.parse_error]
     assert errors == []

@@ -7,7 +7,7 @@ from repro.cluster import (
     ClusterConfig,
     ClusterCoordinator,
 )
-from repro.errors import ConfigError, FaultError
+from repro.errors import ConfigError, FaultError, SimulationError
 from repro.faults import FaultSchedule, ShardFailStop, SouFailStop
 from repro.harness.resilience import chaos_config
 from repro.workloads import make_workload
@@ -142,3 +142,28 @@ class TestRunReport:
         )
         report = coordinator.run(batch_size=BATCH)
         assert report["faults"] == schedule.signature()
+
+
+class TestReplicaCheck:
+    def test_check_drops_each_replica_it_passes(self):
+        schedule = FaultSchedule(seed=1, events=(ShardFailStop(1, 0),))
+        coordinator = _coordinator(
+            cluster=ClusterConfig(n_shards=4, seed=7), schedule=schedule
+        )
+        coordinator.run(batch_size=BATCH)
+        held = [s.shard_id for s in coordinator.shards if s.replica]
+        assert held == [1, 2, 3]  # shard 0's replica was promoted
+        coordinator.check_replicas()
+        assert [s.replica for s in coordinator.shards] == [None] * 4
+
+    def test_check_stops_at_a_diverged_replica(self):
+        coordinator = _coordinator()
+        coordinator.run(batch_size=BATCH)
+        first, second = coordinator.shards[:2]
+        second.replica.catch_up()  # nothing left to replay over the loss
+        tree = second.replica.tree
+        tree.delete(next(iter(tree.items()))[0])
+        with pytest.raises(SimulationError, match="shard 1 does not match"):
+            coordinator.check_replicas()
+        assert first.replica is None  # passed, so dropped
+        assert second.replica is not None

@@ -15,7 +15,6 @@ import pytest
 from repro.core.accelerator import DcartAccelerator
 from repro.errors import ConfigError
 from repro.experiments.campaign import (
-    ENGINE_PLATFORM_KIND,
     CampaignCell,
     campaign_status,
     expand_spec,
@@ -25,7 +24,9 @@ from repro.experiments.campaign import (
 from repro.experiments.spec import KNOWN_ENGINES, CampaignSpec, fault_schedule
 from repro.experiments.store import ResultStore
 from repro.harness import resilience
+from repro.harness.runner import default_engines
 from repro.harness.serialize import result_to_dict
+from repro.model.costs import DEFAULT_POWER
 from repro.workloads import make_workload
 
 
@@ -80,7 +81,10 @@ class TestExpandSpec:
         assert cell.op_skew == 1.3
 
     def test_every_known_engine_has_a_platform_kind(self):
-        assert set(KNOWN_ENGINES) == set(ENGINE_PLATFORM_KIND)
+        # A cell is billed on the platform of the engine it builds.
+        for name in KNOWN_ENGINES:
+            (engine,) = default_engines(500, include=[name])
+            assert engine.platform.kind in ("cpu", "gpu", "fpga"), name
 
 
 class TestRunAndResume:
@@ -190,10 +194,20 @@ class TestRealCellExecution:
             n_keys=400, n_ops=1_000,
         ))
         assert doc["cell"]["engine"] == "DCART"
-        assert doc["cell"]["platform_kind"] == "fpga"
         assert doc["cell"]["tree_valid"] is None  # no fault, no oracle
         assert doc["throughput_mops"] > 0
         assert doc["energy_joules"] > 0
+
+    @pytest.mark.parametrize("engine, kind", [
+        ("ART", "cpu"), ("CuART", "gpu"), ("DCART", "fpga"),
+    ])
+    def test_cell_is_billed_on_its_engines_platform(self, engine, kind):
+        doc = run_campaign_cell(CampaignCell(
+            engine=engine, workload="IPGEO", seed=1,
+            n_keys=400, n_ops=1_000,
+        ))
+        assert doc["cell"]["platform_kind"] == kind
+        assert doc["cell"]["platform_watts"] == DEFAULT_POWER.watts_for(kind)
 
     def test_fault_cell_runs_and_validates_tree(self):
         doc = run_campaign_cell(CampaignCell(
@@ -201,6 +215,7 @@ class TestRealCellExecution:
             fault="sou-failstop:2", n_keys=400, n_ops=1_000,
         ))
         assert doc["cell"]["fault"] == "sou-failstop:2"
+        assert doc["cell"]["platform_kind"] == "fpga"
         assert doc["cell"]["tree_valid"] is True
         assert doc["throughput_mops"] > 0
 

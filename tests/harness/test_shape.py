@@ -12,6 +12,7 @@ import pytest
 
 from repro.harness import experiments as ex
 from repro.harness.comparison import speedups
+from repro.harness.runner import ENGINE_ORDER
 from repro.workloads import WORKLOAD_NAMES
 
 # The full engine x workload matrix takes minutes: tier-1 skips it.
@@ -23,7 +24,7 @@ OPS = 100_000
 
 @pytest.fixture(scope="module")
 def matrix():
-    return ex._matrix(WORKLOAD_NAMES, ex.ALL_ENGINES, KEYS, OPS, 1)
+    return ex._matrix(WORKLOAD_NAMES, ENGINE_ORDER, KEYS, OPS, 1)
 
 
 class TestOrdering:
@@ -112,15 +113,15 @@ class TestCounterBands:
 
 class TestSensitivityDirections:
     def test_fig12a_dcart_advantage_grows_with_ops(self):
-        small = ex._matrix(("IPGEO",), ex.ALL_ENGINES, KEYS, 10_000, 1)["IPGEO"]
-        large = ex._matrix(("IPGEO",), ex.ALL_ENGINES, KEYS, OPS, 1)["IPGEO"]
+        small = ex._matrix(("IPGEO",), ENGINE_ORDER, KEYS, 10_000, 1)["IPGEO"]
+        large = ex._matrix(("IPGEO",), ENGINE_ORDER, KEYS, OPS, 1)["IPGEO"]
         assert speedups(large)["SMART"] > speedups(small)["SMART"]
 
     def test_fig12b_dcart_advantage_grows_with_writes(self):
         read_heavy = ex._matrix(
-            ("IPGEO",), ex.ALL_ENGINES, KEYS, 50_000, 1, 0.0
+            ("IPGEO",), ENGINE_ORDER, KEYS, 50_000, 1, 0.0
         )["IPGEO"]
         write_heavy = ex._matrix(
-            ("IPGEO",), ex.ALL_ENGINES, KEYS, 50_000, 1, 1.0
+            ("IPGEO",), ENGINE_ORDER, KEYS, 50_000, 1, 1.0
         )["IPGEO"]
         assert speedups(write_heavy)["SMART"] > speedups(read_heavy)["SMART"]
