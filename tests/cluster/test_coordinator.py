@@ -151,7 +151,9 @@ class TestReplicaCheck:
             cluster=ClusterConfig(n_shards=4, seed=7), schedule=schedule
         )
         coordinator.run(batch_size=BATCH)
-        held = [s.shard_id for s in coordinator.shards if s.replica]
+        held = [
+            s.shard_id for s in coordinator.shards if s.replica is not None
+        ]
         assert held == [1, 2, 3]  # shard 0's replica was promoted
         coordinator.check_replicas()
         assert [s.replica for s in coordinator.shards] == [None] * 4
