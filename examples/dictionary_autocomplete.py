@@ -11,7 +11,7 @@ operation-level statistics the paper's motivation study is built on.
 
 import numpy as np
 
-from repro import AdaptiveRadixTree, encode_str, make_workload
+from repro import AdaptiveRadixTree, encode_str, make_workload, record_traversal
 from repro.engines import SmartEngine
 from repro.core import DcartAccelerator
 from repro.workloads import realworld
@@ -47,17 +47,16 @@ def main() -> None:
         print(f"autocomplete({prefix!r}): {matches}")
 
     # The traversal economics behind the paper's Fig. 2:
-    tree.stats.reset()
     probe_words = [words[i] for i in range(0, N_WORDS, 97)]
-    for word in probe_words:
-        tree.search(word)
-    stats = tree.stats
+    with record_traversal(tree, "read") as rec:
+        for word in probe_words:
+            tree.search(word)
     print(
         f"\n{len(probe_words)} point lookups: "
-        f"{stats.nodes_visited} node visits, "
-        f"{stats.partial_key_matches} child lookups, "
-        f"{stats.prefix_bytes_compared} prefix bytes compared, "
-        f"cacheline utilisation {100 * stats.cacheline_utilisation:.1f} % "
+        f"{rec.depth} node visits, "
+        f"{rec.inner_nodes_visited} child lookups, "
+        f"{rec.bytes_used} B used of {rec.bytes_fetched} B fetched: "
+        f"cacheline utilisation {100 * rec.bytes_used / rec.bytes_fetched:.1f} % "
         f"(paper Fig. 2c: ~20 %)"
     )
 

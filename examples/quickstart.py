@@ -48,7 +48,7 @@ def demo_tree() -> None:
         tree.search(encode_str("artful"))
     print(
         f"traversal of 'artful': {trace.depth} nodes, "
-        f"{trace.total_matches()} partial-key matches, "
+        f"{trace.inner_nodes_visited} partial-key matches, "
         f"{trace.bytes_fetched} B fetched / {trace.bytes_used} B used"
     )
 

@@ -24,7 +24,6 @@ Quick tour (see ``examples/quickstart.py``):
 from repro.art import (
     AdaptiveRadixTree,
     TraversalRecord,
-    TreeStats,
     decode_u64,
     encode_email,
     encode_ipv4,
@@ -88,7 +87,6 @@ __all__ = [
     "SmartEngine",
     "TraversalRecord",
     "TreeError",
-    "TreeStats",
     "WORKLOAD_NAMES",
     "Workload",
     "WorkloadError",

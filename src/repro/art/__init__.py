@@ -3,10 +3,10 @@
 This subpackage is a faithful, instrumented Python implementation of the
 ART of Leis et al. [8]: four adaptive inner-node types (N4/N16/N48/N256),
 pessimistic path compression, lazy expansion, and ordered range scans.
-Every descent step is metered (nodes visited, partial-key matches, bytes
-fetched vs. bytes actually used) because those counters are precisely what
-the DCART paper's motivation figures (Fig. 2) and evaluation figures
-(Fig. 8) report.
+Every descent step can be recorded (the nodes visited, and each node's
+bytes fetched vs. bytes actually used) because those traces are what the
+DCART paper's motivation figures (Fig. 2) and evaluation figures (Fig. 8)
+are priced from.
 
 Keys are plain ``bytes`` in binary-comparable form; :mod:`repro.art.keys`
 provides encoders for the paper's key families (8-byte integers, strings,
@@ -30,7 +30,7 @@ from repro.art.nodes import (
     Node256,
     InnerNode,
 )
-from repro.art.stats import TraversalRecord, TreeStats
+from repro.art.stats import TraversalRecord
 from repro.art.traversal import record_traversal
 from repro.art.tree import AdaptiveRadixTree
 
@@ -44,7 +44,6 @@ __all__ = [
     "Node48",
     "Node256",
     "TraversalRecord",
-    "TreeStats",
     "decode_u64",
     "encode_email",
     "encode_ipv4",

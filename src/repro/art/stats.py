@@ -1,20 +1,16 @@
-"""Instrumentation counters for the ART substrate.
+"""Per-operation traversal records for the ART substrate.
 
-Two levels of accounting feed the paper's figures:
+:class:`TraversalRecord` is the trace of a *single* operation: the node
+path it walked (one :class:`NodeTouch` per node), which node it ultimately
+operated on, and that node's parent.  Engines consume these to model
+contention (two concurrent ops writing the same node), and DCART consumes
+them to build shortcuts (``<Key_ID, Addr_Target, Addr_Parent>``).
 
-* :class:`TreeStats` — cumulative counters on a tree (every touch since the
-  last ``reset``).  They back the motivation study: redundant traversed
-  nodes (Fig. 2b), cacheline utilisation (Fig. 2c), and the partial-key-
-  match totals of Fig. 8.
-* :class:`TraversalRecord` — the trace of a *single* operation: the node
-  path it walked, which node it ultimately operated on, and that node's
-  parent.  Engines consume these to model contention (two concurrent ops
-  writing the same node), and DCART consumes them to build shortcuts
-  (``<Key_ID, Addr_Target, Addr_Parent>``).
-
-A *partial-key match* is counted per inner node descended through — one
-child lookup per node — plus one per compressed-prefix byte compared,
-matching how the paper counts the work that traversal performs.
+The tree keeps no other books.  Every figure reads a
+:class:`~repro.engines.base.RunResult`, which each engine prices from
+``touches``: a partial-key match is one inner-node touch (one child
+lookup per node descended through), and bytes fetched and used come from
+each touch's sizes.
 """
 
 from __future__ import annotations
@@ -28,66 +24,6 @@ CACHE_LINE_BYTES = 64
 def lines_for(size_bytes: int, line_bytes: int = CACHE_LINE_BYTES) -> int:
     """Number of cache lines an object of ``size_bytes`` spans (ceil)."""
     return -(-size_bytes // line_bytes)
-
-
-@dataclass
-class TreeStats:
-    """Cumulative access counters for one tree."""
-
-    nodes_visited: int = 0
-    partial_key_matches: int = 0
-    prefix_bytes_compared: int = 0
-    leaf_accesses: int = 0
-    bytes_fetched: int = 0
-    bytes_used: int = 0
-    node_allocations: int = 0
-    node_frees: int = 0
-    node_growths: int = 0
-    node_shrinks: int = 0
-    path_splits: int = 0
-    path_merges: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter (allocation counters included)."""
-        self.nodes_visited = 0
-        self.partial_key_matches = 0
-        self.prefix_bytes_compared = 0
-        self.leaf_accesses = 0
-        self.bytes_fetched = 0
-        self.bytes_used = 0
-        self.node_allocations = 0
-        self.node_frees = 0
-        self.node_growths = 0
-        self.node_shrinks = 0
-        self.path_splits = 0
-        self.path_merges = 0
-
-    @property
-    def cacheline_utilisation(self) -> float:
-        """Fraction of fetched bytes that traversal actually consumed.
-
-        The paper reports ~20.2 % on average for operation-centric
-        baselines (Fig. 2c): a descent needs one key byte and one 8-byte
-        pointer from each 64-byte-plus node it touches.
-        """
-        if self.bytes_fetched == 0:
-            return 0.0
-        return self.bytes_used / self.bytes_fetched
-
-    def snapshot(self) -> "TreeStats":
-        """Return an independent copy of the current counter values."""
-        clone = TreeStats()
-        for name in vars(self):
-            setattr(clone, name, getattr(self, name))
-        return clone
-
-    def delta(self, earlier: "TreeStats") -> "TreeStats":
-        """Counters accumulated since ``earlier`` (a prior snapshot)."""
-        diff = TreeStats()
-        for name in vars(diff):
-            if isinstance(getattr(diff, name), int):
-                setattr(diff, name, getattr(self, name) - getattr(earlier, name))
-        return diff
 
 
 class NodeTouch(NamedTuple):
@@ -135,8 +71,6 @@ class TraversalRecord:
     op_kind: str = ""
     key: bytes = b""
     touches: List[NodeTouch] = field(default_factory=list)
-    partial_key_matches: int = 0
-    prefix_bytes_compared: int = 0
     structure_modified: bool = False
     node_type_changed: bool = False
     outcome: str = ""  # "hit" | "miss" | "inserted" | "updated" | "deleted"
@@ -164,7 +98,3 @@ class TraversalRecord:
     @property
     def node_ids(self) -> Tuple[int, ...]:
         return tuple(t.node_id for t in self.touches)
-
-    def total_matches(self) -> int:
-        """Partial-key matches including compressed-prefix comparisons."""
-        return self.partial_key_matches + self.prefix_bytes_compared

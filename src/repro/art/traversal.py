@@ -1,14 +1,15 @@
 """Per-operation traversal recording.
 
 The engines need, for every operation they simulate, the exact node path
-the ART walked, the partial-key-match count, and the identity of the node
-the operation landed on.  :func:`record_traversal` installs a fresh
+the ART walked and the identity of the node the operation landed on.
+:func:`record_traversal` installs a fresh
 :class:`~repro.art.stats.TraversalRecord` on a tree for the duration of a
-``with`` block; the tree's descent code fills it in.
+``with`` block; the tree's descent code fills it in.  Partial-key matches
+are the record's ``inner_nodes_visited``: one child lookup per inner node.
 
     with record_traversal(tree, "read", key) as rec:
         value = tree.get(key)
-    # rec.touches, rec.partial_key_matches, rec.target_node_id ... are set
+    # rec.touches, rec.outcome, rec.target_node_id ... are set
 
 Records nest safely (the previous recorder is restored on exit), and the
 recorder is removed even when the operation raises — a failed insert still

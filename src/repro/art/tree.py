@@ -16,11 +16,12 @@ another).  The encoders in :mod:`repro.art.keys` guarantee this (fixed
 width, or NUL termination); the tree raises :class:`TreeError` if it is
 violated, rather than corrupting the structure.
 
-Instrumentation: every node access runs through :meth:`_touch`, feeding the
-tree-wide :class:`~repro.art.stats.TreeStats` and, when a recorder is
-installed (see :func:`repro.art.traversal.record_traversal`), a per-
-operation :class:`~repro.art.stats.TraversalRecord`.  The engines and the
-DCART accelerator model are built entirely on these records.
+Instrumentation: while a recorder is installed (see
+:func:`repro.art.traversal.record_traversal`), every node access appends a
+:class:`~repro.art.stats.NodeTouch` to a per-operation
+:class:`~repro.art.stats.TraversalRecord`.  Without one the tree keeps no
+books at all.  The engines and the DCART accelerator model are built
+entirely on these records.
 """
 
 from __future__ import annotations
@@ -38,8 +39,12 @@ from repro.art.nodes import (
     Node4,
     POINTER_BYTES,
 )
-from repro.art.stats import NodeTouch, TraversalRecord, TreeStats, CACHE_LINE_BYTES
+from repro.art.stats import NodeTouch, TraversalRecord
 from repro.errors import DuplicateKeyError, KeyNotFoundError, TreeError
+
+# NodeTouch's own __new__ is tuple.__new__(cls, (fields...)) behind a
+# Python-level call; the walk loops build their touches directly with it.
+_new_touch = tuple.__new__
 
 
 class AdaptiveRadixTree:
@@ -47,7 +52,6 @@ class AdaptiveRadixTree:
 
     def __init__(self, allocator: Optional[NodeAllocator] = None):
         self.root: Optional[Child] = None
-        self.stats = TreeStats()
         self.allocator = allocator if allocator is not None else NodeAllocator()
         self._size = 0
         self._next_node_id = 0
@@ -65,58 +69,34 @@ class AdaptiveRadixTree:
         self._next_node_id += 1
         node.address = self.allocator.allocate(node.size_bytes)
         self._by_address[node.address] = node
-        self.stats.node_allocations += 1
         return node
 
     def _unregister(self, node: Node) -> None:
         self.allocator.free(node.size_bytes)
         self._by_address.pop(node.address, None)
-        self.stats.node_frees += 1
 
     def node_at(self, address: int) -> Optional[Node]:
         """Resolve a synthetic address to its live node (or ``None``)."""
         return self._by_address.get(address)
 
     def _touch(self, node: Node) -> None:
-        # Hot: one call per node visited, so the span math is inlined
-        # (header + indexed slot) and the stats object is read once.
-        # The used/size formulas are switched on the node kind instead
-        # of dispatched through used_bytes_for_descent/size_bytes: for a
-        # Leaf both reduce to len(key) arithmetic and the fetch span
-        # equals the node size.
+        # Only a recorder reads a touch, so without one there is nothing
+        # to compute.  The used/size formulas are switched on the node
+        # kind instead of dispatched through used_bytes_for_descent/
+        # size_bytes: for a Leaf both reduce to len(key) arithmetic.
+        recorder = self._recorder
+        if recorder is None:
+            return
         kind = node.kind
-        stats = self.stats
-        stats.nodes_visited += 1
         if kind == "Leaf":
             used = len(node.key) + POINTER_BYTES
             size = HEADER_BYTES + used
-            fetch_span = size
-            stats.leaf_accesses += 1
         else:
             used = len(node.prefix) + 1 + POINTER_BYTES
             size = node.size_bytes
-            fetch_span = size if size < 16 + used else 16 + used
-        stats.bytes_fetched += (
-            -(-fetch_span // CACHE_LINE_BYTES)
-        ) * CACHE_LINE_BYTES
-        stats.bytes_used += used
-        recorder = self._recorder
-        if recorder is not None:
-            recorder.touches.append(
-                NodeTouch(node.node_id, node.address, size, used, kind)
-            )
-
-    def _count_match(self, n: int = 1) -> None:
-        self.stats.partial_key_matches += n
-        if self._recorder is not None:
-            self._recorder.partial_key_matches += n
-
-    def _count_prefix(self, n: int) -> None:
-        if n <= 0:
-            return
-        self.stats.prefix_bytes_compared += n
-        if self._recorder is not None:
-            self._recorder.prefix_bytes_compared += n
+        recorder.touches.append(
+            _new_touch(NodeTouch, (node.node_id, node.address, size, used, kind))
+        )
 
     def _note(self, **fields) -> None:
         if self._recorder is None:
@@ -161,56 +141,47 @@ class AdaptiveRadixTree:
     def get(self, key: bytes, default: object = None) -> object:
         """Return the value under ``key`` or ``default`` when absent.
 
-        Hot path (one call per simulated read): the per-level counter
-        helpers are inlined, with the stats object and recorder read
+        Hot path (one call per simulated read), with the recorder read
         once up front.
         """
-        self._check_key(key)
+        if type(key) is not bytes or not key:
+            self._check_key(key)
         node = self.root
         parent: Optional[Node] = None
         depth = 0
-        stats = self.stats
         recorder = self._recorder
         klen = len(key)
-        # The per-level _touch/_note helpers are expanded in place: this
-        # and _upsert are the two walk loops behind every simulated
-        # operation, and the helper-call overhead alone showed on
-        # profiles.  The expansions follow _touch exactly.
+        # _touch is expanded in place: this and _upsert are the two walk
+        # loops behind every simulated operation, and the helper-call
+        # overhead alone showed on profiles.  The expansions follow
+        # _touch exactly; without a recorder the walk only descends.
         while isinstance(node, InnerNode):
             prefix = node.prefix
-            plen = len(prefix)
-            used = plen + 9  # prefix + 1 key byte + 8-byte pointer
-            size = node.size_bytes
-            span = size if size < 16 + used else 16 + used
-            stats.nodes_visited += 1
-            stats.bytes_fetched += (
-                -(-span // CACHE_LINE_BYTES)
-            ) * CACHE_LINE_BYTES
-            stats.bytes_used += used
             if recorder is not None:
                 recorder.touches.append(
-                    NodeTouch(node.node_id, node.address, size, used, node.kind)
+                    _new_touch(
+                        NodeTouch,
+                        (
+                            node.node_id,
+                            node.address,
+                            node.size_bytes,
+                            len(prefix) + 9,  # prefix + key byte + pointer
+                            node.kind,
+                        ),
+                    )
                 )
-            if plen:
-                common = common_prefix_length(prefix, key[depth : depth + plen])
-                compared = common + 1 if common < plen else plen
-                stats.prefix_bytes_compared += compared
-                if recorder is not None:
-                    recorder.prefix_bytes_compared += compared
-                if common < plen:
+            if prefix:
+                if not key.startswith(prefix, depth):
                     if recorder is not None:
                         recorder.outcome = "miss"
                     self._note_target(node, parent)
                     return default
-                depth += plen
+                depth += len(prefix)
             if depth >= klen:
                 if recorder is not None:
                     recorder.outcome = "miss"
                 self._note_target(node, parent)
                 return default
-            stats.partial_key_matches += 1
-            if recorder is not None:
-                recorder.partial_key_matches += 1
             child = node.find_child(key[depth])
             if child is None:
                 if recorder is not None:
@@ -224,18 +195,14 @@ class AdaptiveRadixTree:
             if recorder is not None:
                 recorder.outcome = "miss"
             return default
-        used = len(node.key) + 8
-        size = 16 + used  # a Leaf's span equals its size
-        stats.nodes_visited += 1
-        stats.leaf_accesses += 1
-        stats.bytes_fetched += (-(-size // CACHE_LINE_BYTES)) * CACHE_LINE_BYTES
-        stats.bytes_used += used
-        stats.prefix_bytes_compared += klen
         if recorder is not None:
+            used = len(node.key) + 8
+            # A Leaf's size (header + key + pointer) is 16 + used.
             recorder.touches.append(
-                NodeTouch(node.node_id, node.address, size, used, "Leaf")
+                _new_touch(
+                    NodeTouch, (node.node_id, node.address, 16 + used, used, "Leaf")
+                )
             )
-            recorder.prefix_bytes_compared += klen
         self._note_target(node, parent)
         if node.key == key:
             if recorder is not None:
@@ -262,16 +229,13 @@ class AdaptiveRadixTree:
         depth = 0
         while isinstance(node, InnerNode):
             self._touch(node)
-            plen = node.prefix_len
-            if plen:
-                common = common_prefix_length(node.prefix, key[depth : depth + plen])
-                self._count_prefix(min(common + 1, plen))
-                if common < plen:
+            prefix = node.prefix
+            if prefix:
+                if not key.startswith(prefix, depth):
                     raise KeyNotFoundError(key)
-                depth += plen
+                depth += len(prefix)
             if depth >= len(key):
                 raise KeyNotFoundError(key)
-            self._count_match()
             child = node.find_child(key[depth])
             if child is None:
                 self._note(outcome="miss")
@@ -283,7 +247,6 @@ class AdaptiveRadixTree:
         if node is None:
             raise KeyNotFoundError(key)
         self._touch(node)
-        self._count_prefix(len(key))
         self._note_target(node, parent)
         if node.key != key:
             self._note(outcome="miss")
@@ -296,7 +259,8 @@ class AdaptiveRadixTree:
         return self._upsert(key, value, allow_update=True)
 
     def _upsert(self, key: bytes, value: object, allow_update: bool) -> bool:
-        self._check_key(key)
+        if type(key) is not bytes or not key:
+            self._check_key(key)
         if self.root is None:
             leaf = Leaf(key, value)
             self._register(leaf)
@@ -311,28 +275,22 @@ class AdaptiveRadixTree:
         parent: Optional[InnerNode] = None
         parent_byte = -1
         depth = 0
-        stats = self.stats
         recorder = self._recorder
         klen = len(key)
 
-        # Same in-place expansion of _touch/_note as in get() — this
-        # loop runs once per simulated write.
+        # Same in-place expansion of _touch as in get() — this loop runs
+        # once per simulated write and once per key of every tree build.
         while True:
             if isinstance(node, Leaf):
-                used = len(node.key) + 8
-                size = 16 + used  # a Leaf's span equals its size
-                stats.nodes_visited += 1
-                stats.leaf_accesses += 1
-                stats.bytes_fetched += (
-                    -(-size // CACHE_LINE_BYTES)
-                ) * CACHE_LINE_BYTES
-                stats.bytes_used += used
-                stats.prefix_bytes_compared += klen
                 if recorder is not None:
+                    used = len(node.key) + 8
+                    # A Leaf's size (header + key + pointer) is 16 + used.
                     recorder.touches.append(
-                        NodeTouch(node.node_id, node.address, size, used, "Leaf")
+                        _new_touch(
+                            NodeTouch,
+                            (node.node_id, node.address, 16 + used, used, "Leaf"),
+                        )
                     )
-                    recorder.prefix_bytes_compared += klen
                 if node.key == key:
                     if not allow_update:
                         if recorder is not None:
@@ -348,38 +306,30 @@ class AdaptiveRadixTree:
                 return True
 
             prefix = node.prefix
-            plen = len(prefix)
-            used = plen + 9  # prefix + 1 key byte + 8-byte pointer
-            size = node.size_bytes
-            span = size if size < 16 + used else 16 + used
-            stats.nodes_visited += 1
-            stats.bytes_fetched += (
-                -(-span // CACHE_LINE_BYTES)
-            ) * CACHE_LINE_BYTES
-            stats.bytes_used += used
             if recorder is not None:
                 recorder.touches.append(
-                    NodeTouch(node.node_id, node.address, size, used, node.kind)
+                    _new_touch(
+                        NodeTouch,
+                        (
+                            node.node_id,
+                            node.address,
+                            node.size_bytes,
+                            len(prefix) + 9,  # prefix + key byte + pointer
+                            node.kind,
+                        ),
+                    )
                 )
-            if plen:
-                rest = key[depth : depth + plen]
-                common = common_prefix_length(prefix, rest)
-                compared = common + 1 if common < plen else plen
-                stats.prefix_bytes_compared += compared
-                if recorder is not None:
-                    recorder.prefix_bytes_compared += compared
-                if common < plen:
+            if prefix:
+                if not key.startswith(prefix, depth):
+                    common = common_prefix_length(prefix, key[depth:])
                     self._split_prefix(node, parent, parent_byte, key, value, depth, common)
                     return True
-                depth += plen
+                depth += len(prefix)
             if depth >= klen:
                 raise TreeError(
                     f"key {key.hex()} is a prefix of an existing key; "
                     "keys in one tree must be prefix-free"
                 )
-            stats.partial_key_matches += 1
-            if recorder is not None:
-                recorder.partial_key_matches += 1
             byte = key[depth]
             child = node.find_child(byte)
             if child is None:
@@ -411,7 +361,6 @@ class AdaptiveRadixTree:
         self._register(bigger)
         self._unregister(node)
         self._replace(node, bigger, parent, parent_byte)
-        self.stats.node_growths += 1
         self._note(node_type_changed=True)
         return bigger
 
@@ -455,7 +404,6 @@ class AdaptiveRadixTree:
         inner.add_child(key[split_at], new_leaf)
         self._replace(leaf, inner, parent, parent_byte)
         self._size += 1
-        self.stats.path_splits += 1
         self._note(outcome="inserted", structure_modified=True)
         self._note_target(inner, parent)
 
@@ -487,7 +435,6 @@ class AdaptiveRadixTree:
         new_parent.add_child(key[split_at], new_leaf)
         self._replace(node, new_parent, parent, parent_byte)
         self._size += 1
-        self.stats.path_splits += 1
         self._note(outcome="inserted", structure_modified=True, node_type_changed=True)
         self._note_target(new_parent, parent)
 
@@ -509,7 +456,6 @@ class AdaptiveRadixTree:
         if isinstance(self.root, Leaf):
             leaf = self.root
             self._touch(leaf)
-            self._count_prefix(len(key))
             if leaf.key != key:
                 raise KeyNotFoundError(key)
             self.root = None
@@ -526,23 +472,19 @@ class AdaptiveRadixTree:
 
         while isinstance(node, InnerNode):
             self._touch(node)
-            plen = node.prefix_len
-            if plen:
-                common = common_prefix_length(node.prefix, key[depth : depth + plen])
-                self._count_prefix(min(common + 1, plen))
-                if common < plen:
+            prefix = node.prefix
+            if prefix:
+                if not key.startswith(prefix, depth):
                     raise KeyNotFoundError(key)
-                depth += plen
+                depth += len(prefix)
             if depth >= len(key):
                 raise KeyNotFoundError(key)
-            self._count_match()
             byte = key[depth]
             child = node.find_child(byte)
             if child is None:
                 raise KeyNotFoundError(key)
             if isinstance(child, Leaf):
                 self._touch(child)
-                self._count_prefix(len(key))
                 if child.key != key:
                     raise KeyNotFoundError(key)
                 self._note_target(node, parent)
@@ -575,14 +517,12 @@ class AdaptiveRadixTree:
                 only.prefix = node.prefix + bytes([edge]) + only.prefix
             self._replace(node, only, parent, parent_byte)
             self._unregister(node)
-            self.stats.path_merges += 1
             self._note(node_type_changed=True)
         elif not isinstance(node, Node4) and node.is_underfull:
             smaller = node.shrink()
             self._register(smaller)
             self._unregister(node)
             self._replace(node, smaller, parent, parent_byte)
-            self.stats.node_shrinks += 1
             self._note(node_type_changed=True)
         return leaf.value
 

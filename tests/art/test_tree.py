@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.art import AdaptiveRadixTree, encode_str, encode_u64
+from repro.art import AdaptiveRadixTree, encode_str, encode_u64, record_traversal
 from repro.art.nodes import Leaf, Node4, Node16, Node48, Node256
 from repro.errors import DuplicateKeyError, KeyNotFoundError, TreeError
 
@@ -120,7 +120,8 @@ class TestPrefixSplit:
         # common_prefix("aaaaaaa", "aabbbbbb") == "aa"
         assert tree.root.prefix == b"aa"
         tree.validate()
-        assert tree.stats.path_splits >= 2
+        # Two splits, each adding one N4: the leaf split, then the prefix split.
+        assert tree.node_counts() == {"N4": 2, "N16": 0, "N48": 0, "N256": 0, "Leaf": 3}
 
     def test_split_retains_subtree(self, tree):
         for suffix in b"wxyz":
@@ -134,8 +135,13 @@ class TestPrefixSplit:
 
 class TestNodeGrowth:
     def build(self, tree, count):
+        """Insert ``count`` keys under one node; return how many grew it."""
+        growths = 0
         for i in range(count):
-            tree.insert(bytes([0x10, i, 0, 0]), i)
+            with record_traversal(tree, "write") as rec:
+                tree.insert(bytes([0x10, i, 0, 0]), i)
+            growths += rec.node_type_changed
+        return growths
 
     def test_grow_to_n16(self, tree):
         self.build(tree, 5)
@@ -153,15 +159,13 @@ class TestNodeGrowth:
         tree.validate()
 
     def test_values_survive_every_growth(self, tree):
-        self.build(tree, 256)
+        assert self.build(tree, 256) == 3
         assert isinstance(tree.root, Node256)
         for i in range(256):
             assert tree.search(bytes([0x10, i, 0, 0])) == i
-        assert tree.stats.node_growths == 3
 
     def test_growth_counted(self, tree):
-        self.build(tree, 5)
-        assert tree.stats.node_growths == 1
+        assert self.build(tree, 5) == 1
 
 
 class TestDeletion:
@@ -174,11 +178,13 @@ class TestDeletion:
     def test_path_merge_on_last_sibling(self, tree):
         tree.insert(b"aaaa", 1)
         tree.insert(b"aaab", 2)
-        tree.delete(b"aaab")
+        with record_traversal(tree, "delete", b"aaab") as rec:
+            tree.delete(b"aaab")
+        assert rec.outcome == "deleted"
+        assert rec.node_type_changed  # the path merge
         # The N4 collapses back to a bare leaf.
         assert isinstance(tree.root, Leaf)
         assert tree.search(b"aaaa") == 1
-        assert tree.stats.path_merges == 1
 
     def test_path_merge_folds_prefixes(self, tree):
         tree.insert(b"aaaaaaaz", 1)
@@ -278,13 +284,11 @@ class TestRangeScan:
 
     def test_scan_prunes_subtrees(self, populated):
         # A narrow scan must touch far fewer nodes than a full scan.
-        populated.stats.reset()
-        list(populated.range_scan(encode_u64(100), encode_u64(120)))
-        narrow = populated.stats.nodes_visited
-        populated.stats.reset()
-        list(populated.range_scan(encode_u64(0), encode_u64(2**64 - 1)))
-        full = populated.stats.nodes_visited
-        assert narrow < full / 2
+        with record_traversal(populated, "scan") as narrow:
+            list(populated.range_scan(encode_u64(100), encode_u64(120)))
+        with record_traversal(populated, "scan") as full:
+            list(populated.range_scan(encode_u64(0), encode_u64(2**64 - 1)))
+        assert len(narrow.touches) < len(full.touches) / 2
 
     def test_string_keys(self, tree):
         for word in ("apple", "apricot", "banana", "cherry", "date"):

@@ -159,7 +159,7 @@ def test_allocation_accounting_balances(keys):
     for key in keys:
         tree.delete(key)
     # Every allocated node must eventually be freed when the tree empties.
-    assert tree.stats.node_allocations == tree.stats.node_frees
+    assert all(count == 0 for count in tree.node_counts().values())
     assert tree.allocator.live_bytes == 0
 
 

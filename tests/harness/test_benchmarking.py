@@ -8,6 +8,7 @@ lifecycle in a throwaway git repository.
 
 import json
 import os
+import subprocess
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,8 +157,19 @@ def test_git_sha_stamps_the_checkout_not_the_working_directory(
     tmp_path, monkeypatch
 ):
     # Started outside the repository, the stamp still names the code
-    # that is running, never "unknown" or another repository's HEAD.
+    # that is running, never another repository's HEAD.  A source export
+    # (no .git) is not a checkout, and there the stamp is "unknown".
     monkeypatch.chdir(tmp_path)
+    top = subprocess.run(
+        ["git", "-C", REPO_ROOT, "rev-parse", "--show-toplevel"],
+        capture_output=True, text=True,
+    )
+    in_checkout = top.returncode == 0 and (
+        os.path.realpath(top.stdout.strip()) == os.path.realpath(REPO_ROOT)
+    )
+    if not in_checkout:
+        assert git_sha() == "unknown"
+        return
     want = git(REPO_ROOT, "rev-parse", "HEAD")
     if git(REPO_ROOT, "status", "--porcelain"):
         want += "-dirty"
